@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .model import LatticeState, decode
 from .exact import (
@@ -21,9 +23,7 @@ from .exact import (
     EDGE_HOP,
     Generator,
     balance_residuals,
-    build_generator,
     reverse_rates,
-    solve_stationary,
 )
 
 __all__ = [
@@ -108,93 +108,57 @@ def reversed_generator(
     )
 
 
-def _edge_maps(gen: Generator):
-    rate_of: dict[tuple[int, int], float] = {}
-    adjacency: dict[int, list[int]] = {}
-    for i, j, rate in zip(gen.rows.tolist(), gen.cols.tolist(), gen.rates.tolist()):
-        rate_of[(i, j)] = rate
-        adjacency.setdefault(i, []).append(j)
-    return rate_of, adjacency
-
-
-def _cycle_residual(cycle: list[int], rate_of: dict[tuple[int, int], float]) -> float:
-    forward = 1.0
-    reverse = 1.0
-    length = len(cycle)
-    for pos in range(length):
-        i, j = cycle[pos], cycle[(pos + 1) % length]
-        forward *= rate_of[(i, j)]
-        reverse *= rate_of.get((j, i), 0.0)
-    return abs(forward - reverse) / forward
-
-
-def kolmogorov_cycle_residual(
-    gen: Generator,
-    max_cycle_len: int,
-    *,
-    exhaustive_limit: int = 729,
-    n_samples: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Worst relative mismatch of forward vs reverse rate products over
-    directed cycles of length up to ``max_cycle_len``.
-
-    Zero (up to rounding) characterises a reversible chain.  All simple
-    cycles are enumerated when the state space has at most
-    ``exhaustive_limit`` states (root-anchored DFS so each cycle is seen
-    once); larger spaces fall back to sampling ``n_samples`` random simple
-    paths and closing them where an edge back to the start exists, with a
-    deterministic ``seed``.
+def _tree_potential(gen: Generator, log_ratio: np.ndarray) -> np.ndarray:
+    """Potential with ``phi_j = phi_i + log_ratio[i->j]`` along a
+    breadth-first spanning tree of each connected component, zero at each
+    component's root.  For a reversible chain it is ``log(stationary)`` up
+    to one constant per component.
     """
-    if max_cycle_len < 3:
-        raise ValueError(f"max_cycle_len must be >= 3, got {max_cycle_len}")
-    rate_of, adjacency = _edge_maps(gen)
-    worst = 0.0
-
-    if gen.dim <= exhaustive_limit:
-        for root in range(gen.dim):
-            if root not in adjacency:
-                continue
-            path = [root]
-            on_path = {root}
-
-            def extend(node: int) -> None:
-                nonlocal worst
-                for succ in adjacency.get(node, ()):
-                    if succ == root and len(path) >= 2:
-                        worst = max(worst, _cycle_residual(path, rate_of))
-                    elif succ > root and succ not in on_path and len(path) < max_cycle_len:
-                        path.append(succ)
-                        on_path.add(succ)
-                        extend(succ)
-                        path.pop()
-                        on_path.remove(succ)
-
-            extend(root)
-        return worst
-
-    rng = np.random.default_rng(seed)
-    starts = rng.integers(gen.dim, size=n_samples)
-    for start in starts.tolist():
-        if start not in adjacency:
-            continue
-        path = [start]
-        on_path = {start}
-        node = start
-        for _ in range(max_cycle_len - 1):
-            candidates = [succ for succ in adjacency.get(node, ()) if succ not in on_path]
-            if not candidates:
-                break
-            node = candidates[int(rng.integers(len(candidates)))]
-            path.append(node)
-            on_path.add(node)
-            if (node, start) in rate_of and len(path) >= 2:
-                worst = max(worst, _cycle_residual(path, rate_of))
-    return worst
+    # Edge e is stored as e + 1, so the matrix is both the graph and a
+    # lookup from a (parent, child) pair to its edge.
+    edge_of = sp.csr_matrix(
+        (np.arange(1, gen.n_edges + 1), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
+    )
+    _, labels = connected_components(edge_of, directed=False)
+    parent = np.arange(gen.dim)
+    for root in np.unique(labels, return_index=True)[1]:
+        order, pred = breadth_first_order(edge_of, root, directed=False, return_predecessors=True)
+        parent[order[1:]] = pred[order[1:]]
+    child = np.nonzero(parent != np.arange(gen.dim))[0]
+    potential = np.zeros(gen.dim)
+    potential[child] = log_ratio[np.asarray(edge_of[parent[child], child]).ravel() - 1]
+    # Pointer doubling: potential[v] sums the log ratios from up[v] down
+    # to v, and up[v] climbs until it reaches the root.
+    up = parent
+    while np.any(up[up] != up):
+        potential = potential + potential[up]
+        up = up[up]
+    return potential
 
 
-def uniformity_check(params) -> float:
-    """Max deviation of the solved stationary distribution from uniform.
+def kolmogorov_cycle_residual(gen: Generator) -> float:
+    """Worst relative mismatch of forward vs reverse rate products over
+    every cycle of the transition graph.
+
+    Zero (up to rounding) characterises a reversible chain.  Kelly's
+    tree-potential construction (Reversibility and Stochastic Networks,
+    1979, section 1.5): with ``L = log(rate(i->j) / rate(j->i))`` on each
+    edge, a spanning-tree potential ``phi`` (``_tree_potential``) makes
+    ``L_ij - (phi_j - phi_i)`` the log rate-product ratio of the
+    fundamental cycle that edge closes.  Those cycles span all cycles, so
+    the check is exact and needs no stationary distribution.  Raises when
+    the transition support is not structurally symmetric.
+    """
+    if gen.n_edges == 0:
+        return 0.0
+    log_ratio = np.log(gen.rates) - np.log(reverse_rates(gen))
+    potential = _tree_potential(gen, log_ratio)
+    mismatch = log_ratio - (potential[gen.cols] - potential[gen.rows])
+    return float(np.abs(np.expm1(mismatch)).max())
+
+
+def uniformity_check(params, dist: np.ndarray) -> float:
+    """Max deviation of the solved stationary distribution ``dist`` from uniform.
 
     Only meaningful when every type's arrival rate equals its departure
     rate, in which case the closed form collapses to the uniform
@@ -202,7 +166,7 @@ def uniformity_check(params) -> float:
     """
     if any(a != b for a, b in zip(params.alpha, params.beta)):
         raise ValueError("uniformity requires alpha[k] == beta[k] for every type")
-    dist = solve_stationary(build_generator(params))
+    dist = np.asarray(dist, dtype=np.float64)
     return float(np.abs(dist - 1.0 / dist.size).max())
 
 

@@ -173,8 +173,18 @@ class TestCmdVerify:
         assert by_name["reversed_rates_rate_symmetric"]["status"] == "skipped"
         assert by_name["reversed_rates_general"]["status"] == "pass"
 
-    def test_negative_control_fails_balance_checks(self):
-        doc = cmd_verify(run_config(n_sites=3), negative_control=True)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_sites": 3},
+            # 1024 states: a cycle check that sampled above 729 states missed this edge.
+            {"n_sites": 5, "n_types": 3, "alpha": [1.0, 2.0, 0.5], "beta": [2.0, 1.0, 1.0],
+             "delta": [1.0, 1.0, 1.0]},
+        ],
+        ids=["n3k1", "n5k3"],
+    )
+    def test_negative_control_fails_balance_checks(self, overrides):
+        doc = cmd_verify(run_config(**overrides), negative_control=True)
         by_name = {c["name"]: c for c in doc["checks"]}
         assert doc["passed"] is False
         assert by_name["detailed_balance"]["status"] == "fail"
