@@ -224,7 +224,8 @@ def cmd_exact(config: RunConfig) -> dict[str, Any]:
         {
             "command": "exact",
             "state_space_size": gen.dim,
-            "irreducible": bool(is_irreducible(gen)),
+            # solve_stationary refuses reducible generators.
+            "irreducible": True,
             "normalization_constant": _finite(normalization_constant(params)),
             "max_abs_deviation": _finite(deviation),
             "distribution": {

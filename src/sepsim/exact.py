@@ -2,10 +2,11 @@
 
 The generator of the lattice process is stored as off-diagonal COO arrays
 in a canonical (row, col) order; the diagonal is implied (negative exit
-rate), so row sums are zero by construction.  Desk-scale models are solved
-by a direct dense solve with one balance equation replaced by the
-normalization constraint; larger models fall back to power iteration on
-the uniformized transition operator.
+rate), so row sums are zero by construction.  Every model is solved the
+same way: the weight of the last state is pinned to one, and the remaining
+balance equations are factored by a sparse LU without pivoting, which is
+stable because the reduced system is a column diagonally dominant
+M-matrix.
 
 The closed-form product distribution and its site marginals are computed
 independently of the solver, so either side can serve as the oracle for
@@ -20,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .model import ModelParams, state_space_size
 
 __all__ = [
     "DEFAULT_STATE_CAP",
     "STATE_CAP_ENV",
-    "DENSE_SOLVE_CUTOFF",
     "EDGE_ARRIVAL",
     "EDGE_DEPARTURE",
     "EDGE_HOP",
@@ -34,7 +35,6 @@ __all__ = [
     "CapExceededError",
     "SolveError",
     "SingularSystemError",
-    "NonConvergenceError",
     "Generator",
     "resolve_state_cap",
     "build_generator",
@@ -51,7 +51,7 @@ __all__ = [
 
 DEFAULT_STATE_CAP = 1 << 24
 STATE_CAP_ENV = "SEPSIM_STATE_CAP"
-DENSE_SOLVE_CUTOFF = 4096
+RESIDUAL_TOL = 1e-10
 
 # Transition classes: an edge adds a particle, removes one, or moves one.
 EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_HOP = 1, 2, 3
@@ -76,10 +76,6 @@ class SolveError(RuntimeError):
 
 class SingularSystemError(SolveError):
     """The balance system is singular or too ill-conditioned to trust."""
-
-
-class NonConvergenceError(SolveError):
-    """Power iteration did not reach the residual tolerance."""
 
 
 def resolve_state_cap(cap: int | None = None) -> int:
@@ -263,22 +259,27 @@ def is_irreducible(gen: Generator) -> bool:
     return n_components == 1
 
 
-def solve_stationary(
-    gen: Generator,
-    *,
-    dense_cutoff: int = DENSE_SOLVE_CUTOFF,
-    residual_tol: float = 1e-10,
-    power_tol: float = 1e-12,
-    max_iterations: int = 200_000,
-) -> np.ndarray:
+def solve_stationary(gen: Generator) -> np.ndarray:
     """Stationary distribution of an irreducible generator.
 
-    Up to ``dense_cutoff`` states the balance system is solved directly,
-    with the last balance equation replaced by the normalization
-    constraint; above it, power iteration on the uniformized operator runs
-    until the balance residual drops below ``power_tol``.  The returned
-    vector sums to one, is strictly positive, and satisfies the balance
-    equations with infinity-norm residual at most ``residual_tol``.
+    The balance equations ``Q^T p = 0`` are solved with the weight of the
+    last state pinned to one: its row and column are dropped, the reduced
+    matrix ``A`` is factored by a sparse LU, and the solution is extended
+    by the pinned one and normalized.
+
+    The factorization keeps every pivot on the diagonal (symmetric
+    fill-reducing ordering, no pivoting), which is safe here: ``-A`` has a
+    positive diagonal and non-positive off-diagonal entries, each of its
+    columns sums to the rate from that state into the pinned one (a column
+    of ``Q^T`` sums to zero), so it is column diagonally dominant, and
+    irreducibility makes it a nonsingular M-matrix.  Gaussian elimination
+    without pivoting is stable on a column diagonally dominant matrix, and
+    every Schur complement of an M-matrix is again one, so no pivot
+    vanishes or changes sign.
+
+    The returned vector sums to one, is strictly positive, and satisfies
+    the balance equations with infinity-norm residual at most
+    ``RESIDUAL_TOL``; otherwise :class:`SingularSystemError` is raised.
     """
     if not is_irreducible(gen):
         raise ValueError(
@@ -286,48 +287,31 @@ def solve_stationary(
             "interior occupancy of that type on lattices with more than two sites"
         )
     m = gen.dim
-    exit_rates = gen.exit_rates()
-    if m <= dense_cutoff:
-        qt = np.zeros((m, m))
-        qt[gen.cols, gen.rows] = gen.rates
-        diag = np.arange(m)
-        qt[diag, diag] = -exit_rates
-        qt[-1, :] = 1.0
-        rhs = np.zeros(m)
-        rhs[-1] = 1.0
-        try:
-            p = np.linalg.solve(qt, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"balance system is singular: {exc}") from exc
-    else:
-        lam = 1.05 * float(exit_rates.max())
-        diag = np.arange(m)
-        transition_t = sp.csr_matrix(
-            (
-                np.concatenate([gen.rates / lam, 1.0 - exit_rates / lam]),
-                (np.concatenate([gen.cols, diag]), np.concatenate([gen.rows, diag])),
-            ),
-            shape=(m, m),
+    if m == 1:
+        return np.ones(1)
+    diag = np.arange(m)
+    qt = sp.csc_matrix(
+        (
+            np.concatenate([gen.rates, -gen.exit_rates()]),
+            (np.concatenate([gen.cols, diag]), np.concatenate([gen.rows, diag])),
+        ),
+        shape=(m, m),
+    )
+    try:
+        lu = splu(
+            qt[:-1, :-1],
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
-        p = np.full(m, 1.0 / m)
-        residual = np.inf
-        for _ in range(max_iterations):
-            p_next = transition_t @ p
-            residual = lam * float(np.abs(p_next - p).max())
-            p = p_next / p_next.sum()
-            if residual <= power_tol:
-                break
-        else:
-            raise NonConvergenceError(
-                f"power iteration stopped after {max_iterations} iterations "
-                f"with residual {residual:.3e} > {power_tol:.1e}"
-            )
-
+    except RuntimeError as exc:
+        raise SingularSystemError(f"balance system is singular: {exc}") from exc
+    p = np.append(lu.solve(-qt[:-1, -1].toarray().ravel()), 1.0)
     p = p / p.sum()
     residual = float(np.abs(balance_residuals(gen, p)).max())
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise SingularSystemError(
-            f"stationary solve residual {residual:.3e} exceeds {residual_tol:.1e}; "
+            f"stationary solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}; "
             "the system is too ill-conditioned to trust"
         )
     if p.min() <= 0.0:

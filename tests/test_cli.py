@@ -141,8 +141,20 @@ class TestCmdSimulate:
 
 
 class TestCmdVerify:
-    def test_all_checks_pass_on_valid_model(self):
-        doc = cmd_verify(run_config())
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            # Stiff rates on which the solver used to fail inside verify.
+            {"n_sites": 5, "n_types": 2, "alpha": [1e-6, 1e3], "beta": [1e3, 1e-3],
+             "delta": [1.0, 1.0]},
+            {"n_sites": 7, "n_types": 2, "alpha": [1e-4, 30.0], "beta": [5.0, 0.1],
+             "delta": [1.0, 1.0]},
+        ],
+        ids=["n2k1", "stiff5", "stiff7"],
+    )
+    def test_all_checks_pass_on_valid_model(self, overrides):
+        doc = cmd_verify(run_config(**overrides))
         assert doc["passed"] is True
         names = {c["name"] for c in doc["checks"]}
         assert {

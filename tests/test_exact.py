@@ -5,7 +5,6 @@ from sepsim import (
     CapExceededError,
     Generator,
     ModelParams,
-    NonConvergenceError,
     balance_residuals,
     build_generator,
     is_irreducible,
@@ -168,16 +167,30 @@ class TestSolveStationary:
             solved = solve_stationary(build_generator(p))
             assert np.abs(solved - product_form(p)).max() <= 1e-10
 
-    def test_power_iteration_path_agrees(self):
-        for p in (TWO_SITE, params(3, 2, alpha=(1.0, 2.0), beta=(1.0, 1.0))):
-            gen = build_generator(p)
-            solved = solve_stationary(gen, dense_cutoff=0)
-            assert np.abs(solved - product_form(p)).max() <= 1e-10
+    @pytest.mark.parametrize(
+        "p",
+        [
+            params(3, 2, alpha=(1.0, 2.0), beta=(1.0, 1.0)),
+            # Stiff rates: a dense LU solve of the bordered system landed
+            # 3.3e-10 off (relative error 3.7e29) on the first and returned
+            # a negative probability on the second.
+            params(5, 2, alpha=(1e-6, 1e3), beta=(1e3, 1e-3)),
+            params(7, 2, alpha=(1e-4, 30.0), beta=(5.0, 0.1)),
+            # 6561 states; with slow hops power iteration did not converge.
+            params(8, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
+            params(8, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(0.01, 0.01)),
+        ],
+        ids=["n3k2", "stiff5", "stiff7", "n8k2", "n8k2-slow-hops"],
+    )
+    def test_absolute_and_relative_accuracy(self, p):
+        solved = solve_stationary(build_generator(p))
+        closed = product_form(p)
+        assert np.abs(solved - closed).max() <= 1e-10
+        assert np.abs(solved / closed - 1.0).max() <= 1e-10
 
-    def test_power_iteration_reports_non_convergence(self):
-        gen = build_generator(TWO_SITE)
-        with pytest.raises(NonConvergenceError):
-            solve_stationary(gen, dense_cutoff=0, max_iterations=2)
+    def test_single_state_generator(self):
+        gen = Generator(dim=1, rows=[], cols=[], rates=[], kinds=[])
+        assert solve_stationary(gen).tolist() == [1.0]
 
     def test_reducible_generator_rejected(self):
         # two disconnected 2-cycles
