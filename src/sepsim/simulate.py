@@ -4,8 +4,15 @@ The sampler is the direct method: draw an exponential holding time from
 the total enabled rate, then pick one event with probability proportional
 to its rate.  Both draws are plain uniform doubles consumed in a fixed
 order (holding time first), which makes replicas bit-reproducible and lets
-the buffered main loop produce exactly the same trajectory as repeated
-calls to :func:`sample_next_event`.
+:func:`run_replica` produce exactly the same trajectory as repeated calls
+to :func:`sample_next_event`.
+
+:func:`run_replica` is one event loop over a lattice array.  It draws the
+uniforms in blocks and keeps each visited state's step records (cumulative
+rates, successor index) in a cache of at most ``_RECORD_CACHE_LIMIT``
+records; a state missing from it is built from the lattice array in O(N),
+with successor indices derived arithmetically, and a state reached once
+the cache is full is used without being stored, so memory stays bounded.
 
 Replica streams come from a counter-based generator: replica ``i`` of a
 run seeded with ``s`` uses ``numpy`` Philox keyed by
@@ -35,10 +42,7 @@ from .model import (
     EventKind,
     LatticeState,
     ModelParams,
-    apply_event,
-    decode,
     enabled_events,
-    encode,
     state_space_size,
 )
 
@@ -65,7 +69,8 @@ RNG_SCHEME = {
 # beyond this size.
 STATE_TRACKING_LIMIT = 1 << 20
 
-_UNIFORM_BLOCK = 1 << 16
+# Events per block of uniforms drawn at once (two uniforms per event).
+_EVENT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -200,29 +205,58 @@ def sample_next_event(
 
 
 # Per-state step records: (cumulative rates, total rate, tuple of
-# (code, type0, site0, dest0, next_index, event)) with code 0 = arrival,
-# 1 = departure, 2 = hop, sites 0-based, dest0 = -1 for non-hops.
-_ARRIVAL, _DEPARTURE, _HOP = 0, 1, 2
+# (code, type0, site0, dest0, next_index)) in ``enabled_events`` order,
+# sites 0-based, dest0 = -1 for non-hops.  ``code`` indexes ``_KINDS``.
+_ARRIVAL, _DEPARTURE, _HOP_LEFT, _HOP_RIGHT = 0, 1, 2, 3
+_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE, EventKind.HOP_LEFT, EventKind.HOP_RIGHT)
+
+# Most step records the per-state cache keeps (about 160 bytes each, so
+# about 40 MiB in all); a state reached past it is built and used but not
+# stored, so memory stays bounded however many distinct states a run visits.
+_RECORD_CACHE_LIMIT = 1 << 18
 
 
-def _state_records(state: LatticeState, params: ModelParams):
-    events = enabled_events(state, params)
+def _state_records(occ: list[int], s: int, params: ModelParams, weight: list[int]):
+    """Step records of state ``s``, whose lattice is ``occ``.
+
+    Emits the events of :func:`~sepsim.model.enabled_events` in the same
+    order with the same running rate sums, and derives each successor's
+    canonical index from ``s`` and the site weights ``weight[i] =
+    (K+1)**(N-1-i)`` instead of encoding it.
+    """
+    n = len(occ)
+    alpha, beta, delta = params.alpha, params.beta, params.delta
     cumulative: list[float] = []
-    running = 0.0
     records = []
-    for event, rate in events:
-        running += rate
-        cumulative.append(running)
-        i0 = event.site - 1
-        next_index = encode(apply_event(state, event), params)
-        if event.kind is EventKind.ARRIVAL:
-            records.append((_ARRIVAL, event.ptype - 1, i0, -1, next_index, event))
-        elif event.kind is EventKind.DEPARTURE:
-            records.append((_DEPARTURE, event.ptype - 1, i0, -1, next_index, event))
-        elif event.kind is EventKind.HOP_LEFT:
-            records.append((_HOP, event.ptype - 1, i0, i0 - 1, next_index, event))
+    running = 0.0
+    for i0 in (0, n - 1):
+        v, w = occ[i0], weight[i0]
+        if v == 0:
+            for k0, rate in enumerate(alpha):
+                running += rate
+                cumulative.append(running)
+                records.append((_ARRIVAL, k0, i0, -1, s + (k0 + 1) * w))
         else:
-            records.append((_HOP, event.ptype - 1, i0, i0 + 1, next_index, event))
+            running += beta[v - 1]
+            cumulative.append(running)
+            records.append((_DEPARTURE, v - 1, i0, -1, s - v * w))
+    if n > 2 or params.boundary_hops:
+        # Adjacent pair (i0, i0+1) with one vacant end yields the right hop
+        # of site i0 or the left hop of site i0+1: ascending pairs give
+        # enabled_events' order (by site, left hop before right).
+        for i0, (u, v) in enumerate(zip(occ, occ[1:])):
+            if u:
+                if v or delta[u - 1] <= 0.0:
+                    continue
+                running += delta[u - 1]
+                cumulative.append(running)
+                step = weight[i0] - weight[i0 + 1]
+                records.append((_HOP_RIGHT, u - 1, i0, i0 + 1, s - u * step))
+            elif v and delta[v - 1] > 0.0:
+                running += delta[v - 1]
+                cumulative.append(running)
+                step = weight[i0] - weight[i0 + 1]
+                records.append((_HOP_LEFT, v - 1, i0 + 1, i0, s + v * step))
     return cumulative, running, tuple(records)
 
 
@@ -254,144 +288,94 @@ def run_replica(
                 f"state occupancy tracking needs a dense vector of {m} entries; "
                 f"limit is {STATE_TRACKING_LIMIT}"
             )
-        state_occ: list[float] | None = [0.0] * m
-    else:
-        state_occ = None
 
-    rng = replica_rng(config.seed, replica_index)
-    rng_random = rng.random
-    buf: list[float] = []
-    buf_pos = 0
-    buf_len = 0
-
+    rng_random = replica_rng(config.seed, replica_index).random
     table: dict[int, tuple] = {}
+    cached = 0  # records stored in ``table``
+    weight = [(n_types + 1) ** (n - 1 - i0) for i0 in range(n)]
     warmup = config.warmup_events
     record = config.record_trajectory
     trajectory: list[tuple[float, Event]] | None = [] if record else None
     particles: list[TaggedParticle] | None = [] if record else None
     particle_at: list[int] = [-1] * n
 
-    s = 0  # all-vacant start
+    occ = [0] * n  # the lattice; s is its canonical index
+    s = 0
     t = 0.0
     arrival_at: list[float] = [0.0] * n
-    in_window: list[bool] = [False] * n
 
-    # Warm-up: advance the chain and the particle identities, no statistics.
-    for _ in range(warmup):
-        try:
-            cumulative, total, records = table[s]
-        except KeyError:
-            entry = table[s] = _state_records(decode(s, params), params)
-            cumulative, total, records = entry
-        if buf_pos == buf_len:
-            buf = rng_random(_UNIFORM_BLOCK).tolist()
-            buf_pos, buf_len = 0, _UNIFORM_BLOCK
-        u1 = buf[buf_pos]
-        buf_pos += 1
-        if buf_pos == buf_len:
-            buf = rng_random(_UNIFORM_BLOCK).tolist()
-            buf_pos, buf_len = 0, _UNIFORM_BLOCK
-        u2 = buf[buf_pos]
-        buf_pos += 1
-        t += -log1p(-u1) / total
-        pick = bisect_right(cumulative, u2 * total)
-        if pick == len(records):
-            pick -= 1
-        code, k0, a, b, s, event = records[pick]
-        if code == _ARRIVAL:
-            in_window[a] = False
-            arrival_at[a] = t
-            if record:
-                particle_at[a] = len(particles)
-                particles.append(TaggedParticle(len(particles), k0 + 1, t))
-        elif code == _DEPARTURE:
-            in_window[a] = False
-            if record and particle_at[a] >= 0:
-                particles[particle_at[a]].departure_time = t
-                particle_at[a] = -1
-        else:
-            arrival_at[b] = arrival_at[a]
-            in_window[b] = in_window[a]
-            in_window[a] = False
-            if record:
-                particle_at[b] = particle_at[a]
-                particle_at[a] = -1
-        if record:
-            trajectory.append((t, event))
+    # Pass one is the warm-up, pass two the measurement window; statistics
+    # restart at the start of each pass, so only the window's are returned.
+    for remaining in (warmup, config.max_events - warmup):
+        t_start = t
+        start_counts = np.bincount(occ, minlength=n_types + 1)[1:].astype(np.int64)
+        occupancy = [[0.0] * (n_types + 1) for _ in range(n)]
+        last_change = [t] * n
+        arrivals = [0] * n_types
+        departures = [0] * n_types
+        sojourns: list[list[float]] = [[] for _ in range(n_types)]
+        in_window = [False] * n
+        state_occ = [0.0] * m if track_state_occupancy else None
+        while remaining:
+            block = min(remaining, _EVENT_BLOCK)
+            remaining -= block
+            uniforms = iter(rng_random(2 * block).tolist())
+            for u1, u2 in zip(uniforms, uniforms):
+                try:
+                    cumulative, total, records = table[s]
+                except KeyError:
+                    cumulative, total, records = entry = _state_records(occ, s, params, weight)
+                    if cached + len(records) <= _RECORD_CACHE_LIMIT:
+                        table[s] = entry
+                        cached += len(records)
+                dt = -log1p(-u1) / total
+                if state_occ is not None:
+                    state_occ[s] += dt
+                t += dt
+                pick = bisect_right(cumulative, u2 * total)
+                if pick == len(records):
+                    pick -= 1
+                code, k0, a, b, s = records[pick]
+                if code == _ARRIVAL:
+                    occ[a] = k0 + 1
+                    occupancy[a][0] += t - last_change[a]
+                    last_change[a] = t
+                    arrival_at[a] = t
+                    in_window[a] = True
+                    arrivals[k0] += 1
+                    if record:
+                        particle_at[a] = len(particles)
+                        particles.append(TaggedParticle(len(particles), k0 + 1, t))
+                elif code == _DEPARTURE:
+                    occ[a] = 0
+                    occupancy[a][k0 + 1] += t - last_change[a]
+                    last_change[a] = t
+                    departures[k0] += 1
+                    if in_window[a]:
+                        sojourns[k0].append(t - arrival_at[a])
+                        in_window[a] = False
+                    if record and particle_at[a] >= 0:
+                        particles[particle_at[a]].departure_time = t
+                        particle_at[a] = -1
+                else:
+                    occ[b] = k0 + 1
+                    occ[a] = 0
+                    occupancy[a][k0 + 1] += t - last_change[a]
+                    last_change[a] = t
+                    occupancy[b][0] += t - last_change[b]
+                    last_change[b] = t
+                    arrival_at[b] = arrival_at[a]
+                    in_window[b] = in_window[a]
+                    in_window[a] = False
+                    if record:
+                        particle_at[b] = particle_at[a]
+                        particle_at[a] = -1
+                if record:
+                    trajectory.append((t, Event(_KINDS[code], a + 1, k0 + 1)))
 
-    # Measurement window begins now.
-    t_start = t
-    digits = decode(s, params)
-    start_counts = np.bincount(digits, minlength=n_types + 1)[1:].astype(np.int64)
-    occupancy = [[0.0] * (n_types + 1) for _ in range(n)]
-    last_change = [t_start] * n
-    arrivals = [0] * n_types
-    departures = [0] * n_types
-    sojourns: list[list[float]] = [[] for _ in range(n_types)]
-
-    for _ in range(config.max_events - warmup):
-        try:
-            cumulative, total, records = table[s]
-        except KeyError:
-            entry = table[s] = _state_records(decode(s, params), params)
-            cumulative, total, records = entry
-        if buf_pos == buf_len:
-            buf = rng_random(_UNIFORM_BLOCK).tolist()
-            buf_pos, buf_len = 0, _UNIFORM_BLOCK
-        u1 = buf[buf_pos]
-        buf_pos += 1
-        if buf_pos == buf_len:
-            buf = rng_random(_UNIFORM_BLOCK).tolist()
-            buf_pos, buf_len = 0, _UNIFORM_BLOCK
-        u2 = buf[buf_pos]
-        buf_pos += 1
-        dt = -log1p(-u1) / total
-        if state_occ is not None:
-            state_occ[s] += dt
-        t += dt
-        pick = bisect_right(cumulative, u2 * total)
-        if pick == len(records):
-            pick -= 1
-        code, k0, a, b, s, event = records[pick]
-        if code == _ARRIVAL:
-            row = occupancy[a]
-            row[0] += t - last_change[a]
-            last_change[a] = t
-            arrival_at[a] = t
-            in_window[a] = True
-            arrivals[k0] += 1
-            if record:
-                particle_at[a] = len(particles)
-                particles.append(TaggedParticle(len(particles), k0 + 1, t))
-        elif code == _DEPARTURE:
-            row = occupancy[a]
-            row[k0 + 1] += t - last_change[a]
-            last_change[a] = t
-            departures[k0] += 1
-            if in_window[a]:
-                sojourns[k0].append(t - arrival_at[a])
-                in_window[a] = False
-            if record and particle_at[a] >= 0:
-                particles[particle_at[a]].departure_time = t
-                particle_at[a] = -1
-        else:
-            occupancy[a][k0 + 1] += t - last_change[a]
-            last_change[a] = t
-            occupancy[b][0] += t - last_change[b]
-            last_change[b] = t
-            arrival_at[b] = arrival_at[a]
-            in_window[b] = in_window[a]
-            in_window[a] = False
-            if record:
-                particle_at[b] = particle_at[a]
-                particle_at[a] = -1
-        if record:
-            trajectory.append((t, event))
-
-    digits = decode(s, params)
     for i0 in range(n):
-        occupancy[i0][digits[i0]] += t - last_change[i0]
-    end_counts = np.bincount(digits, minlength=n_types + 1)[1:].astype(np.int64)
+        occupancy[i0][occ[i0]] += t - last_change[i0]
+    end_counts = np.bincount(occ, minlength=n_types + 1)[1:].astype(np.int64)
 
     return SimStats(
         n_sites=n,

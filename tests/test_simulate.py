@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from sepsim import (
     sample_next_event,
     state_space_size,
 )
+import sepsim.simulate as simulate
 
 
 def params(n=2, k=1, alpha=None, beta=None, delta=None, boundary_hops=True):
@@ -129,19 +131,83 @@ class TestRunReplica:
         cfg = SimConfig(seed=9, max_events=5000, warmup_fraction=0.25, record_trajectory=True)
         assert run_replica(TWO_SITE, cfg, 1) == run_replica(TWO_SITE, cfg, 1)
 
-    def test_matches_manual_direct_method_loop(self):
-        cfg = SimConfig(seed=7, max_events=2000, warmup_fraction=0.0, record_trajectory=True)
-        stats = run_replica(TWO_SITE, cfg, 0)
+    @pytest.mark.parametrize(
+        "model, warmup_fraction",
+        [
+            (TWO_SITE, 0.0),
+            (params(6, 3, alpha=(1.0, 0.5, 2.0), beta=(1.5, 1.0, 0.7), delta=(1.0, 0.0, 2.0)), 0.0),
+            (params(2, 2, alpha=(1.0, 0.5), beta=(2.0, 1.0), delta=(1.0, 3.0), boundary_hops=False), 0.0),
+            (params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)), 0.3),
+        ],
+        ids=["two-site", "n6k3-immobile-type", "n2k2-no-boundary-hops", "n5k2-warmup"],
+    )
+    def test_matches_manual_direct_method_loop(self, model, warmup_fraction):
+        # The sampler's lattice bookkeeping and arithmetic successor indices
+        # against enabled_events / apply_event, one step at a time.
+        cfg = SimConfig(
+            seed=7, max_events=2000, warmup_fraction=warmup_fraction, record_trajectory=True
+        )
+        stats = run_replica(model, cfg, 0)
         rng = replica_rng(7, 0)
-        state = (0, 0)
+        state = (0,) * model.n_sites
         t = 0.0
         manual = []
         for _ in range(cfg.max_events):
-            dt, event = sample_next_event(state, TWO_SITE, rng)
+            dt, event = sample_next_event(state, model, rng)
             t += dt
             state = apply_event(state, event)
             manual.append((t, event))
         assert manual == stats.trajectory
+        end_counts = np.bincount(state, minlength=model.n_types + 1)[1:]
+        assert np.array_equal(stats.end_counts_by_type, end_counts)
+
+    @pytest.mark.parametrize(
+        "model, cfg, expected",
+        [
+            (
+                params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
+                SimConfig(seed=1, max_events=20_000, warmup_fraction=0.2),
+                ("0x1.9254b8cc7737dp+11", [1774, 3647], [1775, 3646], "0x1.f6e9e6ff9505cp+13"),
+            ),
+            (
+                params(30, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(1.0, 0.3, 2.0)),
+                SimConfig(seed=2, max_events=3000, warmup_fraction=0.2),
+                ("0x1.2b3de16e1927ep+7", [74, 146, 21], [72, 141, 18], "0x1.188a035737956p+12"),
+            ),
+        ],
+        ids=["n5k2", "n30k3"],
+    )
+    def test_stream_and_event_order_are_pinned(self, model, cfg, expected):
+        # Fixed-seed figures recorded from an earlier sampler: any change to
+        # the uniform stream, the event order or the rate sums shows here.
+        stats = run_replica(model, cfg, 1)
+        observed = (
+            stats.total_time.hex(),
+            stats.arrivals_by_type.tolist(),
+            stats.departures_by_type.tolist(),
+            float(stats.site_occupancy_time.sum()).hex(),
+        )
+        assert observed == expected
+
+    def test_record_cache_memory_is_bounded(self, monkeypatch):
+        # On 4^30 states nearly every event reaches a new state; once the
+        # record budget is spent the cache must stop growing, so doubling
+        # the run leaves the traced peak about where it was.
+        monkeypatch.setattr(simulate, "_RECORD_CACHE_LIMIT", 1 << 13, raising=False)
+        monkeypatch.setattr(simulate, "_EVENT_BLOCK", 1 << 8, raising=False)
+        p = params(30, 3)
+
+        def traced_peak(max_events):
+            tracemalloc.start()
+            try:
+                run_replica(p, SimConfig(seed=0, max_events=max_events), 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(1000)  # the first traced run carries one-off allocations
+        once = traced_peak(1000)
+        assert traced_peak(2000) <= 1.1 * once
 
     def test_occupancy_rows_sum_to_total_time(self):
         cfg = SimConfig(seed=3, max_events=20_000, warmup_fraction=0.2)
