@@ -143,10 +143,6 @@ class Generator:
         """Total rate out of each state (magnitude of the implied diagonal)."""
         return np.bincount(self.rows, weights=self.rates, minlength=self.dim)
 
-    def rate_matrix(self) -> sp.csr_matrix:
-        """Off-diagonal rates as a CSR matrix."""
-        return sp.csr_matrix((self.rates, (self.rows, self.cols)), shape=(self.dim, self.dim))
-
     def to_dense(self) -> np.ndarray:
         """Full dense generator including the implied diagonal."""
         q = np.zeros((self.dim, self.dim))

@@ -79,7 +79,10 @@ class Event:
 
 
 def _rate_vector(name: str, values, n_types: int, *, allow_zero: bool) -> tuple[float, ...]:
-    vec = tuple(float(v) for v in values)
+    try:
+        vec = tuple(float(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of {n_types} numbers, got {values!r}") from None
     if len(vec) != n_types:
         raise ValueError(f"{name} must have exactly {n_types} entries, got {len(vec)}")
     for v in vec:

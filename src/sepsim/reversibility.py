@@ -11,7 +11,7 @@ generators, shown to fail).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,15 +97,7 @@ def reversed_generator(
             f"distribution is not stationary: balance residual {residual:.3e} "
             f"> {stationarity_tol:.1e}"
         )
-    reversed_rates = dist[gen.cols] * reverse_rates(gen) / dist[gen.rows]
-    return Generator(
-        dim=gen.dim,
-        rows=gen.rows.copy(),
-        cols=gen.cols.copy(),
-        rates=reversed_rates,
-        kinds=gen.kinds.copy(),
-        params=gen.params,
-    )
+    return replace(gen, rates=dist[gen.cols] * reverse_rates(gen) / dist[gen.rows])
 
 
 def _tree_potential(gen: Generator, log_ratio: np.ndarray) -> np.ndarray:
@@ -184,11 +176,4 @@ def perturb_hop_rate(gen: Generator, factor: float = 2.0) -> Generator:
         raise ValueError("generator has no hop transitions to perturb")
     rates = gen.rates.copy()
     rates[hop_edges[0]] *= factor
-    return Generator(
-        dim=gen.dim,
-        rows=gen.rows.copy(),
-        cols=gen.cols.copy(),
-        rates=rates,
-        kinds=gen.kinds.copy(),
-        params=gen.params,
-    )
+    return replace(gen, rates=rates)

@@ -30,9 +30,11 @@ dropped, a bias that vanishes for long runs).
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import fsum, log1p
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -88,7 +90,7 @@ class SimConfig:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not isinstance(self.max_events, int) or self.max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {self.max_events!r}")
-        if not 0.0 <= self.warmup_fraction < 1.0:
+        if not isinstance(self.warmup_fraction, Real) or not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError(f"warmup_fraction must be in [0, 1), got {self.warmup_fraction!r}")
         if not isinstance(self.replicas, int) or self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas!r}")
@@ -143,29 +145,14 @@ class SimStats:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimStats):
             return NotImplemented
-        if (
-            self.n_sites != other.n_sites
-            or self.n_types != other.n_types
-            or self.total_time != other.total_time
-            or self.event_count != other.event_count
-        ):
-            return False
-        if not (
-            np.array_equal(self.site_occupancy_time, other.site_occupancy_time)
-            and np.array_equal(self.arrivals_by_type, other.arrivals_by_type)
-            and np.array_equal(self.departures_by_type, other.departures_by_type)
-            and np.array_equal(self.start_counts_by_type, other.start_counts_by_type)
-            and np.array_equal(self.end_counts_by_type, other.end_counts_by_type)
-        ):
-            return False
-        if self.completed_sojourns != other.completed_sojourns:
-            return False
-        mine, theirs = self.state_occupancy_time, other.state_occupancy_time
-        if (mine is None) != (theirs is None):
-            return False
-        if mine is not None and not np.array_equal(mine, theirs):
-            return False
-        return self.trajectory == other.trajectory and self.tagged_particles == other.tagged_particles
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
 
 
 def replica_rng(seed: int, replica_index: int) -> np.random.Generator:
@@ -399,32 +386,16 @@ def merge_replicas(stats: Sequence[SimStats]) -> SimStats:
 
     The result is independent of the input order: float sums are computed
     exactly (elementwise sorted summation / ``fsum``) and pooled sojourn
-    lists are sorted.  Merging a single replica returns an equal copy,
-    trajectory included; merging several drops trajectories and tagged
-    particles, which have no meaningful pooled form.
+    lists are sorted.  Merging a single replica returns an independent
+    copy, trajectory and tagged particles included; merging several drops
+    trajectories and tagged particles, which have no meaningful pooled form.
     """
     stats = list(stats)
     if not stats:
         raise ValueError("nothing to merge")
     first = stats[0]
     if len(stats) == 1:
-        return SimStats(
-            n_sites=first.n_sites,
-            n_types=first.n_types,
-            total_time=first.total_time,
-            site_occupancy_time=first.site_occupancy_time.copy(),
-            arrivals_by_type=first.arrivals_by_type.copy(),
-            departures_by_type=first.departures_by_type.copy(),
-            start_counts_by_type=first.start_counts_by_type.copy(),
-            end_counts_by_type=first.end_counts_by_type.copy(),
-            completed_sojourns=[list(v) for v in first.completed_sojourns],
-            event_count=first.event_count,
-            state_occupancy_time=None
-            if first.state_occupancy_time is None
-            else first.state_occupancy_time.copy(),
-            trajectory=None if first.trajectory is None else list(first.trajectory),
-            tagged_particles=None if first.tagged_particles is None else list(first.tagged_particles),
-        )
+        return copy.deepcopy(first)
     for other in stats[1:]:
         if other.n_sites != first.n_sites or other.n_types != first.n_types:
             raise ValueError(

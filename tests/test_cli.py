@@ -192,16 +192,28 @@ class TestCmdVerify:
             # 1024 states: a cycle check that sampled above 729 states missed this edge.
             {"n_sites": 5, "n_types": 3, "alpha": [1.0, 2.0, 0.5], "beta": [2.0, 1.0, 1.0],
              "delta": [1.0, 1.0, 1.0]},
+            {"n_sites": 3, "alpha": [1.0], "beta": [1.0]},
         ],
-        ids=["n3k1", "n5k3"],
+        ids=["n3k1", "n5k3", "n3k1-symmetric"],
     )
     def test_negative_control_fails_balance_checks(self, overrides):
-        doc = cmd_verify(run_config(**overrides), negative_control=True)
+        config = run_config(**overrides)
+        doc = cmd_verify(config, negative_control=True)
         by_name = {c["name"]: c for c in doc["checks"]}
         assert doc["passed"] is False
         assert by_name["detailed_balance"]["status"] == "fail"
         assert by_name["kolmogorov_cycles"]["status"] == "fail"
         assert by_name["flux_identity"]["status"] == "pass"
+        general = by_name["reversed_rates_general"]
+        symmetric = by_name["reversed_rates_rate_symmetric"]
+        assert general["status"] == "fail" and general["residual"] is None
+        assert general["note"].startswith("distribution is not stationary")
+        if config.model.alpha == config.model.beta:
+            assert symmetric["status"] == "fail" and symmetric["residual"] is None
+            assert symmetric["note"] == "arrival/departure rate symmetry satisfied (alpha == beta)"
+        else:
+            assert symmetric["status"] == "skipped"
+            assert symmetric["note"] == general["note"]
 
 
 class TestCmdReport:
@@ -231,9 +243,24 @@ class TestMainEntry:
         assert err["error"]["requested"] == 2**30
         assert "cap" in err["error"]["message"]
 
-    def test_invalid_config_is_an_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "document",
+        [
+            dict(BASE_CONFIG, alpha=[-1.0]),
+            5,
+            None,
+            dict(BASE_CONFIG, alpha=1),
+            dict(BASE_CONFIG, alpha=[None]),
+            dict(BASE_CONFIG, warmup_fraction="x"),
+            dict(BASE_CONFIG, tolerances=[1]),
+            dict(BASE_CONFIG, tolerances={"detailed_balance": None}),
+        ],
+        ids=["negative-alpha", "number", "null", "scalar-alpha", "null-alpha",
+             "string-warmup", "list-tolerances", "null-tolerance"],
+    )
+    def test_invalid_config_is_an_error(self, tmp_path, capsys, document):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(dict(BASE_CONFIG, alpha=[-1.0])))
+        path.write_text(json.dumps(document))
         assert main(["exact", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
@@ -302,6 +329,24 @@ class TestCsvOutput:
         sojourn_lines = (tmp_path / "sim.sojourn.csv").read_text().splitlines()
         assert sojourn_lines[0] == "type,u_closed,u_littles_law,u_empirical,stderr,sample_count"
         assert (tmp_path / "sim.marginals_empirical.csv").exists()
+
+    def test_report_tables(self, config_path, tmp_path):
+        base = tmp_path / "r"
+        assert main([
+            "report", "--config", config_path, "--format", "csv", "--output", str(base),
+        ]) == 0
+        tables = {  # name: (header, rows) for two sites and one type
+            "distribution": ("state_index,state,p_closed_form,p_solved", 4),
+            "marginals": ("site,state,probability", 4),
+            "flux": ("type,j_closed,j_boundary,j_empirical,stderr,zscore", 1),
+            "sojourn": ("type,u_closed,u_littles_law,u_empirical,stderr,sample_count", 1),
+            "marginals_empirical": ("site,state,probability", 4),
+        }
+        assert sorted(p.name for p in tmp_path.glob("r.*")) == sorted(f"r.{t}.csv" for t in tables)
+        for name, (header, rows) in tables.items():
+            lines = (tmp_path / f"r.{name}.csv").read_text().splitlines()
+            assert lines[0] == header
+            assert len(lines) == 1 + rows
 
     def test_csv_to_stdout_has_section_headers(self, config_path, capsys):
         assert main(["exact", "--config", config_path, "--format", "csv"]) == 0

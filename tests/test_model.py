@@ -56,6 +56,8 @@ class TestModelParams:
             dict(delta=(-0.5,)),
             dict(alpha=(float("inf"),)),
             dict(delta=(float("nan"),)),
+            dict(alpha=1.0),
+            dict(alpha=(None,)),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from sepsim import (
     EventKind,
     ModelParams,
     SimConfig,
+    SimStats,
     apply_event,
     merge_replicas,
     product_form,
@@ -54,6 +56,7 @@ class TestSimConfig:
             dict(warmup_fraction=1.0),
             dict(warmup_fraction=-0.1),
             dict(replicas=0),
+            dict(warmup_fraction="x"),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -342,6 +345,17 @@ class TestMergeReplicas:
     def test_merge_of_one_is_identity(self):
         assert merge_replicas([self.a]) == self.a
 
+    def test_merge_of_one_is_an_independent_copy(self):
+        cfg = SimConfig(seed=5, max_events=4000, record_trajectory=True)
+        original = run_replica(TWO_SITE, cfg, 0, track_state_occupancy=True)
+        copied = merge_replicas([original])
+        copied.tagged_particles[0].departure_time = -1.0
+        copied.completed_sojourns[0].append(-1.0)
+        copied.site_occupancy_time[0, 0] = -1.0
+        assert original.tagged_particles[0].departure_time != -1.0
+        assert -1.0 not in original.completed_sojourns[0]
+        assert original.site_occupancy_time[0, 0] != -1.0
+
     def test_merge_is_commutative(self):
         assert merge_replicas([self.a, self.b]) == merge_replicas([self.b, self.a])
 
@@ -378,3 +392,24 @@ class TestMergeReplicas:
     def test_empty_merge_rejected(self):
         with pytest.raises(ValueError):
             merge_replicas([])
+
+
+class TestSimStatsEquality:
+    @staticmethod
+    def changed(value):
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.flat[0] += 1
+            return value
+        if isinstance(value, list):
+            return value[:-1]
+        return value + 1
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimStats)])
+    def test_each_field_takes_part(self, name):
+        cfg = SimConfig(seed=3, max_events=2000, record_trajectory=True)
+        stats = run_replica(params(3, 2), cfg, 0, track_state_occupancy=True)
+        twin = run_replica(params(3, 2), cfg, 0, track_state_occupancy=True)
+        assert stats == twin
+        setattr(twin, name, self.changed(getattr(twin, name)))
+        assert stats != twin
