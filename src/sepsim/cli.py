@@ -104,6 +104,8 @@ class RunConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a path string, got {self.output!r}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be 'json' or 'csv', got {self.format!r}")
         if not isinstance(self.tolerances, dict):

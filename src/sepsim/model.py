@@ -118,7 +118,8 @@ class ModelParams:
         object.__setattr__(self, "alpha", _rate_vector("alpha", self.alpha, self.n_types, allow_zero=False))
         object.__setattr__(self, "beta", _rate_vector("beta", self.beta, self.n_types, allow_zero=False))
         object.__setattr__(self, "delta", _rate_vector("delta", self.delta, self.n_types, allow_zero=True))
-        object.__setattr__(self, "boundary_hops", bool(self.boundary_hops))
+        if not isinstance(self.boundary_hops, bool):
+            raise ValueError(f"boundary_hops must be true or false, got {self.boundary_hops!r}")
 
 
 def _validate_state(state: LatticeState, params: ModelParams) -> None:
@@ -182,7 +183,8 @@ def enabled_events(state: LatticeState, params: ModelParams) -> list[tuple[Event
 
     The returned order is deterministic: the site-1 block, then the
     site-N block, then hop events by ascending site with the left hop
-    before the right one.  Samplers rely on this order being stable.
+    before the right one.  The samplers' event order is their own (see
+    ``sepsim.simulate.RNG_SCHEME``).
     """
     _validate_state(state, params)
     n = params.n_sites

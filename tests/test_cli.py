@@ -254,9 +254,13 @@ class TestMainEntry:
             dict(BASE_CONFIG, warmup_fraction="x"),
             dict(BASE_CONFIG, tolerances=[1]),
             dict(BASE_CONFIG, tolerances={"detailed_balance": None}),
+            dict(BASE_CONFIG, boundary_hops="false"),
+            dict(BASE_CONFIG, record_trajectory="no"),
+            dict(BASE_CONFIG, output=5),
         ],
         ids=["negative-alpha", "number", "null", "scalar-alpha", "null-alpha",
-             "string-warmup", "list-tolerances", "null-tolerance"],
+             "string-warmup", "list-tolerances", "null-tolerance",
+             "string-boundary-hops", "string-record-trajectory", "number-output"],
     )
     def test_invalid_config_is_an_error(self, tmp_path, capsys, document):
         path = tmp_path / "bad.json"
