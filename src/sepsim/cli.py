@@ -41,7 +41,7 @@ from .exact import (
     site_marginal,
     solve_stationary,
 )
-from .simulate import RNG_SCHEME, SimConfig, SimStats, merge_replicas, run_replica
+from .simulate import RNG_SCHEME, SimConfig, SimStats, merge_replicas, run_replicas
 from .analytics import (
     arrival_rate_boundary_form,
     arrival_rate_closed_form,
@@ -231,11 +231,7 @@ def cmd_exact(config: RunConfig) -> dict[str, Any]:
 
 def _run_merged(config: RunConfig, *, track_joint: bool = False) -> SimStats:
     track = track_joint and state_space_size(config.model) <= _JOINT_TRACK_LIMIT
-    replicas = [
-        run_replica(config.model, config.sim, index, track_state_occupancy=track)
-        for index in range(config.sim.replicas)
-    ]
-    return merge_replicas(replicas)
+    return merge_replicas(run_replicas(config.model, config.sim, track_state_occupancy=track))
 
 
 def cmd_simulate(config: RunConfig, *, _merged: SimStats | None = None) -> dict[str, Any]:

@@ -22,7 +22,7 @@ from sepsim import (
     perturb_hop_rate,
     product_form,
     reversed_generator,
-    run_replica,
+    run_replicas,
     site_marginal,
     solve_stationary,
     uniformity_check,
@@ -84,7 +84,7 @@ SIM_CONFIG = SimConfig(seed=20250808, max_events=1_000_000, warmup_fraction=0.2,
 
 @pytest.fixture(scope="module")
 def sim_replicas():
-    return [run_replica(SIM_MODEL, SIM_CONFIG, index) for index in range(SIM_CONFIG.replicas)]
+    return run_replicas(SIM_MODEL, SIM_CONFIG)
 
 
 def test_c01_oracle_equivalence():

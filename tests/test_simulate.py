@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from sepsim import (
     product_form,
     replica_rng,
     run_replica,
+    run_replicas,
     sample_next_event,
     state_space_size,
 )
@@ -446,6 +449,92 @@ class TestMergeReplicas:
     def test_empty_merge_rejected(self):
         with pytest.raises(ValueError):
             merge_replicas([])
+
+
+class TestRunReplicas:
+    N5K2 = params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
+    N30K3 = params(30, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(1.0, 0.3, 2.0))
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Pool every run of two or more replicas, whatever its size and
+        the host's CPU count, and list the worker count of each pool started."""
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(simulate, "_POOL_MIN_EVENTS", 0)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        return started
+
+    @pytest.mark.parametrize(
+        "model, cfg, track",
+        [
+            (N5K2, SimConfig(seed=7, max_events=20_000, warmup_fraction=0.2, replicas=3), True),
+            (N30K3, SimConfig(seed=7, max_events=3000, replicas=2), False),
+        ],
+        ids=["n5k2-tracked", "n30k3"],
+    )
+    def test_pooled_equals_serial(self, pools, model, cfg, track):
+        pooled = run_replicas(model, cfg, track_state_occupancy=track)
+        assert pools == [2]
+        serial = [run_replica(model, cfg, i, track_state_occupancy=track) for i in range(cfg.replicas)]
+        assert pooled == serial
+
+    def test_trajectory_runs_stay_in_process(self, pools):
+        cfg = SimConfig(seed=7, max_events=2000, replicas=2, record_trajectory=True)
+        stats = run_replicas(self.N5K2, cfg)
+        assert pools == []
+        assert stats == [run_replica(self.N5K2, cfg, i) for i in range(2)]
+
+    def test_threaded_callers_stay_in_process(self, pools):
+        cfg = SimConfig(seed=7, max_events=2000, replicas=2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10.0,))
+        other.start()
+        try:
+            stats = run_replicas(self.N5K2, cfg)
+        finally:
+            release.set()
+            other.join(10.0)
+        assert not other.is_alive()
+        assert pools == []
+        assert stats == [run_replica(self.N5K2, cfg, i) for i in range(2)]
+
+    def test_pool_threads_end_with_the_call(self, pools):
+        cfg = SimConfig(seed=7, max_events=2000, replicas=2)
+        run_replicas(self.N5K2, cfg)
+        run_replicas(self.N5K2, cfg)
+        assert pools == [2, 2]
+        assert threading.active_count() == 1
+
+    def test_worker_exception_reaches_the_caller(self, pools):
+        # N=30/K=3 has 4**30 states, too many to track: run_replica raises
+        # in each worker before its first event.
+        cfg = SimConfig(seed=7, max_events=100, replicas=2)
+        with pytest.raises(ValueError, match="state occupancy tracking"):
+            run_replicas(self.N30K3, cfg, track_state_occupancy=True)
+        assert pools == [2]
+
+    @pytest.mark.parametrize(
+        "replicas, max_events, record, cpus, workers",
+        [
+            (4, 10**6, False, 2, 2),
+            (64, 10**6, False, 8, 8),
+            (3, 10**6, False, 8, 3),
+            (1, 10**6, False, 8, 0),
+            (8, 10**6, False, 1, 0),
+            (8, 10**6, True, 8, 0),
+            (2, 10, False, 8, 0),
+        ],
+    )
+    def test_worker_count_is_capped_at_usable_cpus(self, replicas, max_events, record, cpus, workers):
+        cfg = SimConfig(seed=0, max_events=max_events, replicas=replicas, record_trajectory=record)
+        assert simulate._pool_workers(cfg, cpus) == workers
 
 
 class TestSimStatsEquality:
