@@ -12,6 +12,16 @@ command-line flags override file values.
 Reports are emitted as JSON (default) or as the fixed CSV tables, always
 UTF-8, with no timestamps so identical inputs produce byte-identical output.
 
+Each command builds its document once from the result objects and ends in
+:func:`_json` (arrays to lists, NaN and infinities to ``null``).  The
+``flux`` and ``sojourn`` keys are the fields of
+:class:`~sepsim.analytics.FluxReport` and
+:class:`~sepsim.analytics.SojournReport`, plus ``type`` and (sojourns)
+``insufficient_data``; ``report``'s ``exact`` and ``simulation`` sections
+come from the builders of the ``exact`` and ``simulate`` documents.  The
+CSV tables are the columns listed in ``_CSV_TABLES``, plus ``verify``'s
+``checks`` table.
+
 Exit codes: 0 success, 1 a verification check failed, 2 execution error
 (invalid configuration, state cap exceeded, solver failure).
 """
@@ -25,6 +35,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from numbers import Real
 from typing import Any
 
 import numpy as np
@@ -114,13 +125,10 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}")
-            try:
-                value = float(value)
-            except TypeError:
-                raise ValueError(f"tolerance {name} must be a number, got {value!r}") from None
-            if not value > 0.0:
-                raise ValueError(f"tolerance {name} must be > 0, got {value}")
-            merged[name] = value
+            # An infinite tolerance would make a check that cannot fail.
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
+                raise ValueError(f"tolerance {name} must be a finite number > 0, got {value!r}")
+            merged[name] = float(value)
         object.__setattr__(self, "tolerances", merged)
 
     @classmethod
@@ -144,11 +152,11 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        doc = {**_plain(self.model), **_plain(self.sim), "format": self.format,
-               "tolerances": dict(self.tolerances)}
+        doc = {**asdict(self.model), **asdict(self.sim), "format": self.format,
+               "tolerances": self.tolerances}
         if self.output is not None:
             doc["output"] = self.output
-        return doc
+        return _json(doc)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -164,69 +172,70 @@ def load_config(path: str) -> RunConfig:
         return parse_config(handle.read())
 
 
-def _finite(x: float) -> float | None:
-    """JSON-safe number: NaN and infinities become null."""
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
-def _float_list(values) -> list[float | None]:
-    return [_finite(v) for v in np.asarray(values, dtype=np.float64).ravel().tolist()]
-
-
-def _matrix(values) -> list[list[float | None]]:
-    return [[_finite(v) for v in row] for row in np.asarray(values, dtype=np.float64).tolist()]
+def _json(value: Any) -> Any:
+    """A copy of ``value`` made of JSON values: arrays and tuples become
+    lists, numpy scalars Python numbers, and NaN and infinities ``None``."""
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return _json(value.tolist())
+    if isinstance(value, np.generic):
+        return _json(value.item())
+    return value
 
 
 def _state_string(index: int, params: ModelParams) -> str:
     return ",".join(str(v) for v in decode(index, params))
 
 
-def _plain(obj) -> dict[str, Any]:
-    """A dataclass's fields as JSON values, tuples as lists."""
-    return {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(obj).items()}
+def _closed_marginals(params: ModelParams) -> np.ndarray:
+    return np.tile(site_marginal(params, 1), (params.n_sites, 1))
 
 
 def _provenance(config: RunConfig) -> dict[str, Any]:
     return {
         "artifact": {"name": "sepsim", "version": __version__},
-        "model": _plain(config.model),
+        "model": asdict(config.model),
         "seed": config.sim.seed,
-        "tolerances": dict(config.tolerances),
+        "tolerances": config.tolerances,
+    }
+
+
+def _exact_section(params: ModelParams) -> dict[str, Any]:
+    """The numerical solve against the closed form (``exact`` and ``report``)."""
+    gen = build_generator(params)
+    solved = solve_stationary(gen)
+    closed = product_form(params)
+    return {
+        "state_space_size": gen.dim,
+        "normalization_constant": normalization_constant(params),
+        "max_abs_deviation": np.abs(solved - closed).max(),
+        "distribution": {
+            "state_index": list(range(gen.dim)),
+            "state": [_state_string(i, params) for i in range(gen.dim)],
+            "p_closed_form": closed,
+            "p_solved": solved,
+        },
+        "site_marginals": {
+            "closed_form": _closed_marginals(params),
+            "from_solved": marginals_from_distribution(solved, params),
+        },
     }
 
 
 def cmd_exact(config: RunConfig) -> dict[str, Any]:
     """Solve the model exactly and compare against the closed form."""
-    params = config.model
-    gen = build_generator(params)
-    solved = solve_stationary(gen)
-    closed = product_form(params)
-    deviation = float(np.abs(solved - closed).max())
-    marginal_closed = site_marginal(params, 1)
-    marginals_solved = marginals_from_distribution(solved, params)
-    doc = _provenance(config)
-    doc.update(
-        {
-            "command": "exact",
-            "state_space_size": gen.dim,
-            # solve_stationary refuses reducible generators.
-            "irreducible": True,
-            "normalization_constant": _finite(normalization_constant(params)),
-            "max_abs_deviation": _finite(deviation),
-            "distribution": {
-                "state_index": list(range(gen.dim)),
-                "state": [_state_string(i, params) for i in range(gen.dim)],
-                "p_closed_form": _float_list(closed),
-                "p_solved": _float_list(solved),
-            },
-            "site_marginals": {
-                "closed_form": _matrix(np.tile(marginal_closed, (params.n_sites, 1))),
-                "from_solved": _matrix(marginals_solved),
-            },
-        }
-    )
-    return doc
+    return _json({
+        **_provenance(config),
+        "command": "exact",
+        # solve_stationary refuses reducible generators.
+        "irreducible": True,
+        **_exact_section(config.model),
+    })
 
 
 def _run_merged(config: RunConfig, *, track_joint: bool = False) -> SimStats:
@@ -234,74 +243,54 @@ def _run_merged(config: RunConfig, *, track_joint: bool = False) -> SimStats:
     return merge_replicas(run_replicas(config.model, config.sim, track_state_occupancy=track))
 
 
-def cmd_simulate(config: RunConfig, *, _merged: SimStats | None = None) -> dict[str, Any]:
+def _simulation_section(config: RunConfig, merged: SimStats) -> dict[str, Any]:
+    """Merged replicas' estimates against theory (``simulate`` and ``report``)."""
+    params = config.model
+    flux, sojourn, marginals = estimate_from_stats(merged, params)
+    types = list(range(1, params.n_types + 1))
+    return {
+        "sim": {
+            "seed": config.sim.seed,
+            "max_events": config.sim.max_events,
+            "warmup_fraction": config.sim.warmup_fraction,
+            "warmup_events": config.sim.warmup_events,
+            "replicas": config.sim.replicas,
+            "rng": RNG_SCHEME,
+        },
+        "event_count": merged.event_count,
+        "total_time": merged.total_time,
+        "counts": {
+            "arrivals_by_type": merged.arrivals_by_type,
+            "departures_by_type": merged.departures_by_type,
+            "start_counts_by_type": merged.start_counts_by_type,
+            "end_counts_by_type": merged.end_counts_by_type,
+            "completed_sojourns_by_type": [len(v) for v in merged.completed_sojourns],
+        },
+        "flux": {"type": types, **asdict(flux)},
+        "sojourn": {"type": types, **asdict(sojourn), "insufficient_data": sojourn.insufficient_data},
+        "marginals": {"empirical": marginals, "closed_form": _closed_marginals(params)},
+    }
+
+
+def cmd_simulate(config: RunConfig) -> dict[str, Any]:
     """Run all replicas, merge them, and report the empirical estimates.
 
     The exit status of this command reflects execution success only; the
     z-scores in the report are informational.
     """
-    params = config.model
-    merged = _run_merged(config) if _merged is None else _merged
-    flux, sojourn, marginals = estimate_from_stats(merged, params)
-    marginal_closed = site_marginal(params, 1)
-    doc = _provenance(config)
-    doc.update(
-        {
-            "command": "simulate",
-            "sim": {
-                "seed": config.sim.seed,
-                "max_events": config.sim.max_events,
-                "warmup_fraction": config.sim.warmup_fraction,
-                "warmup_events": config.sim.warmup_events,
-                "replicas": config.sim.replicas,
-                "rng": dict(RNG_SCHEME),
-            },
-            "event_count": merged.event_count,
-            "total_time": _finite(merged.total_time),
-            "counts": {
-                "arrivals_by_type": merged.arrivals_by_type.tolist(),
-                "departures_by_type": merged.departures_by_type.tolist(),
-                "start_counts_by_type": merged.start_counts_by_type.tolist(),
-                "end_counts_by_type": merged.end_counts_by_type.tolist(),
-                "completed_sojourns_by_type": [len(v) for v in merged.completed_sojourns],
-            },
-            "flux": {
-                "type": list(range(1, params.n_types + 1)),
-                "closed_form": _float_list(flux.closed_form),
-                "boundary_form": _float_list(flux.boundary_form),
-                "empirical": _float_list(flux.empirical),
-                "stderr": _float_list(flux.stderr),
-                "zscore": _float_list(flux.zscore),
-            },
-            "sojourn": {
-                "type": list(range(1, params.n_types + 1)),
-                "closed_form": _float_list(sojourn.closed_form),
-                "littles_law": _float_list(sojourn.littles_law),
-                "empirical_mean": _float_list(sojourn.empirical_mean),
-                "stderr": _float_list(sojourn.stderr),
-                "sample_count": sojourn.sample_count.tolist(),
-                "zscore": _float_list(sojourn.zscore),
-                "insufficient_data": sojourn.insufficient_data.tolist(),
-            },
-            "marginals": {
-                "empirical": _matrix(marginals),
-                "closed_form": _matrix(np.tile(marginal_closed, (params.n_sites, 1))),
-            },
-        }
-    )
-    return doc
+    return _json({
+        **_provenance(config),
+        "command": "simulate",
+        **_simulation_section(config, _run_merged(config)),
+    })
 
 
 def _check(name: str, residual: float | None, tolerance: float, *, note: str | None = None,
            skipped: bool = False) -> dict[str, Any]:
     """One check entry; a residual of None (the check could not run) fails."""
-    entry: dict[str, Any] = {"name": name, "tolerance": tolerance}
-    if skipped:
-        entry["status"] = "skipped"
-        entry["residual"] = None
-    else:
-        entry["status"] = "fail" if residual is None or residual > tolerance else "pass"
-        entry["residual"] = _finite(residual) if residual is not None else None
+    status = "skipped" if skipped else "fail" if residual is None or residual > tolerance else "pass"
+    entry: dict[str, Any] = {"name": name, "tolerance": tolerance, "status": status,
+                             "residual": None if skipped else residual}
     if note:
         entry["note"] = note
     return entry
@@ -316,7 +305,6 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
     """
     params = config.model
     tol = config.tolerances
-    checks: list[dict[str, Any]] = []
 
     gen = build_generator(params)
     clean_solved = solve_stationary(gen)
@@ -327,16 +315,8 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
 
     # Constant: solve_stationary has already refused a reducible generator,
     # and the negative control changes rates, not the transition graph.
-    checks.append(
-        _check("irreducible", 0.0, 0.5, note="0 when the transition graph is strongly connected")
-    )
-    checks.append(
-        _check(
-            "oracle_equivalence",
-            float(np.abs(solved - closed).max()),
-            tol["oracle_equivalence"],
-        )
-    )
+    checks = [_check("irreducible", 0.0, 0.5, note="0 when the transition graph is strongly connected")]
+    checks.append(_check("oracle_equivalence", np.abs(solved - closed).max(), tol["oracle_equivalence"]))
 
     balance = detailed_balance_residual(gen, closed)
     checks.append(_check("detailed_balance", balance.max_abs_residual, tol["detailed_balance"]))
@@ -349,7 +329,7 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
     )
     reversed_dev = stationarity_note = None
     try:
-        reversed_dev = float(np.abs(reversed_generator(gen, closed).rates - gen.rates).max())
+        reversed_dev = np.abs(reversed_generator(gen, closed).rates - gen.rates).max()
     except NotStationaryError as exc:
         stationarity_note = str(exc)
     checks.append(
@@ -390,18 +370,12 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
     delta_dev = 0.0
     for variant in _delta_variants(params):
         variant_solved = solve_stationary(build_generator(variant))
-        delta_dev = max(delta_dev, float(np.abs(variant_solved - clean_solved).max()))
+        delta_dev = max(delta_dev, np.abs(variant_solved - clean_solved).max())
     checks.append(_check("delta_independence", delta_dev, tol["delta_independence"]))
 
     flipped = replace(params, boundary_hops=not params.boundary_hops)
-    flipped_solved = solve_stationary(build_generator(flipped))
-    checks.append(
-        _check(
-            "boundary_hop_independence",
-            float(np.abs(flipped_solved - clean_solved).max()),
-            tol["boundary_hop_independence"],
-        )
-    )
+    flipped_dev = np.abs(solve_stationary(build_generator(flipped)) - clean_solved).max()
+    checks.append(_check("boundary_hop_independence", flipped_dev, tol["boundary_hop_independence"]))
 
     checks.append(
         _check(
@@ -412,16 +386,13 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
         )
     )
 
-    doc = _provenance(config)
-    doc.update(
-        {
-            "command": "verify",
-            "negative_control": negative_control,
-            "checks": checks,
-            "passed": all(entry["status"] != "fail" for entry in checks),
-        }
-    )
-    return doc
+    return _json({
+        **_provenance(config),
+        "command": "verify",
+        "negative_control": negative_control,
+        "checks": checks,
+        "passed": all(entry["status"] != "fail" for entry in checks),
+    })
 
 
 def _delta_variants(params: ModelParams) -> list[ModelParams]:
@@ -440,49 +411,26 @@ def _delta_variants(params: ModelParams) -> list[ModelParams]:
 
 def cmd_report(config: RunConfig) -> dict[str, Any]:
     """Exact solve plus simulation plus their comparison in one document."""
-    params = config.model
-    exact_doc = cmd_exact(config)
+    exact = _exact_section(config.model)
     merged = _run_merged(config, track_joint=True)
-    sim_doc = cmd_simulate(config, _merged=merged)
-
-    closed_marginal = np.tile(site_marginal(params, 1), (params.n_sites, 1))
-    empirical_marginals = merged.site_occupancy_time / merged.total_time
-    comparison: dict[str, Any] = {
-        "marginal_max_abs_diff": _finite(np.abs(empirical_marginals - closed_marginal).max()),
-        "flux_zscore": sim_doc["flux"]["zscore"],
-        "sojourn_zscore": sim_doc["sojourn"]["zscore"],
-    }
+    simulation = _simulation_section(config, merged)
+    marginals = simulation["marginals"]
+    joint_tv = None
     if merged.state_occupancy_time is not None:
         empirical_joint = merged.state_occupancy_time / merged.total_time
-        tv = 0.5 * float(np.abs(empirical_joint - product_form(params)).sum())
-        comparison["joint_tv_distance"] = _finite(tv)
-    else:
-        comparison["joint_tv_distance"] = None
-
-    doc = _provenance(config)
-    doc.update(
-        {
-            "command": "report",
-            "exact": {k: exact_doc[k] for k in (
-                "state_space_size",
-                "normalization_constant",
-                "max_abs_deviation",
-                "distribution",
-                "site_marginals",
-            )},
-            "simulation": {k: sim_doc[k] for k in (
-                "sim",
-                "event_count",
-                "total_time",
-                "counts",
-                "flux",
-                "sojourn",
-                "marginals",
-            )},
-            "comparison": comparison,
-        }
-    )
-    return doc
+        joint_tv = 0.5 * np.abs(empirical_joint - exact["distribution"]["p_closed_form"]).sum()
+    return _json({
+        **_provenance(config),
+        "command": "report",
+        "exact": exact,
+        "simulation": simulation,
+        "comparison": {
+            "marginal_max_abs_diff": np.abs(marginals["empirical"] - marginals["closed_form"]).max(),
+            "flux_zscore": simulation["flux"]["zscore"],
+            "sojourn_zscore": simulation["sojourn"]["zscore"],
+            "joint_tv_distance": joint_tv,
+        },
+    })
 
 
 def _csv_cell(value: Any) -> str:
@@ -495,81 +443,52 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
+# Each CSV table projects one block of a document section: (table, section,
+# block, columns), a column being (CSV header, JSON key of the block's
+# per-row list).  The site and state columns of a site-marginal matrix
+# carry no key: the matrix gives one row per cell.
+_CSV_TABLES = (
+    ("distribution", "exact", "distribution", (
+        ("state_index", "state_index"), ("state", "state"),
+        ("p_closed_form", "p_closed_form"), ("p_solved", "p_solved"))),
+    ("marginals", "exact", "site_marginals", (
+        ("site", None), ("state", None), ("probability", "from_solved"))),
+    ("flux", "simulation", "flux", (
+        ("type", "type"), ("j_closed", "closed_form"), ("j_boundary", "boundary_form"),
+        ("j_empirical", "empirical"), ("stderr", "stderr"), ("zscore", "zscore"))),
+    ("sojourn", "simulation", "sojourn", (
+        ("type", "type"), ("u_closed", "closed_form"), ("u_littles_law", "littles_law"),
+        ("u_empirical", "empirical_mean"), ("stderr", "stderr"), ("sample_count", "sample_count"))),
+    ("marginals_empirical", "simulation", "marginals", (
+        ("site", None), ("state", None), ("probability", "empirical"))),
+)
+# The report section that each single command's document is.
+_REPORT_SECTION = {"exact": "exact", "simulate": "simulation"}
+
+
 def _csv_tables(doc: dict[str, Any]) -> list[tuple[str, list[str], list[list[Any]]]]:
-    tables: list[tuple[str, list[str], list[list[Any]]]] = []
     command = doc["command"]
-    if command in ("exact", "report"):
-        section = doc if command == "exact" else doc["exact"]
-        dist = section["distribution"]
-        tables.append(
-            (
-                "distribution",
-                ["state_index", "state", "p_closed_form", "p_solved"],
-                [
-                    [dist["state_index"][i], dist["state"][i], dist["p_closed_form"][i], dist["p_solved"][i]]
-                    for i in range(len(dist["state_index"]))
-                ],
-            )
-        )
-        rows = []
-        for site0, row in enumerate(section["site_marginals"]["from_solved"]):
-            for value, probability in enumerate(row):
-                rows.append([site0 + 1, value, probability])
-        tables.append(("marginals", ["site", "state", "probability"], rows))
-    if command in ("simulate", "report"):
-        section = doc if command == "simulate" else doc["simulation"]
-        flux = section["flux"]
-        tables.append(
-            (
-                "flux",
-                ["type", "j_closed", "j_boundary", "j_empirical", "stderr", "zscore"],
-                [
-                    [
-                        flux["type"][k0],
-                        flux["closed_form"][k0],
-                        flux["boundary_form"][k0],
-                        flux["empirical"][k0],
-                        flux["stderr"][k0],
-                        flux["zscore"][k0],
-                    ]
-                    for k0 in range(len(flux["type"]))
-                ],
-            )
-        )
-        sojourn = section["sojourn"]
-        tables.append(
-            (
-                "sojourn",
-                ["type", "u_closed", "u_littles_law", "u_empirical", "stderr", "sample_count"],
-                [
-                    [
-                        sojourn["type"][k0],
-                        sojourn["closed_form"][k0],
-                        sojourn["littles_law"][k0],
-                        sojourn["empirical_mean"][k0],
-                        sojourn["stderr"][k0],
-                        sojourn["sample_count"][k0],
-                    ]
-                    for k0 in range(len(sojourn["type"]))
-                ],
-            )
-        )
-        rows = []
-        for site0, row in enumerate(section["marginals"]["empirical"]):
-            for value, probability in enumerate(row):
-                rows.append([site0 + 1, value, probability])
-        tables.append(("marginals_empirical", ["site", "state", "probability"], rows))
     if command == "verify":
-        tables.append(
-            (
-                "checks",
-                ["name", "status", "residual", "tolerance", "note"],
-                [
-                    [c["name"], c["status"], c.get("residual"), c["tolerance"], c.get("note", "")]
-                    for c in doc["checks"]
-                ],
-            )
-        )
+        return [(
+            "checks",
+            ["name", "status", "residual", "tolerance", "note"],
+            [
+                [c["name"], c["status"], c.get("residual"), c["tolerance"], c.get("note", "")]
+                for c in doc["checks"]
+            ],
+        )]
+    sections = doc if command == "report" else {_REPORT_SECTION[command]: doc}
+    tables: list[tuple[str, list[str], list[list[Any]]]] = []
+    for table, section, block_key, columns in _CSV_TABLES:
+        if section in sections:
+            block = sections[section][block_key]
+            keys = [key for _, key in columns]
+            if keys[0] is None:
+                rows = [[site0 + 1, state, p] for site0, row in enumerate(block[keys[-1]])
+                        for state, p in enumerate(row)]
+            else:
+                rows = [list(row) for row in zip(*(block[key] for key in keys))]
+            tables.append((table, [header for header, _ in columns], rows))
     return tables
 
 
@@ -577,29 +496,27 @@ def _render_table(header: list[str], rows: list[list[Any]]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
     return out.getvalue()
 
 
 def _emit(doc: dict[str, Any], config: RunConfig) -> None:
+    """Write the document to stdout, or to ``output`` (one file per CSV table)."""
     if config.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if config.output:
-            with open(config.output, "w", encoding="utf-8", newline="\n") as handle:
+        texts = {config.output: json.dumps(doc, indent=2, sort_keys=True) + "\n"}
+    elif config.output:
+        base = config.output[:-4] if config.output.endswith(".csv") else config.output
+        texts = {f"{base}.{name}.csv": _render_table(header, rows)
+                 for name, header, rows in _csv_tables(doc)}
+    else:
+        texts = {None: "\n".join(f"# {name}\n{_render_table(header, rows)}"
+                                 for name, header, rows in _csv_tables(doc))}
+    for path, text in texts.items():
+        if path:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)
-        return
-    tables = _csv_tables(doc)
-    if config.output:
-        base = config.output[:-4] if config.output.endswith(".csv") else config.output
-        for name, header, rows in tables:
-            with open(f"{base}.{name}.csv", "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(_render_table(header, rows))
-    else:
-        chunks = [f"# {name}\n{_render_table(header, rows)}" for name, header, rows in tables]
-        sys.stdout.write("\n".join(chunks))
 
 
 def _parser() -> argparse.ArgumentParser:

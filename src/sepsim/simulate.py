@@ -119,11 +119,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not isinstance(self.max_events, int) or self.max_events < 1:
+        if not isinstance(self.max_events, int) or isinstance(self.max_events, bool) or self.max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {self.max_events!r}")
-        if not isinstance(self.warmup_fraction, Real) or not 0.0 <= self.warmup_fraction < 1.0:
+        if (not isinstance(self.warmup_fraction, Real) or isinstance(self.warmup_fraction, bool)
+                or not 0.0 <= self.warmup_fraction < 1.0):
             raise ValueError(f"warmup_fraction must be in [0, 1), got {self.warmup_fraction!r}")
-        if not isinstance(self.replicas, int) or self.replicas < 1:
+        if not isinstance(self.replicas, int) or isinstance(self.replicas, bool) or self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas!r}")
         if not isinstance(self.record_trajectory, bool):
             raise ValueError(f"record_trajectory must be true or false, got {self.record_trajectory!r}")

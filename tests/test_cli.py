@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from sepsim.cli import (
     cmd_report,
     cmd_simulate,
     cmd_verify,
+    _csv_cell,
     emit_config,
     main,
     parse_config,
@@ -76,8 +78,10 @@ class TestRunConfig:
             run_config(format="xml")
 
     def test_bad_tolerances_rejected(self):
-        with pytest.raises(ValueError):
-            run_config(tolerances={"oracle_equivalence": 0.0})
+        # An infinite tolerance would give a check that cannot fail.
+        for value in (0.0, True, "1e-3", float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                run_config(tolerances={"oracle_equivalence": value})
         with pytest.raises(ValueError):
             run_config(tolerances={"no_such_check": 1e-9})
 
@@ -227,6 +231,20 @@ class TestCmdReport:
         assert comparison["joint_tv_distance"] < 0.05
         assert comparison["marginal_max_abs_diff"] < 0.05
 
+    def test_sections_equal_the_single_command_documents(self):
+        config = run_config(
+            n_sites=3, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 0.5],
+            max_events=5000, replicas=2,
+        )
+        report = cmd_report(config)
+        dropped = {"artifact", "model", "seed", "tolerances", "command", "irreducible"}
+
+        def section(doc):
+            return {key: value for key, value in doc.items() if key not in dropped}
+
+        assert report["exact"] == section(cmd_exact(config))
+        assert report["simulation"] == section(cmd_simulate(config))
+
 
 class TestMainEntry:
     def test_exact_to_stdout(self, config_path, capsys):
@@ -257,10 +275,14 @@ class TestMainEntry:
             dict(BASE_CONFIG, boundary_hops="false"),
             dict(BASE_CONFIG, record_trajectory="no"),
             dict(BASE_CONFIG, output=5),
+            dict(BASE_CONFIG, max_events=True),
+            # json writes and reads this as the non-standard `Infinity`.
+            dict(BASE_CONFIG, tolerances={"detailed_balance": float("inf")}),
         ],
         ids=["negative-alpha", "number", "null", "scalar-alpha", "null-alpha",
              "string-warmup", "list-tolerances", "null-tolerance",
-             "string-boundary-hops", "string-record-trajectory", "number-output"],
+             "string-boundary-hops", "string-record-trajectory", "number-output",
+             "bool-max-events", "infinite-tolerance"],
     )
     def test_invalid_config_is_an_error(self, tmp_path, capsys, document):
         path = tmp_path / "bad.json"
@@ -371,3 +393,59 @@ class TestCsvOutput:
         main(["exact", "--config", config_path, "--format", "csv", "--output", str(base)])
         text = (tmp_path / "p.distribution.csv").read_text()
         assert f"{4/9:.17g}" in text
+
+    def test_every_cell_is_the_json_value_it_projects(self, tmp_path):
+        # The projections are written out here, apart from the emitter's own
+        # table list, so that two swapped columns fail.
+        columns = {
+            "distribution": ("exact", "distribution", {
+                "state_index": "state_index", "state": "state",
+                "p_closed_form": "p_closed_form", "p_solved": "p_solved"}),
+            "flux": ("simulation", "flux", {
+                "type": "type", "j_closed": "closed_form", "j_boundary": "boundary_form",
+                "j_empirical": "empirical", "stderr": "stderr", "zscore": "zscore"}),
+            "sojourn": ("simulation", "sojourn", {
+                "type": "type", "u_closed": "closed_form", "u_littles_law": "littles_law",
+                "u_empirical": "empirical_mean", "stderr": "stderr",
+                "sample_count": "sample_count"}),
+        }
+        matrices = {
+            "marginals": ("exact", "site_marginals", "from_solved"),
+            "marginals_empirical": ("simulation", "marginals", "empirical"),
+        }
+        # j_closed and j_boundary are equal by the paper's identity; at these
+        # rates they still differ in the last bit.
+        path = tmp_path / "k2.json"
+        path.write_text(json.dumps(dict(
+            BASE_CONFIG, n_sites=3, n_types=2, alpha=[1.3, 1.7], beta=[2.0, 1.0],
+            delta=[1.0, 0.5], max_events=5000,
+        )))
+        for command, single_section in (("exact", "exact"), ("simulate", "simulation"),
+                                        ("report", None), ("verify", None)):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--output", f"{out}.json"]) == 0
+            assert main([command, "--config", str(path), "--format", "csv", "--output", str(out)]) == 0
+            doc = json.loads((tmp_path / f"{command}.json").read_text())
+            sections = {single_section: doc} if single_section else doc
+            written = sorted(p.name for p in tmp_path.glob(f"{command}.*.csv"))
+            assert written, command
+            for name in written:
+                table = name[len(command) + 1:-len(".csv")]
+                with open(tmp_path / name, newline="", encoding="utf-8") as handle:
+                    header, *rows = list(csv.reader(handle))
+                if table == "checks":
+                    expected = [[_csv_cell(c.get(key, "")) for key in header]
+                                for c in doc["checks"]]
+                elif table in matrices:
+                    section, block, key = matrices[table]
+                    assert header == ["site", "state", "probability"]
+                    expected = [[_csv_cell(site0 + 1), _csv_cell(state), _csv_cell(p)]
+                                for site0, row in enumerate(sections[section][block][key])
+                                for state, p in enumerate(row)]
+                else:
+                    section, block, keys = columns[table]
+                    assert header == list(keys)
+                    values = sections[section][block]
+                    expected = [[_csv_cell(v) for v in row]
+                                for row in zip(*(values[keys[h]] for h in header))]
+                assert rows == expected, (command, table)

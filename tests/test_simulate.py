@@ -83,6 +83,9 @@ class TestSimConfig:
             dict(warmup_fraction=-0.1),
             dict(replicas=0),
             dict(warmup_fraction="x"),
+            dict(max_events=True),
+            dict(replicas=True),
+            dict(warmup_fraction=False),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
