@@ -4,8 +4,8 @@ Configuration lives in a flat JSON object whose keys are the fields of
 :class:`~sepsim.model.ModelParams` (``n_sites``, ``n_types``, ``alpha``,
 ``beta``, ``delta``, ``boundary_hops``), the fields of
 :class:`~sepsim.simulate.SimConfig` (``seed``, ``max_events``,
-``warmup_fraction``, ``replicas``, ``record_trajectory``), and ``output``,
-``format`` and ``tolerances`` (an object keyed by the names in
+``warmup_fraction``, ``replicas``), and ``output``, ``format`` and
+``tolerances`` (an object keyed by the names in
 ``DEFAULT_TOLERANCES``).  Defaults come from the dataclasses (the last
 three from :class:`RunConfig`), except that ``seed`` defaults to 0 here;
 command-line flags override file values.

@@ -193,7 +193,8 @@ def build_generator(params: ModelParams, *, cap: int | None = None) -> Generator
             add(occupied, occupied - k * pows[i0], params.beta[k - 1], EDGE_DEPARTURE)
 
     # Hops: every adjacent pair unless the pair joins the two boundary
-    # sites of a two-site lattice and boundary_hops is off.
+    # sites of a two-site lattice and boundary_hops is off.  Each right hop
+    # src -> dst is added with its reverse, the left hop dst -> src.
     if params.boundary_hops or n > 2:
         for i0 in range(n - 1):
             d_src, d_dst = digit(i0), digit(i0 + 1)
@@ -202,15 +203,9 @@ def build_generator(params: ModelParams, *, cap: int | None = None) -> Generator
                 if rate <= 0.0:
                     continue
                 src = idx[(d_src == k) & (d_dst == 0)]
-                add(src, src - k * pows[i0] + k * pows[i0 + 1], rate, EDGE_HOP)
-        for i0 in range(1, n):
-            d_src, d_dst = digit(i0), digit(i0 - 1)
-            for k in range(1, base):
-                rate = params.delta[k - 1]
-                if rate <= 0.0:
-                    continue
-                src = idx[(d_src == k) & (d_dst == 0)]
-                add(src, src - k * pows[i0] + k * pows[i0 - 1], rate, EDGE_HOP)
+                dst = src - k * pows[i0] + k * pows[i0 + 1]
+                add(src, dst, rate, EDGE_HOP)
+                add(dst, src, rate, EDGE_HOP)
 
     return Generator(
         dim=m,

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
+from numbers import Real
 from typing import Iterator
 
 __all__ = [
@@ -80,9 +81,12 @@ class Event:
 
 def _rate_vector(name: str, values, n_types: int, *, allow_zero: bool) -> tuple[float, ...]:
     try:
-        vec = tuple(float(v) for v in values)
+        items = tuple(values)
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in items):
+            raise TypeError
     except TypeError:
         raise ValueError(f"{name} must be a list of {n_types} numbers, got {values!r}") from None
+    vec = tuple(float(v) for v in items)
     if len(vec) != n_types:
         raise ValueError(f"{name} must have exactly {n_types} entries, got {len(vec)}")
     for v in vec:

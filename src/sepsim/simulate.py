@@ -4,8 +4,8 @@ The sampler is the direct method: draw an exponential holding time from
 the total enabled rate, then pick one event with probability proportional
 to its rate.  Both draws are plain uniform doubles consumed in a fixed
 order (holding time first), which makes replicas bit-reproducible and lets
-:func:`run_replica` produce exactly the same trajectory as repeated calls
-to :func:`sample_next_event`.
+:func:`run_replica` pick exactly the same events as repeated calls to
+:func:`sample_next_event`.
 
 :func:`run_replica` is one event loop over a lattice array that draws the
 uniforms in blocks.  The order of events depends only on the state (see
@@ -26,16 +26,15 @@ N=5, K=2 (memo path, 10^6 events); 2.5-3.6 at N=30, K=3, 3.0-3.4 at
 N=100, K=2 and 3.4-3.9 at N=1000, K=2 (incremental path, 10^5 events).
 
 :func:`run_replicas` runs all replicas of a run.  Long runs of two or
-more replicas without a trajectory go to a pool of forked worker
-processes, at most one per usable CPU; the rest run one after another in
-process.  Each replica is the same :func:`run_replica` call either way,
+more replicas go to a pool of forked worker processes, at most one per
+usable CPU; the rest run one after another in process.  Each replica is the same :func:`run_replica` call either way,
 so the results are bitwise those of a serial run.
 
 Replica streams come from a counter-based generator: replica ``i`` of a
 run seeded with ``s`` uses ``numpy`` Philox keyed by
 ``SeedSequence(entropy=s, spawn_key=(i,))``.  Exponentials are drawn by
 inversion (``-log1p(-u) / rate``), never by ziggurat, so the uniform
-stream alone determines the trajectory.
+stream alone determines the run.
 
 Statistics accumulate only after a warm-up prefix of
 ``floor(warmup_fraction * max_events)`` events; the measurement clock runs
@@ -70,7 +69,6 @@ __all__ = [
     "RNG_SCHEME",
     "STATE_TRACKING_LIMIT",
     "SimConfig",
-    "TaggedParticle",
     "SimStats",
     "replica_rng",
     "sample_next_event",
@@ -114,7 +112,6 @@ class SimConfig:
     max_events: int = 100_000
     warmup_fraction: float = 0.2
     replicas: int = 1
-    record_trajectory: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
@@ -126,26 +123,10 @@ class SimConfig:
             raise ValueError(f"warmup_fraction must be in [0, 1), got {self.warmup_fraction!r}")
         if not isinstance(self.replicas, int) or isinstance(self.replicas, bool) or self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas!r}")
-        if not isinstance(self.record_trajectory, bool):
-            raise ValueError(f"record_trajectory must be true or false, got {self.record_trajectory!r}")
 
     @property
     def warmup_events(self) -> int:
         return int(self.warmup_fraction * self.max_events)
-
-
-@dataclass
-class TaggedParticle:
-    """One physical particle followed from arrival to departure.
-
-    The identity sticks to the particle through hops.  ``departure_time``
-    stays ``None`` for particles still on the lattice when the run ends.
-    """
-
-    uid: int
-    ptype: int
-    arrival_time: float
-    departure_time: float | None = None
 
 
 @dataclass(eq=False)
@@ -172,8 +153,6 @@ class SimStats:
     completed_sojourns: list[list[float]]
     event_count: int
     state_occupancy_time: np.ndarray | None = None
-    trajectory: list[tuple[float, Event]] | None = None
-    tagged_particles: list[TaggedParticle] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimStats):
@@ -236,9 +215,8 @@ def sample_next_event(
 
 
 # Step records: (code, type0, site0, dest0, next_index), sites 0-based,
-# dest0 = -1 for non-hops.  ``code`` indexes ``_KINDS``.
+# dest0 = -1 for non-hops.
 _ARRIVAL, _DEPARTURE, _HOP_LEFT, _HOP_RIGHT = 0, 1, 2, 3
-_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE, EventKind.HOP_LEFT, EventKind.HOP_RIGHT)
 _BOUNDARY_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE)
 
 # Record budget of the per-state memo (about 160 bytes a record, so about
@@ -363,10 +341,6 @@ def run_replica(
     bonds: list[list[int]] = [[] for _ in range(n_types)]  # active bonds per type, ascending
     weight = [(n_types + 1) ** (n - 1 - i0) for i0 in range(n)]
     warmup = config.warmup_events
-    record = config.record_trajectory
-    trajectory: list[tuple[float, Event]] | None = [] if record else None
-    particles: list[TaggedParticle] | None = [] if record else None
-    particle_at: list[int] = [-1] * n
 
     # The lattice; s is its canonical index, which the incremental path
     # keeps only when it tracks state occupancy.
@@ -461,9 +435,6 @@ def run_replica(
                     arrival_at[a] = t
                     in_window[a] = True
                     arrivals[k0] += 1
-                    if record:
-                        particle_at[a] = len(particles)
-                        particles.append(TaggedParticle(len(particles), k0 + 1, t))
                 elif code == _DEPARTURE:
                     occ[a] = 0
                     occupancy[a][k0 + 1] += t - last_change[a]
@@ -472,9 +443,6 @@ def run_replica(
                     if in_window[a]:
                         sojourns[k0].append(t - arrival_at[a])
                         in_window[a] = False
-                    if record and particle_at[a] >= 0:
-                        particles[particle_at[a]].departure_time = t
-                        particle_at[a] = -1
                 else:
                     occ[b] = k0 + 1
                     occ[a] = 0
@@ -485,11 +453,6 @@ def run_replica(
                     arrival_at[b] = arrival_at[a]
                     in_window[b] = in_window[a]
                     in_window[a] = False
-                    if record:
-                        particle_at[b] = particle_at[a]
-                        particle_at[a] = -1
-                if record:
-                    trajectory.append((t, Event(_KINDS[code], a + 1, k0 + 1)))
 
     for i0 in range(n):
         occupancy[i0][occ[i0]] += t - last_change[i0]
@@ -507,8 +470,6 @@ def run_replica(
         completed_sojourns=sojourns,
         event_count=config.max_events,
         state_occupancy_time=None if state_occ is None else np.array(state_occ),
-        trajectory=trajectory,
-        tagged_particles=particles,
     )
 
 
@@ -524,7 +485,7 @@ def _pool_workers(config: SimConfig, cpus: int) -> int:
     """Worker processes for ``config``'s replicas on ``cpus`` usable CPUs,
     or 0 to run them in process: the rule of :func:`run_replicas`."""
     workers = min(config.replicas, cpus)
-    if workers < 2 or config.record_trajectory or config.replicas * config.max_events < _POOL_MIN_EVENTS:
+    if workers < 2 or config.replicas * config.max_events < _POOL_MIN_EVENTS:
         return 0
     return workers
 
@@ -540,10 +501,9 @@ def run_replicas(
     Each replica is one :func:`run_replica` call with its own stream, so
     the result does not depend on where or in what order they run.  They
     run on a process pool of ``min(replicas, usable CPUs)`` workers, one
-    replica per task, when that is at least two workers, no trajectory is
-    recorded and the run has at least ``_POOL_MIN_EVENTS`` events in all;
-    otherwise one after another in this process.  Trajectories stay in
-    process because pickling one costs more than recording it.
+    replica per task, when that is at least two workers and the run has at
+    least ``_POOL_MIN_EVENTS`` events in all; otherwise one after another
+    in this process.
 
     Workers are forked, not spawned: a fork inherits the imported modules,
     while a spawned worker would import numpy and sepsim again before its
@@ -583,28 +543,22 @@ def run_replicas(
 
 def _fresh(value):
     """A copy of a :class:`SimStats` field's value that shares only its
-    immutable parts: the floats of sojourn lists and a trajectory's
-    ``(t, Event)`` pairs.  Each list holds items of one kind."""
+    immutable parts: numbers, and the floats of the sojourn lists."""
     if isinstance(value, np.ndarray):
         return value.copy()
-    if not isinstance(value, list):
-        return value
-    if value and isinstance(value[0], list):
+    if isinstance(value, list):
         return [list(item) for item in value]
-    if value and isinstance(value[0], TaggedParticle):
-        return [TaggedParticle(p.uid, p.ptype, p.arrival_time, p.departure_time) for p in value]
-    return list(value)
+    return value
 
 
 def merge_replicas(stats: Sequence[SimStats]) -> SimStats:
     """Pool replica statistics: times and counts add, sojourn lists pool.
 
-    The result is independent of the input order: float sums are computed
-    exactly (elementwise sorted summation / ``fsum``) and pooled sojourn
-    lists are sorted.  Merging a single replica returns an independent
-    copy, trajectory and tagged particles included (the trajectory's
-    immutable ``(t, Event)`` pairs are shared); merging several drops
-    trajectories and tagged particles, which have no meaningful pooled form.
+    The result is independent of the input order: ``total_time`` is an
+    exact sum (``fsum``); the occupancy arrays add each element's values in
+    sorted order, which rounds but does not depend on the order of the
+    inputs; and pooled sojourn lists are sorted.  Merging a single replica
+    returns an independent copy.
     """
     stats = list(stats)
     if not stats:
@@ -620,7 +574,7 @@ def merge_replicas(stats: Sequence[SimStats]) -> SimStats:
                 f"({other.n_sites} sites, {other.n_types} types)"
             )
 
-    def exact_sum(arrays: list[np.ndarray]) -> np.ndarray:
+    def sorted_sum(arrays: list[np.ndarray]) -> np.ndarray:
         return np.sort(np.stack(arrays), axis=0).sum(axis=0)
 
     track = all(s.state_occupancy_time is not None for s in stats)
@@ -632,14 +586,12 @@ def merge_replicas(stats: Sequence[SimStats]) -> SimStats:
         n_sites=first.n_sites,
         n_types=first.n_types,
         total_time=fsum(s.total_time for s in stats),
-        site_occupancy_time=exact_sum([s.site_occupancy_time for s in stats]),
+        site_occupancy_time=sorted_sum([s.site_occupancy_time for s in stats]),
         arrivals_by_type=sum(s.arrivals_by_type for s in stats),
         departures_by_type=sum(s.departures_by_type for s in stats),
         start_counts_by_type=sum(s.start_counts_by_type for s in stats),
         end_counts_by_type=sum(s.end_counts_by_type for s in stats),
         completed_sojourns=sojourns,
         event_count=sum(s.event_count for s in stats),
-        state_occupancy_time=exact_sum([s.state_occupancy_time for s in stats]) if track else None,
-        trajectory=None,
-        tagged_particles=None,
+        state_occupancy_time=sorted_sum([s.state_occupancy_time for s in stats]) if track else None,
     )

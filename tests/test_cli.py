@@ -273,16 +273,18 @@ class TestMainEntry:
             dict(BASE_CONFIG, tolerances=[1]),
             dict(BASE_CONFIG, tolerances={"detailed_balance": None}),
             dict(BASE_CONFIG, boundary_hops="false"),
-            dict(BASE_CONFIG, record_trajectory="no"),
+            dict(BASE_CONFIG, record_trajectory=False),
             dict(BASE_CONFIG, output=5),
             dict(BASE_CONFIG, max_events=True),
             # json writes and reads this as the non-standard `Infinity`.
             dict(BASE_CONFIG, tolerances={"detailed_balance": float("inf")}),
+            dict(BASE_CONFIG, alpha="1"),
+            dict(BASE_CONFIG, delta=[True]),
         ],
         ids=["negative-alpha", "number", "null", "scalar-alpha", "null-alpha",
              "string-warmup", "list-tolerances", "null-tolerance",
-             "string-boundary-hops", "string-record-trajectory", "number-output",
-             "bool-max-events", "infinite-tolerance"],
+             "string-boundary-hops", "removed-record-trajectory", "number-output",
+             "bool-max-events", "infinite-tolerance", "string-alpha", "bool-rate"],
     )
     def test_invalid_config_is_an_error(self, tmp_path, capsys, document):
         path = tmp_path / "bad.json"

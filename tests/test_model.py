@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sepsim import (
@@ -42,6 +43,10 @@ class TestModelParams:
         p = ModelParams(n_sites=2, n_types=2, alpha=[1, 2], beta=[3, 4], delta=[0, 1])
         assert p.alpha == (1.0, 2.0)
         assert p.delta == (0.0, 1.0)
+        p = ModelParams(n_sites=2, n_types=2, alpha=np.array([1.0, 2.0]), beta=(np.float32(3.0), np.int64(4)),
+                        delta=(0.0, 1.0))
+        assert p.alpha == (1.0, 2.0) and p.beta == (3.0, 4.0)
+        assert all(type(v) is float for v in p.alpha + p.beta)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -58,6 +63,9 @@ class TestModelParams:
             dict(delta=(float("nan"),)),
             dict(alpha=1.0),
             dict(alpha=(None,)),
+            dict(n_types=2, alpha="12", beta=(1.0, 1.0), delta=(1.0, 1.0)),
+            dict(n_types=2, alpha={"1": 0, "2": 0}, beta=(1.0, 1.0), delta=(1.0, 1.0)),
+            dict(n_types=2, alpha=(1.0, 1.0), beta=(1.0, 1.0), delta=[True, 1]),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

@@ -14,6 +14,7 @@ from sepsim import (
     SimConfig,
     SimStats,
     apply_event,
+    encode,
     merge_replicas,
     product_form,
     replica_rng,
@@ -44,22 +45,63 @@ DIRECT_METHOD_CASES = [
     (params(6, 3, alpha=(1.0, 0.5, 2.0), beta=(1.5, 1.0, 0.7), delta=(1.0, 0.0, 2.0)), 0.0),
     (params(2, 2, alpha=(1.0, 0.5), beta=(2.0, 1.0), delta=(1.0, 3.0), boundary_hops=False), 0.0),
     (params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)), 0.3),
+    (params(3, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)), 0.1),
 ]
-DIRECT_METHOD_IDS = ["two-site", "n6k3-immobile-type", "n2k2-no-boundary-hops", "n5k2-warmup"]
+DIRECT_METHOD_IDS = [
+    "two-site", "n6k3-immobile-type", "n2k2-no-boundary-hops", "n5k2-warmup", "n3k2-warmup",
+]
 
 
-def replay(model, seed, replica_index, n_events):
-    """Trajectory and final state of ``n_events`` steps of sample_next_event."""
-    rng = replica_rng(seed, replica_index)
-    state = (0,) * model.n_sites
-    t = 0.0
-    trajectory = []
-    for _ in range(n_events):
+def replay(model, cfg, replica_index, track=False):
+    """Reference for run_replica: the window statistics of ``cfg.max_events``
+    steps of sample_next_event and apply_event from the empty lattice."""
+    rng = replica_rng(cfg.seed, replica_index)
+    n, k = model.n_sites, model.n_types
+    state, t = (0,) * n, 0.0
+    for step in range(cfg.max_events):
+        if step in (0, cfg.warmup_events):  # statistics restart when the window opens
+            t_start, start_counts = t, np.bincount(state, minlength=k + 1)[1:]
+            occupancy, last_change = np.zeros((n, k + 1)), [t] * n
+            arrivals, departures = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+            sojourns = [[] for _ in range(k)]
+            arrived = [None] * n  # arrival time of each site's particle, if it arrived in the window
+            state_time = np.zeros(state_space_size(model)) if track else None
         dt, event = sample_next_event(state, model, rng)
+        if track:
+            state_time[encode(state, model)] += dt
         t += dt
-        state = apply_event(state, event)
-        trajectory.append((t, event))
-    return trajectory, state
+        after = apply_event(state, event)
+        for i0 in range(n):
+            if after[i0] != state[i0]:
+                occupancy[i0, state[i0]] += t - last_change[i0]
+                last_change[i0] = t
+        state, i0, k0 = after, event.site - 1, event.ptype - 1
+        if event.kind is EventKind.ARRIVAL:
+            arrivals[k0] += 1
+            arrived[i0] = t
+        elif event.kind is EventKind.DEPARTURE:
+            departures[k0] += 1
+            if arrived[i0] is not None:
+                sojourns[k0].append(t - arrived[i0])
+            arrived[i0] = None
+        else:
+            dest0 = i0 + 1 if event.kind is EventKind.HOP_RIGHT else i0 - 1
+            arrived[dest0], arrived[i0] = arrived[i0], None
+    for i0 in range(n):
+        occupancy[i0, state[i0]] += t - last_change[i0]
+    return SimStats(
+        n_sites=n,
+        n_types=k,
+        total_time=t - t_start,
+        site_occupancy_time=occupancy,
+        arrivals_by_type=arrivals,
+        departures_by_type=departures,
+        start_counts_by_type=start_counts,
+        end_counts_by_type=np.bincount(state, minlength=k + 1)[1:],
+        completed_sojourns=sojourns,
+        event_count=cfg.max_events,
+        state_occupancy_time=state_time,
+    )
 
 
 class ScriptedRng:
@@ -174,21 +216,17 @@ class TestSampleNextEvent:
 
 class TestRunReplica:
     def test_bitwise_determinism(self):
-        cfg = SimConfig(seed=9, max_events=5000, warmup_fraction=0.25, record_trajectory=True)
+        cfg = SimConfig(seed=9, max_events=5000, warmup_fraction=0.25)
         assert run_replica(TWO_SITE, cfg, 1) == run_replica(TWO_SITE, cfg, 1)
 
     @pytest.mark.parametrize("model, warmup_fraction", DIRECT_METHOD_CASES, ids=DIRECT_METHOD_IDS)
     def test_matches_manual_direct_method_loop(self, model, warmup_fraction):
-        # The sampler's lattice bookkeeping and arithmetic successor indices
-        # against enabled_events / apply_event, one step at a time.
-        cfg = SimConfig(
-            seed=7, max_events=2000, warmup_fraction=warmup_fraction, record_trajectory=True
-        )
-        stats = run_replica(model, cfg, 0)
-        manual, state = replay(model, 7, 0, cfg.max_events)
-        assert manual == stats.trajectory
-        end_counts = np.bincount(state, minlength=model.n_types + 1)[1:]
-        assert np.array_equal(stats.end_counts_by_type, end_counts)
+        # The sampler's lattice bookkeeping, arithmetic successor indices and
+        # window statistics against enabled_events / apply_event, one step
+        # at a time.
+        cfg = SimConfig(seed=7, max_events=2000, warmup_fraction=warmup_fraction)
+        stats = run_replica(model, cfg, 0, track_state_occupancy=True)
+        assert stats == replay(model, cfg, 0, track=True)
 
     @pytest.mark.parametrize(
         "model, warmup_fraction",
@@ -204,9 +242,7 @@ class TestRunReplica:
         # must replay through the reference stepper.
         track = state_space_size(model) <= simulate.STATE_TRACKING_LIMIT
         for seed in range(3):
-            cfg = SimConfig(
-                seed=seed, max_events=2000, warmup_fraction=warmup_fraction, record_trajectory=True
-            )
+            cfg = SimConfig(seed=seed, max_events=2000, warmup_fraction=warmup_fraction)
             runs = []
             for memo in (True, False):
                 monkeypatch.setattr(simulate, "_memo_fits", lambda _params, memo=memo: memo)
@@ -214,7 +250,7 @@ class TestRunReplica:
             memo_stats, incremental_stats = runs
             assert incremental_stats == memo_stats
             assert (incremental_stats.state_occupancy_time is not None) == track
-            assert incremental_stats.trajectory == replay(model, seed, 1, cfg.max_events)[0]
+            assert incremental_stats == replay(model, cfg, 1, track)
 
     def test_path_rule_keeps_the_memo_within_budget(self):
         # The memo holds every state's records at once only where they fit.
@@ -256,8 +292,7 @@ class TestRunReplica:
         # On 4^30 states nearly every event reaches a new state; the path
         # rule keeps such a lattice off the memo, so doubling the run leaves
         # the traced peak about where it was.
-        monkeypatch.setattr(simulate, "_RECORD_CACHE_LIMIT", 1 << 13, raising=False)
-        monkeypatch.setattr(simulate, "_EVENT_BLOCK", 1 << 8, raising=False)
+        monkeypatch.setattr(simulate, "_EVENT_BLOCK", 1 << 8)
         p = params(30, 3)
 
         def traced_peak(max_events):
@@ -293,27 +328,6 @@ class TestRunReplica:
             stats.arrivals_by_type - stats.departures_by_type,
             stats.end_counts_by_type - stats.start_counts_by_type,
         )
-
-    def test_trajectory_replay_never_violates_exclusion(self):
-        p = params(3, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
-        cfg = SimConfig(seed=13, max_events=3000, warmup_fraction=0.1, record_trajectory=True)
-        stats = run_replica(p, cfg, 0)
-        state = (0,) * p.n_sites
-        previous_t = 0.0
-        for t, event in stats.trajectory:
-            assert t >= previous_t
-            state = apply_event(state, event)  # raises if the event is not enabled
-            previous_t = t
-
-    def test_tagged_particles_have_consistent_lifetimes(self):
-        cfg = SimConfig(seed=17, max_events=5000, warmup_fraction=0.0, record_trajectory=True)
-        stats = run_replica(TWO_SITE, cfg, 0)
-        uids = [particle.uid for particle in stats.tagged_particles]
-        assert uids == sorted(set(uids))
-        for particle in stats.tagged_particles:
-            assert particle.ptype == 1
-            if particle.departure_time is not None:
-                assert particle.departure_time > particle.arrival_time
 
     def test_sojourns_only_from_full_window_lifetimes(self):
         cfg = SimConfig(seed=19, max_events=4000, warmup_fraction=0.5)
@@ -406,13 +420,11 @@ class TestMergeReplicas:
         assert merge_replicas([self.a]) == self.a
 
     def test_merge_of_one_is_an_independent_copy(self):
-        cfg = SimConfig(seed=5, max_events=4000, record_trajectory=True)
+        cfg = SimConfig(seed=5, max_events=4000)
         original = run_replica(TWO_SITE, cfg, 0, track_state_occupancy=True)
         copied = merge_replicas([original])
-        copied.tagged_particles[0].departure_time = -1.0
         copied.completed_sojourns[0].append(-1.0)
         copied.site_occupancy_time[0, 0] = -1.0
-        assert original.tagged_particles[0].departure_time != -1.0
         assert -1.0 not in original.completed_sojourns[0]
         assert original.site_occupancy_time[0, 0] != -1.0
 
@@ -488,12 +500,6 @@ class TestRunReplicas:
         serial = [run_replica(model, cfg, i, track_state_occupancy=track) for i in range(cfg.replicas)]
         assert pooled == serial
 
-    def test_trajectory_runs_stay_in_process(self, pools):
-        cfg = SimConfig(seed=7, max_events=2000, replicas=2, record_trajectory=True)
-        stats = run_replicas(self.N5K2, cfg)
-        assert pools == []
-        assert stats == [run_replica(self.N5K2, cfg, i) for i in range(2)]
-
     def test_threaded_callers_stay_in_process(self, pools):
         cfg = SimConfig(seed=7, max_events=2000, replicas=2)
         release = threading.Event()
@@ -523,20 +529,20 @@ class TestRunReplicas:
             run_replicas(self.N30K3, cfg, track_state_occupancy=True)
         assert pools == [2]
 
+    # Explicit ids keep each case's name stable when this table's columns change.
     @pytest.mark.parametrize(
-        "replicas, max_events, record, cpus, workers",
+        "replicas, max_events, cpus, workers",
         [
-            (4, 10**6, False, 2, 2),
-            (64, 10**6, False, 8, 8),
-            (3, 10**6, False, 8, 3),
-            (1, 10**6, False, 8, 0),
-            (8, 10**6, False, 1, 0),
-            (8, 10**6, True, 8, 0),
-            (2, 10, False, 8, 0),
+            pytest.param(4, 10**6, 2, 2, id="4-1000000-False-2-2"),
+            pytest.param(64, 10**6, 8, 8, id="64-1000000-False-8-8"),
+            pytest.param(3, 10**6, 8, 3, id="3-1000000-False-8-3"),
+            pytest.param(1, 10**6, 8, 0, id="1-1000000-False-8-0"),
+            pytest.param(8, 10**6, 1, 0, id="8-1000000-False-1-0"),
+            pytest.param(2, 10, 8, 0, id="2-10-False-8-0"),
         ],
     )
-    def test_worker_count_is_capped_at_usable_cpus(self, replicas, max_events, record, cpus, workers):
-        cfg = SimConfig(seed=0, max_events=max_events, replicas=replicas, record_trajectory=record)
+    def test_worker_count_is_capped_at_usable_cpus(self, replicas, max_events, cpus, workers):
+        cfg = SimConfig(seed=0, max_events=max_events, replicas=replicas)
         assert simulate._pool_workers(cfg, cpus) == workers
 
 
@@ -553,7 +559,7 @@ class TestSimStatsEquality:
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimStats)])
     def test_each_field_takes_part(self, name):
-        cfg = SimConfig(seed=3, max_events=2000, record_trajectory=True)
+        cfg = SimConfig(seed=3, max_events=2000)
         stats = run_replica(params(3, 2), cfg, 0, track_state_occupancy=True)
         twin = run_replica(params(3, 2), cfg, 0, track_state_occupancy=True)
         assert stats == twin
