@@ -84,9 +84,10 @@ def _rate_vector(name: str, values, n_types: int, *, allow_zero: bool) -> tuple[
         items = tuple(values)
         if any(isinstance(v, bool) or not isinstance(v, Real) for v in items):
             raise TypeError
-    except TypeError:
+        # An integer too large for a float overflows here.
+        vec = tuple(float(v) for v in items)
+    except (TypeError, OverflowError):
         raise ValueError(f"{name} must be a list of {n_types} numbers, got {values!r}") from None
-    vec = tuple(float(v) for v in items)
     if len(vec) != n_types:
         raise ValueError(f"{name} must have exactly {n_types} entries, got {len(vec)}")
     for v in vec:

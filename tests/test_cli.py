@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import sepsim.cli
 from sepsim import SimConfig
 from sepsim.cli import (
     DEFAULT_TOLERANCES,
@@ -175,6 +176,33 @@ class TestCmdVerify:
             "kolmogorov_cycles",
         } <= names
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"n_sites": 8, "n_types": 2, "alpha": [1.0, 2.0], "beta": [2.0, 1.0],
+              "delta": [1.0, 1.0]}],
+        ids=["n2k1", "n8k2"],
+    )
+    @pytest.mark.parametrize("negative_control, factorizations", [(False, 1), (True, 2)],
+                             ids=["clean", "negative-control"])
+    def test_factors_once_and_certifies_the_variants(self, monkeypatch, overrides,
+                                                       negative_control, factorizations):
+        # The hop-rate and boundary-flag variants are certified, not solved:
+        # only the model itself (and its perturbed copy) is factored.
+        solve = sepsim.cli.solve_stationary
+        calls = []
+
+        def counting_solve(gen):
+            calls.append(gen.dim)
+            return solve(gen)
+
+        monkeypatch.setattr(sepsim.cli, "solve_stationary", counting_solve)
+        doc = cmd_verify(run_config(**overrides), negative_control=negative_control)
+        assert len(calls) == factorizations
+        assert doc["passed"] is not negative_control
+        by_name = {c["name"]: c for c in doc["checks"]}
+        for name in ("delta_independence", "boundary_hop_independence"):
+            assert by_name[name]["status"] == "pass"
+
     def test_rate_symmetric_model_runs_conditional_checks(self):
         doc = cmd_verify(run_config(alpha=[1.0], beta=[1.0]))
         by_name = {c["name"]: c for c in doc["checks"]}
@@ -280,11 +308,16 @@ class TestMainEntry:
             dict(BASE_CONFIG, tolerances={"detailed_balance": float("inf")}),
             dict(BASE_CONFIG, alpha="1"),
             dict(BASE_CONFIG, delta=[True]),
+            # Integers too large for a float.
+            dict(BASE_CONFIG, alpha=[10**400]),
+            dict(BASE_CONFIG, beta=[10**400]),
+            dict(BASE_CONFIG, delta=[10**400]),
         ],
         ids=["negative-alpha", "number", "null", "scalar-alpha", "null-alpha",
              "string-warmup", "list-tolerances", "null-tolerance",
              "string-boundary-hops", "removed-record-trajectory", "number-output",
-             "bool-max-events", "infinite-tolerance", "string-alpha", "bool-rate"],
+             "bool-max-events", "infinite-tolerance", "string-alpha", "bool-rate",
+             "overflow-alpha", "overflow-beta", "overflow-delta"],
     )
     def test_invalid_config_is_an_error(self, tmp_path, capsys, document):
         path = tmp_path / "bad.json"

@@ -7,6 +7,7 @@ from sepsim import (
     ModelParams,
     balance_residuals,
     build_generator,
+    certify_stationary,
     is_irreducible,
     joint_from_marginals,
     marginals_from_distribution,
@@ -179,8 +180,15 @@ class TestSolveStationary:
             # 6561 states; with slow hops power iteration did not converge.
             params(8, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
             params(8, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(0.01, 0.01)),
+            # Without a refinement step the worst relative errors were
+            # 4.1e-11, 1.9e-10 and 1.8e-10 here; with one whose residual is
+            # taken in working precision from A, still 1.9e-10 on the second.
+            params(12, 1, alpha=(1.0,), beta=(2.0,)),
+            params(12, 1, alpha=(0.37,), beta=(0.74,), delta=(0.37,)),
+            params(13, 1, alpha=(1.0,), beta=(2.0,)),
         ],
-        ids=["n3k2", "stiff5", "stiff7", "n8k2", "n8k2-slow-hops"],
+        ids=["n3k2", "stiff5", "stiff7", "n8k2", "n8k2-slow-hops", "n12k1", "n12k1-scaled",
+             "n13k1"],
     )
     def test_absolute_and_relative_accuracy(self, p):
         solved = solve_stationary(build_generator(p))
@@ -249,6 +257,30 @@ class TestSolveStationary:
         for p in random_grid(draws=1):
             gen = build_generator(p)
             assert np.abs(balance_residuals(gen, product_form(p))).max() <= 1e-12
+
+
+class TestCertifyStationary:
+    def test_product_form_certified_for_every_hop_rate_and_flag(self):
+        base = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
+        closed = product_form(base)
+        for delta in ((1.0, 1.0), (0.05, 7.0), (4.6, 0.35)):
+            for bh in (True, False):
+                gen = build_generator(params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta,
+                                             boundary_hops=bh))
+                assert certify_stationary(gen, closed) <= 1e-12
+
+    def test_wrong_distribution_reports_a_residual_above_tolerance(self):
+        gen = build_generator(params(3, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)))
+        # The product form of other arrival rates is not stationary here.
+        wrong = product_form(params(3, 2, alpha=(1.0, 2.1), beta=(2.0, 1.0)))
+        assert certify_stationary(gen, wrong) > 1e-10
+
+    def test_reducible_generator_raises_instead_of_passing(self):
+        # The product form balances this generator, yet it is not the
+        # unique stationary law: the chain is reducible.
+        p = params(3, 1, alpha=(1.0,), beta=(2.0,), delta=(0.0,))
+        with pytest.raises(ValueError, match="irreducible"):
+            certify_stationary(build_generator(p), product_form(p))
 
 
 class TestClosedForms:
