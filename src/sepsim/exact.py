@@ -8,9 +8,14 @@ balance equations are factored by a sparse LU without pivoting, which is
 stable because the reduced system is a column diagonally dominant
 M-matrix, and one step of iterative refinement with the same factors, on a
 residual accumulated in extended precision, gives the small probabilities
-a small relative error too.  A claimed stationary law can also be
-certified without a solve: on an irreducible generator, a vanishing
-global-balance residual proves it (:func:`certify_stationary`).
+a small relative error too.
+
+A claimed stationary law can also be certified without a solve and
+without a generator (:func:`certify_stationary`): its global-balance
+residual is taken under the model's own rates on the ``(K+1,)*N``
+probability tensor, and irreducibility follows from a lemma on the rates
+(:func:`is_irreducible_model`), so a vanishing residual proves the law is
+the unique stationary one.
 
 The closed-form product distribution and its site marginals are computed
 independently of the solver, so either side can serve as the oracle for
@@ -45,6 +50,7 @@ __all__ = [
     "reverse_rates",
     "balance_residuals",
     "is_irreducible",
+    "is_irreducible_model",
     "certify_stationary",
     "solve_stationary",
     "product_form",
@@ -266,26 +272,92 @@ def is_irreducible(gen: Generator) -> bool:
     return n_components == 1
 
 
+_REDUCIBLE_MESSAGE = (
+    "generator must be irreducible; note that a zero hop rate freezes "
+    "interior occupancy of that type on lattices with more than two sites"
+)
+
+
 def _require_irreducible(gen: Generator) -> None:
     if not is_irreducible(gen):
-        raise ValueError(
-            "generator must be irreducible; note that a zero hop rate freezes "
-            "interior occupancy of that type on lattices with more than two sites"
-        )
+        raise ValueError(_REDUCIBLE_MESSAGE)
 
 
-def certify_stationary(gen: Generator, dist: np.ndarray) -> float:
-    """Largest global-balance residual of ``dist`` under ``gen``, in
-    rate × probability units.
+def _tensor(dist: np.ndarray, params: ModelParams) -> np.ndarray:
+    """``dist`` as the ``(K+1,)*N`` probability tensor: axis i holds site
+    i+1's value, as in the canonical encoding."""
+    dist = np.asarray(dist, dtype=np.float64)
+    m = state_space_size(params)
+    if dist.shape != (m,):
+        raise ValueError(f"distribution has shape {dist.shape}, expected ({m},)")
+    return dist.reshape((params.n_types + 1,) * params.n_sites)
 
-    An irreducible generator has exactly one stationary distribution, so a
-    residual at rounding level proves that ``dist`` is that distribution,
-    at O(edges) cost and without a factorization.  A reducible generator
-    raises the :class:`ValueError` of :func:`solve_stationary` instead of
-    returning a residual, so it can never pass.
+
+def is_irreducible_model(params: ModelParams) -> bool:
+    """True when the model's chain is irreducible, by a lemma on the rates
+    rather than a graph search: iff ``n_sites <= 2`` or every ``delta_k > 0``.
+
+    If every hop rate is positive, the leftmost particle can hop to site 1
+    and leave, so every state reaches the empty lattice; from the empty
+    lattice, filling the sites from right to left (arrive at site 1, hop
+    right) reaches every state.  On two sites every site is a boundary
+    site, so arrivals and departures alone do both.  Conversely,
+    on more than two sites a type with ``delta_k = 0`` can never enter an
+    interior site, so the states holding it there are not reachable from
+    the empty lattice.
     """
-    _require_irreducible(gen)
-    return float(np.abs(balance_residuals(gen, dist)).max())
+    return params.n_sites <= 2 or min(params.delta) > 0.0
+
+
+def certify_stationary(params: ModelParams, dist: np.ndarray) -> float:
+    """Largest global-balance residual (outflow minus inflow) of ``dist``
+    under the model's own dynamics, in rate × probability units.
+
+    An irreducible chain has exactly one stationary distribution, so a
+    residual at rounding level proves that ``dist`` is that distribution.
+    Irreducibility comes from :func:`is_irreducible_model`; a reducible
+    model raises the :class:`ValueError` of :func:`solve_stationary`
+    instead of returning a residual, so it can never pass.
+
+    No generator is built.  The residual is accumulated in
+    ``np.longdouble``, as in :func:`balance_residuals`, on the tensor
+    ``P = dist.reshape((K+1,)*N)``, one event and its reverse at a time:
+    their net flow between the two slices they join is added to the
+    residual of the slice it leaves and subtracted from the one it enters.
+    A type-k arrival and departure join the values ``0`` and ``k`` on axis
+    ``0`` or ``N-1``; a type-k hop joins ``(k, 0)`` and ``(0, k)`` on
+    adjacent axes ``(i, i+1)`` when ``delta_k > 0`` (on two sites only with
+    ``boundary_hops``), as in :func:`build_generator`.  That is O(M·N·K)
+    work for M states.
+    """
+    if not is_irreducible_model(params):
+        raise ValueError(_REDUCIBLE_MESSAGE)
+    n, base = params.n_sites, params.n_types + 1
+    p = _tensor(dist, params).astype(np.longdouble)
+    residual = np.zeros_like(p)
+
+    def at(values: dict[int, int]) -> tuple:
+        """Index of the states holding ``values[axis]`` on each given axis."""
+        return tuple(values.get(axis, slice(None)) for axis in range(n))
+
+    def exchange(a: tuple, b: tuple, rate_ab: float, rate_ba: float) -> None:
+        """Count the events ``a -> b`` and ``b -> a``: their net flow leaves a
+        and enters b."""
+        net = np.longdouble(rate_ab) * p[a] - np.longdouble(rate_ba) * p[b]
+        residual[a] += net
+        residual[b] -= net
+
+    for axis in (0, n - 1):
+        vacant = at({axis: 0})
+        for k in range(1, base):
+            exchange(vacant, at({axis: k}), params.alpha[k - 1], params.beta[k - 1])
+    if params.boundary_hops or n > 2:
+        for i in range(n - 1):
+            for k in range(1, base):
+                rate = params.delta[k - 1]
+                if rate > 0.0:
+                    exchange(at({i: k, i + 1: 0}), at({i: 0, i + 1: k}), rate, rate)
+    return float(np.abs(residual).max())
 
 
 def solve_stationary(gen: Generator) -> np.ndarray:
@@ -410,14 +482,5 @@ def marginals_from_distribution(dist: np.ndarray, params: ModelParams) -> np.nda
     Returns an (n_sites, n_types + 1) matrix whose row i sums ``dist``
     over all states with the given value at site i+1.
     """
-    dist = np.asarray(dist, dtype=np.float64)
-    m = state_space_size(params)
-    if dist.shape != (m,):
-        raise ValueError(f"distribution has shape {dist.shape}, expected ({m},)")
-    n, base = params.n_sites, params.n_types + 1
-    idx = np.arange(m, dtype=np.int64)
-    out = np.empty((n, base))
-    for i0 in range(n):
-        digit = (idx // base ** (n - 1 - i0)) % base
-        out[i0] = np.bincount(digit, weights=dist, minlength=base)
-    return out
+    p, n = _tensor(dist, params), params.n_sites
+    return np.stack([p.sum(axis=tuple(j for j in range(n) if j != i)) for i in range(n)])

@@ -203,6 +203,30 @@ class TestCmdVerify:
         for name in ("delta_independence", "boundary_hop_independence"):
             assert by_name[name]["status"] == "pass"
 
+    @pytest.mark.parametrize("negative_control", [False, True], ids=["clean", "negative-control"])
+    def test_builds_one_generator(self, monkeypatch, negative_control):
+        # The variants are certified on the probability tensor, so only the
+        # model's own generator is built.
+        build = sepsim.cli.build_generator
+        calls = []
+
+        def counting_build(params, **kwargs):
+            calls.append(params)
+            return build(params, **kwargs)
+
+        monkeypatch.setattr(sepsim.cli, "build_generator", counting_build)
+        config = run_config(n_sites=4, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0])
+        cmd_verify(config, negative_control=negative_control)
+        assert calls == [config.model]
+
+    def test_oracle_equivalence_notes_the_relative_deviation(self):
+        config = run_config(n_sites=5, n_types=2, alpha=[1e-6, 1e3], beta=[1e3, 1e-3], delta=[1.0, 1.0])
+        oracle = {c["name"]: c for c in cmd_verify(config)["checks"]}["oracle_equivalence"]
+        prefix = "max relative deviation "
+        assert oracle["note"].startswith(prefix)
+        assert float(oracle["note"][len(prefix):]) <= 1e-10
+        assert oracle["status"] == "pass"
+
     def test_rate_symmetric_model_runs_conditional_checks(self):
         doc = cmd_verify(run_config(alpha=[1.0], beta=[1.0]))
         by_name = {c["name"]: c for c in doc["checks"]}
@@ -358,6 +382,26 @@ class TestMainEntry:
         assert main(["verify", "--config", config_path, "--negative-control"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False
+
+    def test_one_parser_serves_every_call(self, config_path, monkeypatch, capsys):
+        parser = sepsim.cli._parser()
+        assert sepsim.cli._parser() is parser
+        parse = parser.parse_args
+        parsed = []
+
+        def recording_parse(argv=None):
+            parsed.append(parse(argv))
+            return parsed[-1]
+
+        monkeypatch.setattr(parser, "parse_args", recording_parse)
+        assert main(["verify", "--config", config_path, "--negative-control"]) == 1
+        capsys.readouterr()
+        assert main(["exact", "--config", config_path]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "exact"
+        verify_args, exact_args = parsed
+        assert verify_args.command == "verify" and verify_args.negative_control is True
+        # A flag of one command does not carry over to the next parse.
+        assert exact_args.command == "exact" and not hasattr(exact_args, "negative_control")
 
     def test_report_command_runs(self, config_path, tmp_path):
         out = tmp_path / "r.json"

@@ -9,6 +9,7 @@ from sepsim import (
     build_generator,
     certify_stationary,
     is_irreducible,
+    is_irreducible_model,
     joint_from_marginals,
     marginals_from_distribution,
     normalization_constant,
@@ -265,22 +266,49 @@ class TestCertifyStationary:
         closed = product_form(base)
         for delta in ((1.0, 1.0), (0.05, 7.0), (4.6, 0.35)):
             for bh in (True, False):
-                gen = build_generator(params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta,
-                                             boundary_hops=bh))
-                assert certify_stationary(gen, closed) <= 1e-12
+                variant = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta, boundary_hops=bh)
+                assert certify_stationary(variant, closed) <= 1e-12
 
     def test_wrong_distribution_reports_a_residual_above_tolerance(self):
-        gen = build_generator(params(3, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)))
+        p = params(3, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
         # The product form of other arrival rates is not stationary here.
         wrong = product_form(params(3, 2, alpha=(1.0, 2.1), beta=(2.0, 1.0)))
-        assert certify_stationary(gen, wrong) > 1e-10
+        assert certify_stationary(p, wrong) > 1e-10
 
     def test_reducible_generator_raises_instead_of_passing(self):
-        # The product form balances this generator, yet it is not the
-        # unique stationary law: the chain is reducible.
+        # The product form balances this model, yet it is not the unique
+        # stationary law: the chain is reducible.
         p = params(3, 1, alpha=(1.0,), beta=(2.0,), delta=(0.0,))
         with pytest.raises(ValueError, match="irreducible"):
-            certify_stationary(build_generator(p), product_form(p))
+            certify_stationary(p, product_form(p))
+
+    def test_tensor_residual_equals_the_generator_residual(self):
+        # Random positive distributions are far from stationary, so every
+        # event family, hop pair and boundary term shows in the residual.
+        rng = np.random.default_rng(7)
+        for n, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (5, 1), (5, 2), (6, 1)):
+            for bh in (True, False):
+                rates = rng.uniform(0.1, 5.0, size=(3, k))
+                p = params(n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]), delta=tuple(rates[2]),
+                           boundary_hops=bh)
+                d = rng.uniform(0.05, 1.0, size=(k + 1) ** n)
+                d /= d.sum()
+                expected = np.abs(balance_residuals(build_generator(p), d)).max()
+                assert certify_stationary(p, d) == pytest.approx(expected, rel=1e-13)
+
+    def test_shape_check(self):
+        with pytest.raises(ValueError, match="shape"):
+            certify_stationary(TWO_SITE, np.ones(3) / 3)
+
+
+class TestIrreducibilityLemma:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("delta", [(1.0, 0.5), (0.0, 0.5), (1.0, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("bh", [True, False])
+    def test_lemma_agrees_with_the_graph_search(self, n, delta, bh):
+        p = params(n, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta, boundary_hops=bh)
+        assert is_irreducible_model(p) == is_irreducible(build_generator(p))
+        assert is_irreducible_model(p) == (n <= 2 or min(delta) > 0.0)
 
 
 class TestClosedForms:
