@@ -32,6 +32,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -42,7 +43,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .model import ModelParams, decode, state_space_size
+from .model import ModelParams, state_space_size
 from .exact import (
     CapExceededError,
     SolveError,
@@ -190,10 +191,6 @@ def _json(value: Any) -> Any:
     return value
 
 
-def _state_string(index: int, params: ModelParams) -> str:
-    return ",".join(str(v) for v in decode(index, params))
-
-
 def _closed_marginals(params: ModelParams) -> np.ndarray:
     return np.tile(site_marginal(params, 1), (params.n_sites, 1))
 
@@ -212,13 +209,16 @@ def _exact_section(params: ModelParams) -> dict[str, Any]:
     gen = build_generator(params)
     solved = solve_stationary(gen)
     closed = product_form(params)
+    # Site 1 is the most significant digit of the canonical index, so the
+    # product's order is the index order.
+    values = [str(v) for v in range(params.n_types + 1)]
     return {
         "state_space_size": gen.dim,
         "normalization_constant": normalization_constant(params),
         "max_abs_deviation": np.abs(solved - closed).max(),
         "distribution": {
             "state_index": list(range(gen.dim)),
-            "state": [_state_string(i, params) for i in range(gen.dim)],
+            "state": [",".join(state) for state in itertools.product(values, repeat=params.n_sites)],
             "p_closed_form": closed,
             "p_solved": solved,
         },
@@ -317,7 +317,9 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
     product form's largest global-balance residual under the variant's
     rates, in rate × probability units, taken on the probability tensor
     without building the variant's generator.  So the model's generator is
-    built once and factored once, and twice under ``negative_control``.
+    built once and solved once, and twice under ``negative_control``; each
+    generator's tree potential is computed once and read by both its solve
+    and ``kolmogorov_cycles``.
     """
     params = config.model
     tol = config.tolerances

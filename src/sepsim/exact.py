@@ -2,13 +2,22 @@
 
 The generator of the lattice process is stored as off-diagonal COO arrays
 in a canonical (row, col) order; the diagonal is implied (negative exit
-rate), so row sums are zero by construction.  Every model is solved the
-same way: the weight of the last state is pinned to one, and the remaining
-balance equations are factored by a sparse LU without pivoting, which is
-stable because the reduced system is a column diagonally dominant
-M-matrix, and one step of iterative refinement with the same factors, on a
-residual accumulated in extended precision, gives the small probabilities
-a small relative error too.
+rate), so row sums are zero by construction.  A model is solved one of two
+ways, chosen by one rule on the generator itself:
+
+- reversible generators (structurally symmetric support whose rate ratios
+  close every cycle, Kolmogorov's criterion) take their stationary law
+  straight from Kelly's spanning-tree potential of those ratios, which is
+  computed once per generator (:attr:`Generator.tree_potential`) and
+  shared with the cycle check of :mod:`sepsim.reversibility`;
+- every other generator pins the weight of its last state to one and
+  factors the remaining balance equations by a sparse LU without
+  pivoting, which is stable because the reduced system is a column
+  diagonally dominant M-matrix, and one step of iterative refinement with
+  the same factors, on a residual accumulated in extended precision, gives
+  the small probabilities a small relative error too.
+
+Both routes end in the same global-balance gate and positivity check.
 
 A claimed stationary law can also be certified without a solve and
 without a generator (:func:`certify_stationary`): its global-balance
@@ -26,10 +35,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
 from .model import ModelParams, state_space_size
@@ -45,6 +56,7 @@ __all__ = [
     "SolveError",
     "SingularSystemError",
     "Generator",
+    "TreePotential",
     "resolve_state_cap",
     "build_generator",
     "reverse_rates",
@@ -63,6 +75,10 @@ __all__ = [
 DEFAULT_STATE_CAP = 1 << 24
 STATE_CAP_ENV = "SEPSIM_STATE_CAP"
 RESIDUAL_TOL = 1e-10
+# Largest cycle mismatch for which the stationary law is read off the tree
+# potential.  Reversible generators built here stay below 1e-14; a broken
+# rate symmetry shows at the size of the break.
+_REVERSIBLE_TOL = 1e-12
 
 # Transition classes: an edge adds a particle, removes one, or moves one.
 EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_HOP = 1, 2, 3
@@ -100,6 +116,27 @@ def resolve_state_cap(cap: int | None = None) -> int:
     return cap
 
 
+class TreePotential(NamedTuple):
+    """Kelly's spanning-tree potential of a structurally symmetric generator.
+
+    With ``L_ij = log(rate(i->j) / rate(j->i))`` on each edge, ``phi``
+    satisfies ``phi_j = phi_i + L_ij`` along a breadth-first spanning tree
+    of each connected component of the support and is zero at each root.
+    ``mismatch`` is ``max |expm1(L_ij - (phi_j - phi_i))|`` over every
+    edge: the worst relative mismatch of forward and reverse rate products
+    over the fundamental cycles, which span all cycles, so it vanishes up
+    to rounding exactly when the chain is reversible (Kelly, Reversibility
+    and Stochastic Networks, 1979, section 1.5).  Then ``exp(phi)`` is the
+    stationary law up to one constant per component.  ``n_components``
+    counts the components; a symmetric support is strongly connected iff
+    there is one.
+    """
+
+    phi: np.ndarray
+    mismatch: float
+    n_components: int
+
+
 @dataclass(frozen=True, eq=False)
 class Generator:
     """Off-diagonal transition rates of the lattice process.
@@ -109,7 +146,8 @@ class Generator:
     state ``i`` is implied as minus its exit rate, so every row of the full
     matrix sums to zero exactly.  ``params`` records the model the support
     was built from (perturbed copies keep it for state decoding even
-    though their rates no longer follow the model).
+    though their rates no longer follow the model).  The arrays are
+    read-only; build a changed copy with :func:`dataclasses.replace`.
     """
 
     dim: int
@@ -141,10 +179,10 @@ class Generator:
         rows, cols, rates, kinds = rows[order], cols[order], rates[order], kinds[order]
         if rows.size > 1 and np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
             raise ValueError("duplicate transition between the same state pair")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "kinds", kinds)
+        for name, array in (("rows", rows), ("cols", cols), ("rates", rates), ("kinds", kinds)):
+            # Read-only, so the memoised tree potential cannot go stale.
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_edges(self) -> int:
@@ -160,6 +198,23 @@ class Generator:
         q[self.rows, self.cols] = self.rates
         q[np.arange(self.dim), np.arange(self.dim)] = -self.exit_rates()
         return q
+
+    @cached_property
+    def tree_potential(self) -> TreePotential | None:
+        """The :class:`TreePotential` of these rates, computed on first use
+        and kept; ``None`` when the support is not structurally symmetric.
+
+        Copies made with :func:`dataclasses.replace` are new instances, so
+        a perturbed or reversed generator computes its own.
+        """
+        try:
+            reverse = reverse_rates(self)
+        except ValueError:  # the support is not structurally symmetric
+            return None
+        log_ratio = np.log(self.rates) - np.log(reverse)
+        phi, n_components = _forest_potential(self, log_ratio)
+        mismatch = log_ratio - (phi[self.cols] - phi[self.rows])
+        return TreePotential(phi, float(np.abs(np.expm1(mismatch)).max(initial=0.0)), n_components)
 
 
 def build_generator(params: ModelParams, *, cap: int | None = None) -> Generator:
@@ -241,6 +296,53 @@ def reverse_rates(gen: Generator) -> np.ndarray:
     return gen.rates[perm]
 
 
+def _forest_potential(gen: Generator, log_ratio: np.ndarray) -> tuple[np.ndarray, int]:
+    """Potential with ``phi_j = phi_i + log_ratio[i->j]`` along a
+    breadth-first spanning tree of each connected component, zero at each
+    component's root, and the number of components.  For a reversible
+    chain it is ``log(stationary)`` up to one constant per component.
+    """
+    if gen.n_edges == 0:
+        return np.zeros(gen.dim), gen.dim
+    # Edge e is stored as e + 1, so the matrix is both the graph and a
+    # lookup from a (parent, child) pair to its edge.
+    edge_of = sp.csr_matrix(
+        (np.arange(1, gen.n_edges + 1), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
+    )
+    n_components, labels = connected_components(edge_of, directed=False)
+    roots = np.unique(labels, return_index=True)[1]
+    graph, source = edge_of, 0
+    if n_components > 1:
+        # One search from an extra state joined to every component's root
+        # spans them all, and within a component it visits the states in
+        # the order a search from that root would.
+        source = gen.dim
+        graph = sp.csr_matrix(
+            (
+                np.ones(gen.n_edges + roots.size, dtype=np.int8),
+                (np.append(gen.rows, np.full(roots.size, source)), np.append(gen.cols, roots)),
+            ),
+            shape=(source + 1, source + 1),
+        )
+    parent = breadth_first_order(graph, source, directed=False, return_predecessors=True)[1][: gen.dim]
+    parent[roots] = roots
+    child = np.nonzero(parent != np.arange(gen.dim))[0]
+    potential = np.zeros(gen.dim)
+    potential[child] = log_ratio[np.asarray(edge_of[parent[child], child]).ravel() - 1]
+    # Pointer doubling: potential[v] sums the log ratios from up[v] down
+    # to v, and up[v] climbs until it reaches the root.
+    up = parent
+    while np.any(up[up] != up):
+        potential = potential + potential[up]
+        up = up[up]
+    return potential, int(n_components)
+
+
+def _tree_potential(gen: Generator, log_ratio: np.ndarray) -> np.ndarray:
+    """The potential of :func:`_forest_potential` alone."""
+    return _forest_potential(gen, log_ratio)[0]
+
+
 def balance_residuals(gen: Generator, dist: np.ndarray) -> np.ndarray:
     """Global-balance residual per state: outflow minus inflow under ``dist``.
 
@@ -276,11 +378,6 @@ _REDUCIBLE_MESSAGE = (
     "generator must be irreducible; note that a zero hop rate freezes "
     "interior occupancy of that type on lattices with more than two sites"
 )
-
-
-def _require_irreducible(gen: Generator) -> None:
-    if not is_irreducible(gen):
-        raise ValueError(_REDUCIBLE_MESSAGE)
 
 
 def _tensor(dist: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -363,17 +460,58 @@ def certify_stationary(params: ModelParams, dist: np.ndarray) -> float:
 def solve_stationary(gen: Generator) -> np.ndarray:
     """Stationary distribution of an irreducible generator.
 
+    One rule picks the route.  A generator whose support is structurally
+    symmetric and whose cycle mismatch (:class:`TreePotential`) is at most
+    ``1e-12`` is reversible, and its law is read off the tree potential,
+    ``p ∝ exp(phi - max phi)``, in O(edges) (:func:`_solve_reversible`).
+    Every other generator is solved by a sparse LU (:func:`_solve_lu`).
+    Irreducibility of a symmetric support is the potential's component
+    count; only an asymmetric one needs the directed search of
+    :func:`is_irreducible`.
+
+    The returned vector sums to one, is strictly positive, and satisfies
+    the balance equations with infinity-norm residual at most
+    ``RESIDUAL_TOL`` (:func:`balance_residuals`, in extended precision from
+    the rates) whichever route produced it; otherwise
+    :class:`SingularSystemError` is raised.
+    """
+    potential = gen.tree_potential
+    irreducible = is_irreducible(gen) if potential is None else potential.n_components == 1
+    if not irreducible:
+        raise ValueError(_REDUCIBLE_MESSAGE)
+    weights = _solve_reversible(gen)
+    return _gated(gen, _solve_lu(gen) if weights is None else weights)
+
+
+def _solve_reversible(gen: Generator) -> np.ndarray | None:
+    """Unnormalized stationary weights ``exp(phi - max phi)`` from the tree
+    potential, or ``None`` when the generator is not reversible within
+    ``_REVERSIBLE_TOL`` (or its support is not structurally symmetric).
+
+    Detailed balance makes ``log p_j - log p_i`` the edge's log rate ratio,
+    so on one component the potential is ``log p`` up to a constant.
+    """
+    potential = gen.tree_potential
+    if potential is None or potential.mismatch > _REVERSIBLE_TOL:
+        return None
+    return np.exp(potential.phi - potential.phi.max())
+
+
+def _solve_lu(gen: Generator) -> np.ndarray:
+    """Unnormalized stationary weights of an irreducible generator with
+    ``dim >= 2``, from a sparse LU of the balance equations.
+
     The balance equations ``Q^T p = 0`` are solved with the weight of the
     last state pinned to one: its row and column are dropped, the reduced
     matrix ``A`` is factored by a sparse LU, and the solution is extended
-    by the pinned one and normalized.  Then one step of iterative
-    refinement with the same factors, ``x += A^{-1}(b - A x)``, takes the
-    residual ``b - A x`` from :func:`balance_residuals`, in extended
-    precision and from the rates themselves, not from ``A``'s rounded
-    diagonal (mixed-precision refinement, Moler, J. ACM 1967).  The
-    smallest probabilities then come out with small relative error, not
-    only small absolute error: within 1e-14 of the closed form at
-    N=12, K=1 on x86-64, against up to 3.5e-10 without the step.
+    by the pinned one.  Then one step of iterative refinement with the same
+    factors, ``x += A^{-1}(b - A x)``, takes the residual ``b - A x`` from
+    :func:`balance_residuals`, in extended precision and from the rates
+    themselves, not from ``A``'s rounded diagonal (mixed-precision
+    refinement, Moler, J. ACM 1967).  The smallest probabilities then come
+    out with small relative error, not only small absolute error: within
+    1e-14 of the closed form at N=12, K=1 on x86-64, against up to 3.5e-10
+    without the step.
 
     The factorization keeps every pivot on the diagonal (symmetric
     fill-reducing ordering, no pivoting), which is safe here: ``-A`` has a
@@ -383,16 +521,10 @@ def solve_stationary(gen: Generator) -> np.ndarray:
     irreducibility makes it a nonsingular M-matrix.  Gaussian elimination
     without pivoting is stable on a column diagonally dominant matrix, and
     every Schur complement of an M-matrix is again one, so no pivot
-    vanishes or changes sign.
-
-    The returned vector sums to one, is strictly positive, and satisfies
-    the balance equations with infinity-norm residual at most
-    ``RESIDUAL_TOL``; otherwise :class:`SingularSystemError` is raised.
+    vanishes or changes sign.  The fill-in grows fast with lattice length
+    (see the README's scale table).
     """
-    _require_irreducible(gen)
     m = gen.dim
-    if m == 1:
-        return np.ones(1)
     diag = np.arange(m)
     qt = sp.csc_matrix(
         (
@@ -414,7 +546,13 @@ def solve_stationary(gen: Generator) -> np.ndarray:
     # The refinement's right-hand side b - A x is the balance residual of the
     # free states.
     p[:-1] += lu.solve(balance_residuals(gen, p)[:-1])
-    p = p / p.sum()
+    return p
+
+
+def _gated(gen: Generator, weights: np.ndarray) -> np.ndarray:
+    """``weights`` normalized, after the global-balance gate and the
+    positivity check that every solve route passes through."""
+    p = weights / weights.sum()
     residual = float(np.abs(balance_residuals(gen, p)).max())
     if residual > RESIDUAL_TOL:
         raise SingularSystemError(

@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .model import LatticeState, decode
 from .exact import (
     EDGE_CLASS_NAMES,
     EDGE_HOP,
     Generator,
+    _tree_potential,  # noqa: F401  re-exported from sepsim.exact
     balance_residuals,
     reverse_rates,
 )
@@ -100,34 +99,6 @@ def reversed_generator(
     return replace(gen, rates=dist[gen.cols] * reverse_rates(gen) / dist[gen.rows])
 
 
-def _tree_potential(gen: Generator, log_ratio: np.ndarray) -> np.ndarray:
-    """Potential with ``phi_j = phi_i + log_ratio[i->j]`` along a
-    breadth-first spanning tree of each connected component, zero at each
-    component's root.  For a reversible chain it is ``log(stationary)`` up
-    to one constant per component.
-    """
-    # Edge e is stored as e + 1, so the matrix is both the graph and a
-    # lookup from a (parent, child) pair to its edge.
-    edge_of = sp.csr_matrix(
-        (np.arange(1, gen.n_edges + 1), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
-    )
-    _, labels = connected_components(edge_of, directed=False)
-    parent = np.arange(gen.dim)
-    for root in np.unique(labels, return_index=True)[1]:
-        order, pred = breadth_first_order(edge_of, root, directed=False, return_predecessors=True)
-        parent[order[1:]] = pred[order[1:]]
-    child = np.nonzero(parent != np.arange(gen.dim))[0]
-    potential = np.zeros(gen.dim)
-    potential[child] = log_ratio[np.asarray(edge_of[parent[child], child]).ravel() - 1]
-    # Pointer doubling: potential[v] sums the log ratios from up[v] down
-    # to v, and up[v] climbs until it reaches the root.
-    up = parent
-    while np.any(up[up] != up):
-        potential = potential + potential[up]
-        up = up[up]
-    return potential
-
-
 def kolmogorov_cycle_residual(gen: Generator) -> float:
     """Worst relative mismatch of forward vs reverse rate products over
     every cycle of the transition graph.
@@ -135,18 +106,18 @@ def kolmogorov_cycle_residual(gen: Generator) -> float:
     Zero (up to rounding) characterises a reversible chain.  Kelly's
     tree-potential construction (Reversibility and Stochastic Networks,
     1979, section 1.5): with ``L = log(rate(i->j) / rate(j->i))`` on each
-    edge, a spanning-tree potential ``phi`` (``_tree_potential``) makes
-    ``L_ij - (phi_j - phi_i)`` the log rate-product ratio of the
-    fundamental cycle that edge closes.  Those cycles span all cycles, so
-    the check is exact and needs no stationary distribution.  Raises when
-    the transition support is not structurally symmetric.
+    edge, a spanning-tree potential ``phi`` makes ``L_ij - (phi_j - phi_i)``
+    the log rate-product ratio of the fundamental cycle that edge closes.
+    Those cycles span all cycles, so the check is exact and needs no
+    stationary distribution.  The potential and this mismatch are computed
+    once per generator (:attr:`~sepsim.exact.Generator.tree_potential`),
+    and :func:`~sepsim.exact.solve_stationary` reads the same ones.  Raises
+    when the transition support is not structurally symmetric.
     """
-    if gen.n_edges == 0:
-        return 0.0
-    log_ratio = np.log(gen.rates) - np.log(reverse_rates(gen))
-    potential = _tree_potential(gen, log_ratio)
-    mismatch = log_ratio - (potential[gen.cols] - potential[gen.rows])
-    return float(np.abs(np.expm1(mismatch)).max())
+    potential = gen.tree_potential
+    if potential is None:
+        raise ValueError("transition support is not structurally symmetric")
+    return potential.mismatch
 
 
 def uniformity_check(params, dist: np.ndarray) -> float:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import sepsim.cli
-from sepsim import SimConfig
+import sepsim.exact
+from sepsim import SimConfig, decode
 from sepsim.cli import (
     DEFAULT_TOLERANCES,
     RunConfig,
@@ -103,6 +104,11 @@ class TestCmdExact:
             np.array(marginals["from_solved"]) - np.array(marginals["closed_form"])
         ).max() <= 1e-12
 
+    def test_state_labels_decode_the_state_index(self):
+        config = run_config(n_sites=3, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0])
+        labels = cmd_exact(config)["distribution"]["state"]
+        assert labels == [",".join(map(str, decode(i, config.model))) for i in range(27)]
+
     def test_balanced_rates_report_uniform(self):
         doc = cmd_exact(run_config(alpha=[1.0], beta=[1.0]))
         assert np.allclose(doc["distribution"]["p_solved"], 0.25, atol=1e-12)
@@ -187,7 +193,7 @@ class TestCmdVerify:
     def test_factors_once_and_certifies_the_variants(self, monkeypatch, overrides,
                                                        negative_control, factorizations):
         # The hop-rate and boundary-flag variants are certified, not solved:
-        # only the model itself (and its perturbed copy) is factored.
+        # only the model itself (and its perturbed copy) is solved.
         solve = sepsim.cli.solve_stationary
         calls = []
 
@@ -218,6 +224,25 @@ class TestCmdVerify:
         config = run_config(n_sites=4, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0])
         cmd_verify(config, negative_control=negative_control)
         assert calls == [config.model]
+
+    @pytest.mark.parametrize("negative_control, potentials", [(False, 1), (True, 2)],
+                             ids=["clean", "negative-control"])
+    def test_builds_the_tree_potential_once_per_generator(self, monkeypatch, negative_control,
+                                                          potentials):
+        # The solve and the cycle check read the same memoised potential; the
+        # negative control's perturbed copy builds its own, once.
+        forest = sepsim.exact._forest_potential
+        calls = []
+
+        def counting_forest(gen, log_ratio):
+            calls.append(gen)
+            return forest(gen, log_ratio)
+
+        monkeypatch.setattr(sepsim.exact, "_forest_potential", counting_forest)
+        config = run_config(n_sites=4, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0])
+        doc = cmd_verify(config, negative_control=negative_control)
+        assert doc["passed"] is not negative_control
+        assert len(calls) == len({id(gen) for gen in calls}) == potentials
 
     def test_oracle_equivalence_notes_the_relative_deviation(self):
         config = run_config(n_sites=5, n_types=2, alpha=[1e-6, 1e3], beta=[1e3, 1e-3], delta=[1.0, 1.0])

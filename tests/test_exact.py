@@ -19,7 +19,17 @@ from sepsim import (
     site_marginal,
     solve_stationary,
 )
-from sepsim.exact import EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_HOP, STATE_CAP_ENV
+from sepsim.exact import (
+    EDGE_ARRIVAL,
+    EDGE_DEPARTURE,
+    EDGE_HOP,
+    RESIDUAL_TOL,
+    STATE_CAP_ENV,
+    _gated,
+    _solve_lu,
+    _solve_reversible,
+)
+from sepsim.reversibility import perturb_hop_rate
 
 
 def params(n=2, k=1, alpha=None, beta=None, delta=None, boundary_hops=True):
@@ -141,6 +151,12 @@ class TestBuildGenerator:
         monkeypatch.delenv(STATE_CAP_ENV)
         build_generator(params(3, 2))
 
+    def test_edge_arrays_are_read_only(self):
+        # The memoised tree potential is computed from them.
+        gen = build_generator(TWO_SITE)
+        with pytest.raises(ValueError, match="read-only"):
+            gen.rates[0] = 5.0
+
     def test_generator_validation(self):
         with pytest.raises(ValueError):
             Generator(dim=2, rows=[0], cols=[0], rates=[1.0], kinds=[EDGE_HOP])
@@ -192,6 +208,46 @@ class TestSolveStationary:
              "n13k1"],
     )
     def test_absolute_and_relative_accuracy(self, p):
+        # These models are reversible, so solve_stationary reads them off the
+        # tree potential; the LU is held to the same accuracy directly.
+        gen = build_generator(p)
+        closed = product_form(p)
+        for solved in (solve_stationary(gen), _gated(gen, _solve_lu(gen))):
+            assert np.abs(solved - closed).max() <= 1e-10
+            assert np.abs(solved / closed - 1.0).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("bh", [True, False])
+    def test_reversible_route_agrees_with_the_lu(self, n, k, bh):
+        rng = np.random.default_rng(1000 * n + 10 * k + bh)
+        rates = rng.uniform(0.2, 5.0, size=(3, k))
+        gen = build_generator(params(n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]),
+                                     delta=tuple(rates[2]), boundary_hops=bh))
+        weights = _solve_reversible(gen)
+        assert weights is not None
+        reversible, lu = _gated(gen, weights), _gated(gen, _solve_lu(gen))
+        assert np.abs(reversible / lu - 1.0).max() <= 1e-12
+
+    def test_broken_rate_symmetry_is_declined_and_solved_by_the_lu(self):
+        gen = perturb_hop_rate(build_generator(params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))))
+        assert _solve_reversible(gen) is None
+        solved = solve_stationary(gen)
+        assert np.abs(balance_residuals(gen, solved)).max() <= RESIDUAL_TOL
+        assert np.array_equal(solved, _gated(gen, _solve_lu(gen)))
+
+    def test_asymmetric_three_cycle(self):
+        # 0 -> 1 -> 2 -> 0 at rates 1, 2, 3 and no reverse edges: the flow
+        # p_i * rate is the same on every edge.
+        gen = Generator(dim=3, rows=[0, 1, 2], cols=[1, 2, 0], rates=[1.0, 2.0, 3.0],
+                        kinds=[EDGE_HOP] * 3)
+        assert gen.tree_potential is None
+        expected = np.array([1.0, 1 / 2, 1 / 3]) / (11 / 6)
+        assert np.abs(solve_stationary(gen) / expected - 1.0).max() <= 1e-14
+
+    def test_ten_sites_two_types(self):
+        # 59049 states: the sparse LU's fill-in took about 40 s and 1 GiB here.
+        p = params(10, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
         solved = solve_stationary(build_generator(p))
         closed = product_form(p)
         assert np.abs(solved - closed).max() <= 1e-10
