@@ -22,6 +22,12 @@ come from the builders of the ``exact`` and ``simulate`` documents.  The
 CSV tables are the columns listed in ``_CSV_TABLES``, plus ``verify``'s
 ``checks`` table.
 
+JSON documents, the ``emit_config`` text and error payloads are written by
+:func:`_dumps`, whose bytes are ``json.dumps(doc, indent=2,
+sort_keys=True)``'s: dicts are written in Python, each list of scalars by
+the standard library's C encoder, and each distinct float of a float list
+once.
+
 Exit codes: 0 success, 1 a verification check failed, 2 execution error
 (invalid configuration, state cap exceeded, solver failure).
 """
@@ -37,6 +43,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from numbers import Real
 from typing import Any
 
@@ -167,12 +174,85 @@ def parse_config(text: str) -> RunConfig:
 
 
 def emit_config(config: RunConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+    return _dumps(config.to_dict())
 
 
 def load_config(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as handle:
         return parse_config(handle.read())
+
+
+# Item types that the standard library's C encoder formats exactly as its
+# pure-Python encoder (the one ``indent`` selects) does.
+_C_SCALARS = frozenset((str, int, float, bool, type(None)))
+# Item types that _json passes through unchanged.
+_JSON_ATOMS = _C_SCALARS - {float}
+
+
+@functools.cache
+def _scalar_list_encoder(item_separator: str):
+    return json.JSONEncoder(separators=(item_separator, ": ")).encode
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _write_json(value: Any, parts: list[str], newline: str) -> None:
+    """Append the text of ``value`` to ``parts``; ``newline`` is a line
+    break plus the indentation of the line that ``value`` starts on."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        kinds = set(map(type, value))
+        if kinds == {float} and 0.0 not in (distinct := set(value)) and all(map(math.isfinite, distinct)):
+            # Product-form vectors repeat few values: format each once.  0.0
+            # and -0.0 are one set member with two texts, so they take the
+            # per-item encoder below.
+            texts = dict(zip(distinct, map(float.__repr__, distinct)))
+            parts += "[", inner, separator.join(map(texts.__getitem__, value)), newline, "]"
+        elif kinds <= _C_SCALARS:
+            parts += "[", inner, _scalar_list_encoder(separator)(value)[1:-1], newline, "]"
+        else:
+            for index, item in enumerate(value):
+                parts.append(separator if index else "[" + inner)
+                _write_json(item, parts, inner)
+            parts += newline, "]"
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        for index, (key, item) in enumerate(sorted(value.items())):
+            parts += ("," if index else "{") + inner, encode_basestring_ascii(key), ": "
+            _write_json(item, parts, inner)
+        parts += newline, "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dumps(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for documents whose keys are strings.  With ``indent`` set the standard
+    library formats every value in Python; here each list of scalars is
+    formatted by its C encoder, and each distinct float of a float list once."""
+    parts: list[str] = []
+    _write_json(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _json(value: Any) -> Any:
@@ -183,8 +263,12 @@ def _json(value: Any) -> Any:
     if isinstance(value, dict):
         return {key: _json(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= _JSON_ATOMS:
+            return list(value)
         return [_json(item) for item in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biu" or (value.dtype.kind == "f" and np.isfinite(value).all()):
+            return value.tolist()
         return _json(value.tolist())
     if isinstance(value, np.generic):
         return _json(value.item())
@@ -217,7 +301,7 @@ def _exact_section(params: ModelParams) -> dict[str, Any]:
         "normalization_constant": normalization_constant(params),
         "max_abs_deviation": np.abs(solved - closed).max(),
         "distribution": {
-            "state_index": list(range(gen.dim)),
+            "state_index": np.arange(gen.dim),
             "state": [",".join(state) for state in itertools.product(values, repeat=params.n_sites)],
             "p_closed_form": closed,
             "p_solved": solved,
@@ -519,7 +603,7 @@ def _render_table(header: list[str], rows: list[list[Any]]) -> str:
 def _emit(doc: dict[str, Any], config: RunConfig) -> None:
     """Write the document to stdout, or to ``output`` (one file per CSV table)."""
     if config.format == "json":
-        texts = {config.output: json.dumps(doc, indent=2, sort_keys=True) + "\n"}
+        texts = {config.output: _dumps(doc)}
     elif config.output:
         base = config.output[:-4] if config.output.endswith(".csv") else config.output
         texts = {f"{base}.{name}.csv": _render_table(header, rows)
@@ -581,7 +665,7 @@ def _emit_error(exc: Exception) -> None:
     if isinstance(exc, CapExceededError):
         payload["error"]["requested"] = exc.requested
         payload["error"]["cap"] = exc.cap
-    sys.stderr.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stderr.write(_dumps(payload))
 
 
 def main(argv: list[str] | None = None) -> int:

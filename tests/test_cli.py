@@ -15,6 +15,8 @@ from sepsim.cli import (
     cmd_simulate,
     cmd_verify,
     _csv_cell,
+    _dumps,
+    _json,
     emit_config,
     main,
     parse_config,
@@ -553,3 +555,67 @@ class TestCsvOutput:
                     expected = [[_csv_cell(v) for v in row]
                                 for row in zip(*(values[keys[h]] for h in header))]
                 assert rows == expected, (command, table)
+
+
+def _stdlib_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    # Both zeros in one list, floats on both sides of repr's switch to
+    # exponent form (1e16, 1e-5), subnormals, empty containers, non-ASCII and
+    # control characters, bools and big ints among ints, NaN and infinities.
+    # tests/test_json_writer.py draws many more such documents.
+    @pytest.mark.parametrize("doc", [
+        [0.0, -0.0, 0.5, 0.0, -0.0],
+        {"a": [], "b": {}, "c": [[], {}], "": [1e16, 1e-5, 5e-324, 1e16]},
+        ["\u00e9\u0001\"\\\n", "\U0001f600", "\x7f"],
+        [True, 1, False, 0, 2**100, -(2**64)],
+        [float("nan"), float("inf"), -float("inf"), 1.0, float("nan")],
+        ({"x": (1.5, None, "y")}, [], [[2.5, 2.5, 0.1]]),
+    ], ids=["zeros", "empty-and-exponents", "strings", "ints-and-bools", "nonfinite", "nested"])
+    def test_writer_is_stdlib_indent_two_sorted(self, doc):
+        assert _dumps(doc) == _stdlib_text(doc)
+
+    @pytest.mark.parametrize("argv", [
+        ["exact"], ["simulate"], ["verify"], ["verify", "--negative-control"], ["report"],
+    ], ids=["exact", "simulate", "verify", "verify-negative-control", "report"])
+    def test_every_command_writes_the_stdlib_text(self, tmp_path, argv):
+        path = tmp_path / "k2.json"
+        path.write_text(json.dumps(dict(
+            BASE_CONFIG, n_sites=3, n_types=2, alpha=[1.3, 1.7], beta=[2.0, 1.0],
+            delta=[1.0, 0.5], max_events=2000,
+        )))
+        out = tmp_path / "out.json"
+        assert main([argv[0], "--config", str(path), "--output", str(out), *argv[1:]]) in (0, 1)
+        text = out.read_text(encoding="utf-8")
+        assert text == _stdlib_text(json.loads(text))
+
+    def test_error_payload_is_the_stdlib_text(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, n_sites=30, output="\u00e9")))
+        assert main(["exact", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == _stdlib_text(json.loads(err))
+
+    def test_emit_config_is_the_stdlib_text(self):
+        config = run_config(output="r\u00e9sultat.json", tolerances={"uniformity": 1e-5})
+        assert emit_config(config) == _stdlib_text(config.to_dict())
+
+    @pytest.mark.parametrize("array, expected", [
+        (np.array([0.5, np.nan, np.inf, -np.inf, -0.0]), [0.5, None, None, None, -0.0]),
+        (np.array([[1.5, np.nan], [np.inf, 2.0]], dtype=np.float32), [[1.5, None], [None, 2.0]]),
+        (np.array([[1, -2], [3, 2**40]], dtype=np.int64), [[1, -2], [3, 2**40]]),
+        (np.array([0, 255], dtype=np.uint8), [0, 255]),
+        (np.array([[True, False]]), [[True, False]]),
+        (np.arange(3), [0, 1, 2]),
+    ], ids=["float-nonfinite", "float32-nonfinite", "int64", "uint8", "bool", "arange"])
+    def test_arrays_become_json_values(self, array, expected):
+        converted = _json(array)
+        assert converted == expected
+        assert _dumps(converted) == _stdlib_text(expected)
+
+        def kinds(value):
+            return [kinds(v) for v in value] if isinstance(value, list) else type(value)
+
+        assert kinds(converted) == kinds(expected)
