@@ -9,7 +9,9 @@ ways, chosen by one rule on the generator itself:
   close every cycle, Kolmogorov's criterion) take their stationary law
   straight from Kelly's spanning-tree potential of those ratios, which is
   computed once per generator (:attr:`Generator.tree_potential`) and
-  shared with the cycle check of :mod:`sepsim.reversibility`;
+  shared with the cycle check of :mod:`sepsim.reversibility`.  A
+  generator built from a model is spanned by the tree of the
+  irreducibility lemma (:func:`is_irreducible_model`), in numpy alone;
 - every other generator pins the weight of its last state to one and
   factors the remaining balance equations by a sparse LU without
   pivoting, which is stable because the reduced system is a column
@@ -18,6 +20,14 @@ ways, chosen by one rule on the generator itself:
   the small probabilities a small relative error too.
 
 Both routes end in the same global-balance gate and positivity check.
+
+scipy is imported only where it is needed, so importing this module, and
+solving or checking a model's own generator, loads numpy alone.  The LU
+(and with it every non-reversible generator, such as the negative
+control's perturbed copy), the directed search of :func:`is_irreducible`,
+and the breadth-first forest that spans a generator without an
+irreducible model, or whose support lacks an edge of the lemma's tree,
+import it on first use.
 
 A claimed stationary law can also be certified without a solve and
 without a generator (:func:`certify_stationary`): its global-balance
@@ -39,9 +49,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import splu
 
 from .model import ModelParams, state_space_size
 
@@ -120,8 +127,8 @@ class TreePotential(NamedTuple):
     """Kelly's spanning-tree potential of a structurally symmetric generator.
 
     With ``L_ij = log(rate(i->j) / rate(j->i))`` on each edge, ``phi``
-    satisfies ``phi_j = phi_i + L_ij`` along a breadth-first spanning tree
-    of each connected component of the support and is zero at each root.
+    satisfies ``phi_j = phi_i + L_ij`` along a spanning tree of each
+    connected component of the support and is zero at each root.
     ``mismatch`` is ``max |expm1(L_ij - (phi_j - phi_i))|`` over every
     edge: the worst relative mismatch of forward and reverse rate products
     over the fundamental cycles, which span all cycles, so it vanishes up
@@ -203,6 +210,16 @@ class Generator:
     def tree_potential(self) -> TreePotential | None:
         """The :class:`TreePotential` of these rates, computed on first use
         and kept; ``None`` when the support is not structurally symmetric.
+
+        When ``params`` is an irreducible model of this state space and the
+        support holds every edge of the irreducibility lemma's tree (each
+        state's leftmost particle leaves, or hops one site left; rooted at
+        the empty lattice), that tree is used, in numpy alone.  Otherwise
+        the tree is a breadth-first forest of the support from scipy's
+        graph searches, rooted at the lowest state of each component.  The
+        tree depends on the support only, so the mismatch is taken over
+        every edge whatever the rates: a perturbed copy, which keeps
+        ``params``, still shows its break.
 
         Copies made with :func:`dataclasses.replace` are new instances, so
         a perturbed or reversed generator computes its own.
@@ -297,21 +314,84 @@ def reverse_rates(gen: Generator) -> np.ndarray:
 
 
 def _forest_potential(gen: Generator, log_ratio: np.ndarray) -> tuple[np.ndarray, int]:
-    """Potential with ``phi_j = phi_i + log_ratio[i->j]`` along a
-    breadth-first spanning tree of each connected component, zero at each
-    component's root, and the number of components.  For a reversible
-    chain it is ``log(stationary)`` up to one constant per component.
+    """Potential with ``phi_j = phi_i + log_ratio[i->j]`` along a spanning
+    tree of each connected component, zero at each component's root, and
+    the number of components.  For a reversible chain it is
+    ``log(stationary)`` up to one constant per component.
+
+    The tree is the irreducibility lemma's (:func:`_lemma_tree`) when the
+    generator carries its model and holds every edge of that tree, and a
+    breadth-first forest of the support otherwise (:func:`_search_forest`).
     """
     if gen.n_edges == 0:
         return np.zeros(gen.dim), gen.dim
-    # Edge e is stored as e + 1, so the matrix is both the graph and a
-    # lookup from a (parent, child) pair to its edge.
-    edge_of = sp.csr_matrix(
-        (np.arange(1, gen.n_edges + 1), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
+    forest = _lemma_tree(gen)
+    parent, child, edge = forest if forest is not None else _search_forest(gen)
+    potential = np.zeros(gen.dim)
+    potential[child] = log_ratio[edge]
+    # Pointer doubling: potential[v] sums the log ratios from up[v] down
+    # to v, and up[v] climbs until it reaches the root.
+    up = parent
+    while np.any(up[up] != up):
+        potential = potential + potential[up]
+        up = up[up]
+    # A forest on dim states with one tree edge per non-root state.
+    return potential, gen.dim - child.size
+
+
+def _find_edges(gen: Generator, src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
+    """Index of the edge ``src[i] -> dst[i]`` for each ``i``, or ``None``
+    when one of them is not stored, by binary search on the (row, col)
+    order."""
+    keys = gen.rows * gen.dim + gen.cols
+    query = src * gen.dim + dst
+    edge = np.minimum(np.searchsorted(keys, query), gen.n_edges - 1)
+    return edge if np.array_equal(keys[edge], query) else None
+
+
+def _lemma_tree(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The spanning tree of :func:`is_irreducible_model`'s proof, rooted at
+    the empty lattice (index 0), as ``(parent, child, edge)``: ``parent[v]``
+    (the root is its own parent), the non-root states, and the edge
+    ``parent[c] -> c`` of each.  ``None`` when the generator does not carry
+    an irreducible model or lacks one of the tree's edges.
+
+    In a non-empty state take the leftmost particle, of type k at site i.
+    On site 1 or site N its parent is the state without it, so the tree
+    edge is an arrival; otherwise the parent has it one site to the left,
+    where the site is vacant, and the edge is a type-k hop, which exists
+    because the lemma gives ``delta_k > 0`` on more than two sites.  Site 1
+    is the most significant digit, so the states whose leftmost particle
+    sits on site i are one contiguous index block per site: no search.
+    """
+    params = gen.params
+    if params is None or gen.dim != state_space_size(params) or not is_irreducible_model(params):
+        return None
+    n, base = params.n_sites, params.n_types + 1
+    state = np.arange(gen.dim, dtype=np.int64)
+    parent = state.copy()
+    for i in range(n):
+        # Leading digit at site i + 1: the states [w, base * w).
+        w = base ** (n - 1 - i)
+        kind, rest = np.divmod(state[w:base * w], w)
+        parent[w:base * w] = rest if i in (0, n - 1) else rest + kind * (base * w)
+    edge = _find_edges(gen, parent[1:], state[1:])
+    return None if edge is None else (parent, state[1:], edge)
+
+
+def _search_forest(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A breadth-first spanning forest of the support, from the lowest
+    state of each connected component, as ``(parent, child, edge)`` like
+    :func:`_lemma_tree`.  Imports scipy's graph searches."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    graph = sp.csr_matrix(
+        (np.ones(gen.n_edges, dtype=np.int8), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
     )
-    n_components, labels = connected_components(edge_of, directed=False)
+    n_components, labels = connected_components(graph, directed=False)
     roots = np.unique(labels, return_index=True)[1]
-    graph, source = edge_of, 0
+    source = 0
     if n_components > 1:
         # One search from an extra state joined to every component's root
         # spans them all, and within a component it visits the states in
@@ -327,20 +407,7 @@ def _forest_potential(gen: Generator, log_ratio: np.ndarray) -> tuple[np.ndarray
     parent = breadth_first_order(graph, source, directed=False, return_predecessors=True)[1][: gen.dim]
     parent[roots] = roots
     child = np.nonzero(parent != np.arange(gen.dim))[0]
-    potential = np.zeros(gen.dim)
-    potential[child] = log_ratio[np.asarray(edge_of[parent[child], child]).ravel() - 1]
-    # Pointer doubling: potential[v] sums the log ratios from up[v] down
-    # to v, and up[v] climbs until it reaches the root.
-    up = parent
-    while np.any(up[up] != up):
-        potential = potential + potential[up]
-        up = up[up]
-    return potential, int(n_components)
-
-
-def _tree_potential(gen: Generator, log_ratio: np.ndarray) -> np.ndarray:
-    """The potential of :func:`_forest_potential` alone."""
-    return _forest_potential(gen, log_ratio)[0]
+    return parent, child, _find_edges(gen, parent[child], child)
 
 
 def balance_residuals(gen: Generator, dist: np.ndarray) -> np.ndarray:
@@ -364,9 +431,13 @@ def balance_residuals(gen: Generator, dist: np.ndarray) -> np.ndarray:
 
 
 def is_irreducible(gen: Generator) -> bool:
-    """True when the transition graph is strongly connected."""
+    """True when the transition graph is strongly connected, by scipy's
+    graph search."""
     if gen.n_edges == 0:
         return gen.dim == 1
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     adjacency = sp.csr_matrix(
         (np.ones(gen.n_edges, dtype=np.int8), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
     )
@@ -524,6 +595,9 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     vanishes or changes sign.  The fill-in grows fast with lattice length
     (see the README's scale table).
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     m = gen.dim
     diag = np.arange(m)
     qt = sp.csc_matrix(

@@ -20,7 +20,6 @@ from .exact import (
     EDGE_CLASS_NAMES,
     EDGE_HOP,
     Generator,
-    _tree_potential,  # noqa: F401  re-exported from sepsim.exact
     balance_residuals,
     reverse_rates,
 )

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +439,39 @@ class TestMainEntry:
         assert main(["report", "--config", config_path, "--output", str(out)]) == 0
         assert json.loads(out.read_text())["command"] == "report"
 
+
+    def test_commands_on_a_model_leave_scipy_unloaded(self, tmp_path):
+        # A model's generator is spanned by the irreducibility lemma's tree,
+        # so only the negative control's perturbed copy reaches scipy's LU.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(BASE_CONFIG, n_sites=3, n_types=2, alpha=[1.0, 2.0],
+                                          beta=[2.0, 1.0], delta=[1.0, 1.0], max_events=2000,
+                                          replicas=1)))
+        runs = [("simulate",), ("exact",), ("report",), ("verify",), ("verify", "--negative-control")]
+        script = (
+            "import json, sys\n"
+            "from sepsim.cli import main\n"
+            "config, out, runs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
+            "codes, loaded = [], []\n"
+            "for i, args in enumerate(runs):\n"
+            "    codes.append(main([args[0], '--config', config, '--output', f'{out}/{i}.json', *args[1:]]))\n"
+            "    loaded.append('scipy' in sys.modules)\n"
+            "print(json.dumps([codes, loaded]))\n"
+        )
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        fresh.mkdir()
+        here.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(sepsim.cli.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", script, str(config), str(fresh), json.dumps(runs)],
+                                env=env, capture_output=True, text=True, check=True)
+        codes, loaded = json.loads(result.stdout)
+        assert codes == [0, 0, 0, 0, 1]
+        assert loaded == [False, False, False, False, True]
+        # The same documents as from this process, where scipy is loaded.
+        for i, args in enumerate(runs):
+            assert main([args[0], "--config", str(config), "--output", str(here / f"{i}.json"),
+                         *args[1:]]) == codes[i]
+            assert (fresh / f"{i}.json").read_bytes() == (here / f"{i}.json").read_bytes()
 
 class TestCsvOutput:
     def test_exact_tables(self, config_path, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sepsim import (
     balance_residuals,
     build_generator,
     certify_stationary,
+    decode,
     is_irreducible,
     is_irreducible_model,
     joint_from_marginals,
@@ -25,7 +28,10 @@ from sepsim.exact import (
     EDGE_HOP,
     RESIDUAL_TOL,
     STATE_CAP_ENV,
+    _REDUCIBLE_MESSAGE,
+    _REVERSIBLE_TOL,
     _gated,
+    _lemma_tree,
     _solve_lu,
     _solve_reversible,
 )
@@ -365,6 +371,74 @@ class TestIrreducibilityLemma:
         p = params(n, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta, boundary_hops=bh)
         assert is_irreducible_model(p) == is_irreducible(build_generator(p))
         assert is_irreducible_model(p) == (n <= 2 or min(delta) > 0.0)
+
+
+LEMMA_MODELS = [
+    params(3, 1, alpha=(1.3,), beta=(0.7,)),
+    params(2, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(0.0, 0.5), boundary_hops=False),
+    params(2, 1, alpha=(1.0,), beta=(2.0,)),
+    params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
+    params(8, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
+    params(4, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(1.0, 0.3, 2.0)),
+    params(5, 2, alpha=(1e-6, 1e3), beta=(1e3, 1e-3)),
+]
+LEMMA_IDS = ["n3k1", "n2k2-no-boundary-hops", "n2k1", "n5k2", "n8k2", "n4k3", "stiff5"]
+
+
+class TestLemmaTree:
+    """The irreducibility lemma's spanning tree against the breadth-first
+    forest of the support, which a generator without ``params`` takes."""
+
+    @pytest.mark.parametrize("p", LEMMA_MODELS, ids=LEMMA_IDS)
+    def test_agrees_with_the_graph_search(self, p):
+        gen = build_generator(p)
+        searched = dataclasses.replace(gen, params=None)
+        assert _lemma_tree(gen) is not None and _lemma_tree(searched) is None
+        lemma, search = gen.tree_potential, searched.tree_potential
+        assert lemma.n_components == search.n_components == 1
+        # Both trees are rooted at the empty lattice, where phi is 0.
+        np.testing.assert_allclose(lemma.phi, search.phi, rtol=1e-12, atol=1e-12)
+        assert max(lemma.mismatch, search.mismatch) < _REVERSIBLE_TOL
+
+    @pytest.mark.parametrize("p", LEMMA_MODELS, ids=LEMMA_IDS)
+    def test_perturbed_copy_keeps_its_mismatch(self, p):
+        # The two-site model without boundary hops has no hop to perturb.
+        p = dataclasses.replace(p, boundary_hops=True)
+        perturbed = perturb_hop_rate(build_generator(p))
+        assert _lemma_tree(perturbed) is not None
+        assert perturbed.tree_potential.mismatch == pytest.approx(1.0, rel=1e-12)
+        searched = dataclasses.replace(perturbed, params=None)
+        assert searched.tree_potential.mismatch == pytest.approx(1.0, rel=1e-12)
+
+    def test_reducible_model_raises_the_same_message(self):
+        gen = build_generator(params(3, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(1.0, 0.0)))
+        assert _lemma_tree(gen) is None
+        assert gen.tree_potential.n_components > 1
+        with pytest.raises(ValueError) as raised:
+            solve_stationary(gen)
+        assert str(raised.value) == _REDUCIBLE_MESSAGE
+
+    def test_support_without_a_tree_edge_falls_back_to_the_search(self):
+        # The hops between sites 1 and 2 are dropped, both ways, but the
+        # generator still claims the full model.  The lemma's tree needs
+        # them; the rest is still irreducible and reversible, with the same
+        # product-form law.
+        p = params(3, 1, alpha=(1.3,), beta=(0.7,), delta=(0.9,))
+        full = build_generator(p)
+        site3 = np.array([decode(s, p)[2] for s in range(full.dim)])
+        first_bond = (full.kinds == EDGE_HOP) & (site3[full.rows] == site3[full.cols])
+        keep = ~first_bond
+        gen = Generator(dim=full.dim, rows=full.rows[keep], cols=full.cols[keep],
+                        rates=full.rates[keep], kinds=full.kinds[keep], params=p)
+        assert first_bond.sum() == 4 and _lemma_tree(gen) is None
+        assert gen.tree_potential.n_components == 1
+        assert gen.tree_potential.mismatch < _REVERSIBLE_TOL
+        assert np.abs(solve_stationary(gen) / product_form(p) - 1.0).max() <= 1e-12
+
+    def test_params_of_another_lattice_fall_back_to_the_search(self):
+        gen = dataclasses.replace(build_generator(params(3, 1)), params=params(2, 2))
+        assert gen.dim == 8 and _lemma_tree(gen) is None
+        assert np.abs(solve_stationary(gen) / product_form(params(3, 1)) - 1.0).max() <= 1e-12
 
 
 class TestClosedForms:
