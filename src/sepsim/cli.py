@@ -302,7 +302,7 @@ def _exact_section(params: ModelParams) -> dict[str, Any]:
         "max_abs_deviation": np.abs(solved - closed).max(),
         "distribution": {
             "state_index": np.arange(gen.dim),
-            "state": [",".join(state) for state in itertools.product(values, repeat=params.n_sites)],
+            "state": list(map(",".join, itertools.product(values, repeat=params.n_sites))),
             "p_closed_form": closed,
             "p_solved": solved,
         },

@@ -7,28 +7,34 @@ order (holding time first), which makes replicas bit-reproducible and lets
 :func:`run_replica` pick exactly the same events as repeated calls to
 :func:`sample_next_event`.
 
-:func:`run_replica` is one event loop over a lattice array that draws the
-uniforms in blocks.  The order of events depends only on the state (see
-``RNG_SCHEME["event_order"]``): the site-1 block, the site-N block, then
-each type's active bonds in ascending order.  Two paths pick from that
-order, bitwise alike, and the run takes one of them by lattice size:
+:func:`run_replica` draws the uniforms in blocks.  The order of events
+depends only on the state (see ``RNG_SCHEME["event_order"]``): the site-1
+block, the site-N block, then each type's active bonds in ascending order.
+Two paths pick from that order, bitwise alike, and the run takes one of
+them by lattice size:
 
-- the memo path, where every state's step records (upper ends, successor
-  index) fit in ``_RECORD_CACHE_LIMIT`` records, stores each visited
-  state's records, built in O(N) on first visit, and picks by bisection;
-- the incremental path keeps one sorted list of active bonds per type,
-  updates at most two of them per event, and picks the class by bisection
-  over the K+2 class ends and the bond by division, so its cost per event
-  does not grow with N.
+- the memo path, where every state's step records (upper ends,
+  successor) fit in ``_RECORD_CACHE_LIMIT`` records, keeps each visited
+  state's records, built in O(N) on first visit.  Each block of uniforms
+  is a bare walk that picks by bisection and logs the states it visits;
+  the window statistics then come from that state sequence in one numpy
+  pass per block;
+- the incremental path is one event loop over a lattice array that keeps
+  one sorted list of active bonds per type, updates at most two of them
+  per event, and picks the class by bisection over the K+2 class ends and
+  the bond by division, so its cost per event does not grow with N; it
+  updates the statistics event by event.
 
-One replica on one core of a 2-core machine, in µs/event: 0.7-0.9 at
-N=5, K=2 (memo path, 10^6 events); 2.5-3.6 at N=30, K=3, 3.0-3.4 at
-N=100, K=2 and 3.4-3.9 at N=1000, K=2 (incremental path, 10^5 events).
+One replica on one core of a 2-core machine, in µs/event: 0.51-0.66 at
+N=5, K=2 (memo path, 10^6 events; 0.75-1.02 when the memo path updated
+its statistics event by event); 3.4-4.0 at N=30, K=3, 3.0-3.1 at N=100,
+K=2 and 3.7-4.7 at N=1000, K=2 (incremental path, 10^5 events).
 
 :func:`run_replicas` runs all replicas of a run.  Long runs of two or
 more replicas go to a pool of forked worker processes, at most one per
-usable CPU; the rest run one after another in process.  Each replica is the same :func:`run_replica` call either way,
-so the results are bitwise those of a serial run.
+usable CPU; the rest run one after another in process.  Each replica is
+the same :func:`run_replica` call either way, so the results are bitwise
+those of a serial run.
 
 Replica streams come from a counter-based generator: replica ``i`` of a
 run seeded with ``s`` uses ``numpy`` Philox keyed by
@@ -98,9 +104,9 @@ _EVENT_BLOCK = 1 << 15
 
 # Fewest events in all (replicas * max_events) for which run_replicas uses
 # a process pool.  Creating and tearing down the pool costs 15-20 ms.  On
-# a 2-core machine at N=5/K=2 the pool is slower below about 5*10^4
-# events, within the run-to-run spread up to 10^5, and faster in every
-# run from 10^5 on (figures in run_replicas).
+# a 2-core machine at N=5/K=2 the pool is slower below 5*10^4 events, as
+# fast at 5*10^4, and faster in at least 10 of 11 calls from 10^5 on
+# (figures in run_replicas).
 _POOL_MIN_EVENTS = 100_000
 
 
@@ -214,14 +220,13 @@ def sample_next_event(
     return dt, (boundary + hops)[pick][0]
 
 
-# Step records: (code, type0, site0, dest0, next_index), sites 0-based,
-# dest0 = -1 for non-hops.
+# Event codes of the incremental path.
 _ARRIVAL, _DEPARTURE, _HOP_LEFT, _HOP_RIGHT = 0, 1, 2, 3
 _BOUNDARY_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE)
 
-# Record budget of the per-state memo (about 160 bytes a record, so about
-# 40 MiB).  A lattice all of whose states' records fit in it runs from the
-# memo; any other runs the incremental path.
+# Record budget of the per-state memo (80-100 bytes a record with its
+# state's share, so about 25 MiB).  A lattice all of whose states' records
+# fit in it runs from the memo; any other runs the incremental path.
 _RECORD_CACHE_LIMIT = 1 << 18
 
 
@@ -246,38 +251,222 @@ def _hop_rates(params: ModelParams) -> tuple[float, ...]:
     return params.delta
 
 
-def _state_records(occ: list[int], s: int, weight: list[int], sums, delta):
-    """Upper ends, total rate and step records of state ``s`` (lattice ``occ``).
+def _state_step(s: int, weight: list[int], sums, delta):
+    """Upper ends, total rate and successor indices of state ``s``.
 
     Events come in ``RNG_SCHEME["event_order"]``; each type's active bonds
-    are collected in ascending order.  Successor indices are derived from
-    ``s`` and the site weights ``weight[i] = (K+1)**(N-1-i)``.
+    are collected in ascending order.  The lattice and the successor
+    indices are derived from ``s`` and the site weights
+    ``weight[i] = (K+1)**(N-1-i)``.
     """
+    occ = [s // w % len(sums) for w in weight]
     n = len(occ)
     uppers: list[float] = []
-    records = []
+    successors: list[int] = []
     base = 0.0
     for i0 in (0, n - 1):
         v, w = occ[i0], weight[i0]
         if v:
-            records.append((_DEPARTURE, v - 1, i0, -1, s - v * w))
+            successors.append(s - v * w)
         else:
-            records.extend((_ARRIVAL, k0, i0, -1, s + (k0 + 1) * w) for k0 in range(len(delta)))
+            successors.extend(s + (k0 + 1) * w for k0 in range(len(delta)))
         uppers.extend(base + running for running in sums[v])
         base = base + sums[v][-1]
-    hops: list[list[tuple]] = [[] for _ in delta]
+    hops: list[list[int]] = [[] for _ in delta]
     for i0, (u, v) in enumerate(zip(occ, occ[1:])):
         if (u == 0) != (v == 0) and delta[u + v - 1] > 0.0:
             step = weight[i0] - weight[i0 + 1]
-            if u:
-                hops[u - 1].append((_HOP_RIGHT, u - 1, i0, i0 + 1, s - u * step))
-            else:
-                hops[v - 1].append((_HOP_LEFT, v - 1, i0 + 1, i0, s + v * step))
+            hops[u + v - 1].append(s - u * step if u else s + v * step)
     for members, rate in zip(hops, delta):
         uppers.extend(base + (j + 1) * rate for j in range(len(members)))
-        records.extend(members)
+        successors.extend(members)
         base = base + len(members) * rate
-    return uppers, base, tuple(records)
+    return uppers, base, successors
+
+
+class _MemoWalk:
+    """The memo path's walk over the lattice's states.
+
+    Each state gets a dense id when first reached; ``steps[c]`` holds the
+    upper ends, total rate and successor ids of state ``states[c]`` once it
+    has been visited (None before).  A block of events is then a bare walk
+    over ids, whose states and total rates are gathered afterwards.
+    """
+
+    def __init__(self, params: ModelParams, rng_random) -> None:
+        n = params.n_sites
+        self.weight = [(params.n_types + 1) ** (n - 1 - i0) for i0 in range(n)]
+        self.sums, self.delta = _block_sums(params), _hop_rates(params)
+        self.rng_random = rng_random
+        self.id_of = {0: 0}  # state index -> id
+        self.states = [0]  # id -> state index
+        self.totals = [0.0]  # id -> total rate, once visited
+        self.steps: list[tuple | None] = [None]
+        self.current = 0  # the current state's id
+        self.t = 0.0
+
+    def _visit(self, c: int) -> tuple:
+        uppers, total, successors = _state_step(self.states[c], self.weight, self.sums, self.delta)
+        id_of, states = self.id_of, self.states
+        for s in successors:
+            if s not in id_of:
+                id_of[s] = len(states)
+                states.append(s)
+                self.totals.append(0.0)
+                self.steps.append(None)
+        self.totals[c] = total
+        step = self.steps[c] = (uppers, total, tuple(id_of[s] for s in successors))
+        return step
+
+    def blocks(self, events: int):
+        """Walk ``events`` events, ``_EVENT_BLOCK`` at a time.  Yields each
+        block's state ids and event times, each led by the id and time
+        before the block's first event, and its holding times."""
+        steps = self.steps
+        while events:
+            block = min(events, _EVENT_BLOCK)
+            events -= block
+            uniforms = self.rng_random(2 * block)
+            c = self.current
+            path = [c]
+            append = path.append
+            # u2 <= 1 - 2**-53, so u2 * total rounds below total, the last
+            # upper end: the bisection always finds an event.
+            for u2 in uniforms[1::2].tolist():
+                try:
+                    uppers, total, successors = steps[c]
+                except TypeError:  # None: a state not visited before
+                    uppers, total, successors = self._visit(c)
+                c = successors[bisect_right(uppers, u2 * total)]
+                append(c)
+            self.current = c
+            ids = np.fromiter(path, np.int64, block + 1)
+            # math.log1p, not np.log1p: numpy's SIMD log1p may round differently.
+            dt = -np.fromiter(map(log1p, (-uniforms[0::2]).tolist()), float, block)
+            dt /= np.array(self.totals)[ids[:-1]]
+            times = np.cumsum(np.concatenate(([self.t], dt)))  # adds in order, as t += dt
+            self.t = float(times[-1])
+            yield ids, times, dt
+
+
+def _add_in_order(totals: np.ndarray, index: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``totals`` after ``totals[index[i]] += terms[i]`` for each i in
+    turn: ``np.bincount`` adds its weights in order, the totals first."""
+    cells = len(totals)
+    return np.bincount(
+        np.concatenate((np.arange(cells), index)), np.concatenate((totals, terms)), minlength=cells
+    )
+
+
+def _memo_replica(params: ModelParams, config: SimConfig, rng_random, m: int) -> SimStats:
+    """:func:`run_replica` on the memo path, with state occupancy tracked
+    over ``m`` states when ``m`` is nonzero.
+
+    The walk gives each block's state ids and times; the window statistics
+    come from them in one numpy pass per block, bitwise as one event at a
+    time: each running sum takes its additions in time order.
+    """
+    n, n_types = params.n_sites, params.n_types
+    radix = n_types + 1
+    walk = _MemoWalk(params, rng_random)
+    warmup = config.warmup_events
+    for _ in walk.blocks(warmup):
+        pass
+
+    # Per id seen so far: the state index, each site's value and the
+    # particle count.
+    place = np.array(walk.weight, dtype=np.int64)[:, None]
+    index = np.zeros(0, dtype=np.int64)
+    lattice = np.zeros((n, 0), dtype=np.min_scalar_type(n_types))
+    particles = np.zeros(0, dtype=np.intp)
+
+    def site_values(c: int) -> list[int]:
+        return [walk.states[c] // w % radix for w in walk.weight]
+
+    t_start = walk.t
+    start_counts = np.bincount(site_values(walk.current), minlength=radix)[1:].astype(np.int64)
+    occupancy = np.zeros((n, radix))
+    last_change = [walk.t] * n
+    arrivals = np.zeros(radix, dtype=np.int64)  # by particle value
+    departures = np.zeros(radix, dtype=np.int64)
+    sojourns: list[list[float]] = [[] for _ in range(n_types)]
+    # Particles never pass each other, so from site 1 to site N they hold
+    # consecutive slots lo, ..., hi - 1: an arrival at site 1 takes slot
+    # lo - 1 and one at site N slot hi; a departure from site 1 frees slot
+    # lo and one from site N slot hi - 1.  ``arrived`` holds their arrival
+    # times, NaN for those present when the window opened.
+    lo, hi = 0, int(start_counts.sum())
+    arrived = np.full(hi, np.nan)
+    state_occ = np.zeros(m) if m else None
+
+    for ids, times, dt in walk.blocks(config.max_events - warmup):
+        if len(index) < len(walk.states):
+            new = np.array(walk.states[len(index):], dtype=np.int64)
+            index = np.concatenate((index, new))
+            lattice = np.concatenate((lattice, (new // place % radix).astype(lattice.dtype)), axis=1)
+            particles = np.count_nonzero(lattice, axis=0)
+        if state_occ is not None:
+            state_occ = _add_in_order(state_occ, index[ids[:-1]], dt)
+        occ = lattice[:, ids]  # column j: the lattice after the block's event j
+
+        # Each site's time in each value, added when the site changes.
+        for i0, values in enumerate(occ):
+            j = np.flatnonzero(values[1:] != values[:-1])
+            if len(j):
+                when = times[j + 1]
+                spans = np.diff(when, prepend=last_change[i0])
+                occupancy[i0] = _add_in_order(occupancy[i0], values[j], spans)
+                last_change[i0] = when[-1]
+
+        # Arrivals and departures: the events that change the particle count.
+        moved = np.diff(particles[ids])
+        event = np.flatnonzero(moved)
+        pop = moved[event] < 0
+        first, last = occ[0], occ[-1]
+        left = first[event] != first[event + 1]
+        value = np.where(left, first[event] + first[event + 1], last[event] + last[event + 1])
+        arrivals += np.bincount(value[~pop], minlength=radix)
+        departures += np.bincount(value[pop], minlength=radix)
+        lo_after = lo + np.cumsum(np.where(left, 2 * pop - 1, 0))
+        hi_after = hi + np.cumsum(np.where(left, 0, 1 - 2 * pop))
+        slot = np.where(left, lo_after - pop, hi_after - ~pop)
+
+        # In each slot arrivals and departures alternate, so in slot order,
+        # then time order, a departure directly follows the arrival of the
+        # particle it removes.
+        slots = np.concatenate((np.arange(lo, hi), slot))
+        at = np.concatenate((arrived, times[event + 1]))
+        order = np.argsort(slots, kind="stable")
+        popped = np.concatenate((np.zeros(hi - lo, dtype=bool), pop))[order]
+        p = np.flatnonzero(popped)
+        stays = at[order[p]] - at[order[p - 1]]
+        stays, kinds = stays[np.argsort(order[p])], value[pop]  # in time order
+        for k0, out in enumerate(sojourns, start=1):
+            stay = stays[kinds == k0]
+            out.extend(stay[~np.isnan(stay)].tolist())
+        sorted_slots = slots[order]
+        ends = np.flatnonzero(np.append(sorted_slots[1:] != sorted_slots[:-1], True))
+        arrived = at[order[ends[~popped[ends]]]]
+        if len(event):
+            lo, hi = int(lo_after[-1]), int(hi_after[-1])
+
+    t = walk.t
+    end = site_values(walk.current)
+    for i0, v in enumerate(end):
+        occupancy[i0, v] += t - last_change[i0]
+    return SimStats(
+        n_sites=n,
+        n_types=n_types,
+        total_time=t - t_start,
+        site_occupancy_time=occupancy,
+        arrivals_by_type=arrivals[1:],
+        departures_by_type=departures[1:],
+        start_counts_by_type=start_counts,
+        end_counts_by_type=np.bincount(end, minlength=radix)[1:].astype(np.int64),
+        completed_sojourns=sojourns,
+        event_count=config.max_events,
+        state_occupancy_time=state_occ,
+    )
 
 
 def _flip_bond(bonds: list[list[int]], delta, i0: int, k0: int, far: int) -> None:
@@ -314,12 +503,16 @@ def run_replica(
     what empirical joint-distribution checks consume.
 
     The path is chosen once per run by :func:`_memo_fits`.  The memo path
-    stores each visited state's step records (:func:`_state_records`) in a
-    dict that can hold every state's, and picks by one bisection over the
-    upper ends.  The incremental path keeps each type's active bonds as a
-    sorted list, updates at most two of them per event, and picks the
-    class by bisection over the K+2 class ends and the member by division.
-    Both use the same upper-end expressions, so they pick the same events.
+    (:func:`_memo_replica`) keeps each visited state's step
+    (:func:`_state_step`) in a table that can hold every state's, walks
+    each block of uniforms by one bisection per event over the upper ends,
+    and takes the window statistics from the block's state sequence in
+    numpy.  The incremental path keeps each type's active bonds as a sorted
+    list, updates at most two of them per event, picks the class by
+    bisection over the K+2 class ends and the member by division, and
+    updates the statistics as it goes.  Both use the same upper-end
+    expressions, so they pick the same events, and both add each running
+    statistic's terms in time order, so their statistics are bitwise alike.
     """
     if replica_index < 0:
         raise ValueError(f"replica_index must be >= 0, got {replica_index!r}")
@@ -333,8 +526,8 @@ def run_replica(
             )
 
     rng_random = replica_rng(config.seed, replica_index).random
-    memo = _memo_fits(params)
-    table: dict[int, tuple] = {}  # the memo: state index -> _state_records
+    if _memo_fits(params):
+        return _memo_replica(params, config, rng_random, m if track_state_occupancy else 0)
     sums = _block_sums(params)
     block_total = [block[-1] for block in sums]
     delta = _hop_rates(params)
@@ -366,67 +559,55 @@ def run_replica(
             remaining -= block
             uniforms = iter(rng_random(2 * block).tolist())
             # u2 <= 1 - 2**-53, so u2 * total rounds below total, the last
-            # upper end: both paths always find an event whose end exceeds it.
+            # class end: the bisection always finds a class.
             for u1, u2 in zip(uniforms, uniforms):
-                if memo:
-                    try:
-                        uppers, total, records = table[s]
-                    except KeyError:
-                        uppers, total, records = table[s] = _state_records(
-                            occ, s, weight, sums, delta
-                        )
-                    dt = -log1p(-u1) / total
-                    if state_occ is not None:
-                        state_occ[s] += dt
-                    code, k0, a, b, s = records[bisect_right(uppers, u2 * total)]
-                else:
-                    ends = [block_total[occ[0]]]  # the site-1 block's end, 0.0 + its sum
-                    total = ends[0] + block_total[occ[-1]]
+                ends = [block_total[occ[0]]]  # the site-1 block's end, 0.0 + its sum
+                total = ends[0] + block_total[occ[-1]]
+                ends.append(total)
+                for members, rate in zip(bonds, delta):
+                    total = total + len(members) * rate
                     ends.append(total)
-                    for members, rate in zip(bonds, delta):
-                        total = total + len(members) * rate
-                        ends.append(total)
-                    dt = -log1p(-u1) / total
-                    x = u2 * total
-                    c = bisect_right(ends, x)
-                    if c < 2:
-                        a, b = (0 if c == 0 else n - 1), -1
-                        v = occ[a]
-                        if v:
-                            code, k0 = _DEPARTURE, v - 1
-                        else:
-                            code, k0 = _ARRIVAL, 0
-                            lower = 0.0 if c == 0 else ends[0]
-                            while lower + sums[0][k0] <= x:
-                                k0 += 1
-                        # The boundary site's one bond flips.
-                        if a:
-                            _flip_bond(bonds, delta, a - 1, k0, occ[a - 1])
-                        else:
-                            _flip_bond(bonds, delta, 0, k0, occ[1])
+                dt = -log1p(-u1) / total
+                x = u2 * total
+                c = bisect_right(ends, x)
+                if c < 2:
+                    a, b = (0 if c == 0 else n - 1), -1
+                    v = occ[a]
+                    if v:
+                        code, k0 = _DEPARTURE, v - 1
                     else:
-                        k0 = c - 2
-                        members, rate, lower = bonds[k0], delta[k0], ends[c - 1]
-                        j = min(int((x - lower) / rate), len(members) - 1)
-                        while lower + j * rate > x:
-                            j -= 1
-                        while lower + (j + 1) * rate <= x:
-                            j += 1
-                        i0 = members[j]
-                        code, a, b = (_HOP_RIGHT, i0, i0 + 1) if occ[i0] else (_HOP_LEFT, i0 + 1, i0)
-                        # The hopped bond stays active; the bonds beyond its two ends flip.
-                        if i0:
-                            _flip_bond(bonds, delta, i0 - 1, k0, occ[i0 - 1])
-                        if i0 < n - 2:
-                            _flip_bond(bonds, delta, i0 + 1, k0, occ[i0 + 2])
-                    if state_occ is not None:
-                        state_occ[s] += dt
-                        if code == _ARRIVAL:
-                            s += (k0 + 1) * weight[a]
-                        elif code == _DEPARTURE:
-                            s -= (k0 + 1) * weight[a]
-                        else:
-                            s += (k0 + 1) * (weight[b] - weight[a])
+                        code, k0 = _ARRIVAL, 0
+                        lower = 0.0 if c == 0 else ends[0]
+                        while lower + sums[0][k0] <= x:
+                            k0 += 1
+                    # The boundary site's one bond flips.
+                    if a:
+                        _flip_bond(bonds, delta, a - 1, k0, occ[a - 1])
+                    else:
+                        _flip_bond(bonds, delta, 0, k0, occ[1])
+                else:
+                    k0 = c - 2
+                    members, rate, lower = bonds[k0], delta[k0], ends[c - 1]
+                    j = min(int((x - lower) / rate), len(members) - 1)
+                    while lower + j * rate > x:
+                        j -= 1
+                    while lower + (j + 1) * rate <= x:
+                        j += 1
+                    i0 = members[j]
+                    code, a, b = (_HOP_RIGHT, i0, i0 + 1) if occ[i0] else (_HOP_LEFT, i0 + 1, i0)
+                    # The hopped bond stays active; the bonds beyond its two ends flip.
+                    if i0:
+                        _flip_bond(bonds, delta, i0 - 1, k0, occ[i0 - 1])
+                    if i0 < n - 2:
+                        _flip_bond(bonds, delta, i0 + 1, k0, occ[i0 + 2])
+                if state_occ is not None:
+                    state_occ[s] += dt
+                    if code == _ARRIVAL:
+                        s += (k0 + 1) * weight[a]
+                    elif code == _DEPARTURE:
+                        s -= (k0 + 1) * weight[a]
+                    else:
+                        s += (k0 + 1) * (weight[b] - weight[a])
                 t += dt
                 if code == _ARRIVAL:
                     occ[a] = k0 + 1
@@ -511,9 +692,9 @@ def run_replicas(
     the pool is used only while the caller runs no other thread, so the
     fork is safe; in a threaded caller, or on a platform without
     ``fork``, the replicas run in process.  Serial against pooled on a
-    2-core machine, N=5/K=2 with state tracking, medians of 11 calls in
-    two sets: 2 x 2500 events 6-8 -> 21-25 ms, 2 x 5*10^4 90-104 -> 72-74
-    ms, 4 x 5*10^4 174-204 -> 131-138 ms, 4 x 2*10^5 602-780 -> 398-433 ms.
+    2-core machine, N=5/K=2 with state tracking, medians of 11 alternating
+    calls: 2 x 2500 events 11 -> 19 ms, 2 x 2.5*10^4 38 -> 37 ms,
+    2 x 5*10^4 69 -> 59 ms, 4 x 5*10^4 121 -> 89 ms, 4 x 2*10^5 448 -> 266 ms.
     """
     workers = _pool_workers(config, _usable_cpus())
     if workers:

@@ -260,26 +260,37 @@ class TestRunReplica:
         assert not simulate._memo_fits(params(15, 1))
 
     @pytest.mark.parametrize(
-        "model, cfg, expected",
+        "model, cfg, expected, sums",
         [
             (
                 params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
                 SimConfig(seed=1, max_events=20_000, warmup_fraction=0.2),
                 ("0x1.8fcf4c9b6a050p+11", [1802, 3573], [1802, 3573], "0x1.f3c31fc244864p+13"),
+                None,
             ),
             (
                 params(30, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(1.0, 0.3, 2.0)),
                 SimConfig(seed=2, max_events=3000, warmup_fraction=0.2),
                 ("0x1.7578e1e88274ap+7", [77, 153, 36], [77, 151, 35], "0x1.5e2153c9fa4d5p+12"),
+                None,
+            ),
+            (
+                params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
+                SimConfig(seed=3, max_events=100_003, warmup_fraction=0.25),
+                ("0x1.ccf25dcfa9dafp+13", [8607, 16836], [8605, 16838], "0x1.20177aa1ca28ep+16"),
+                (["0x1.4ea1161fe367cp+13", "0x1.4706116b4b342p+15"], "0x1.ccf25dcfa9db6p+13"),
             ),
         ],
-        ids=["n5k2", "n30k3"],
+        ids=["n5k2", "n30k3", "n5k2-blocks"],
     )
-    def test_stream_and_event_order_are_pinned(self, model, cfg, expected):
+    def test_stream_and_event_order_are_pinned(self, model, cfg, expected, sums):
         # Fixed-seed figures recorded under RNG_SCHEME's event order (n5k2
         # runs the memo path, n30k3 the incremental one): any change to the
         # uniform stream, the event order or the upper-end sums shows here.
-        stats = run_replica(model, cfg, 1)
+        # n5k2-blocks runs the memo path over four blocks of uniforms, the
+        # warm-up ending inside the first, with state occupancy tracked; it
+        # also pins each type's sojourn sum and the state-occupancy sum.
+        stats = run_replica(model, cfg, 1, track_state_occupancy=sums is not None)
         observed = (
             stats.total_time.hex(),
             stats.arrivals_by_type.tolist(),
@@ -287,6 +298,26 @@ class TestRunReplica:
             float(stats.site_occupancy_time.sum()).hex(),
         )
         assert observed == expected
+        if sums is not None:
+            sojourn_sums = [math.fsum(times).hex() for times in stats.completed_sojourns]
+            assert (sojourn_sums, float(stats.state_occupancy_time.sum()).hex()) == sums
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("memo", [True, False], ids=["memo", "incremental"])
+    @pytest.mark.parametrize(
+        "model, warmup_fraction", DIRECT_METHOD_CASES[3:], ids=DIRECT_METHOD_IDS[3:]
+    )
+    def test_statistics_carry_across_blocks(self, monkeypatch, model, warmup_fraction, memo, block):
+        # Blocks of 1 and 7 events, the warm-up ending inside a block of 7:
+        # every running statistic crosses many block edges, on each path.
+        cfg = SimConfig(seed=5, max_events=2000, warmup_fraction=warmup_fraction)
+        assert cfg.warmup_events % 7
+        monkeypatch.setattr(simulate, "_memo_fits", lambda _params: memo)
+        whole = run_replica(model, cfg, 2, track_state_occupancy=True)
+        monkeypatch.setattr(simulate, "_EVENT_BLOCK", block)
+        split = run_replica(model, cfg, 2, track_state_occupancy=True)
+        assert split == whole
+        assert split == replay(model, cfg, 2, track=True)
 
     def test_record_cache_memory_is_bounded(self, monkeypatch):
         # On 4^30 states nearly every event reaches a new state; the path
