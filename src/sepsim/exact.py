@@ -2,8 +2,13 @@
 
 The generator of the lattice process is stored as off-diagonal COO arrays
 in a canonical (row, col) order; the diagonal is implied (negative exit
-rate), so row sums are zero by construction.  A model is solved one of two
-ways, chosen by one rule on the generator itself:
+rate), so row sums are zero by construction.  :func:`build_generator` adds
+each event family next to its reverse family, so it knows each edge's
+reverse without a search, and puts the edges in order with one stable
+sort of a single integer key; the generator keeps the reverse of each
+edge (:attr:`Generator.reverse`) as derived data, checked in O(edges)
+whenever a generator or a copy of one is made.  A model is solved one of
+two ways, chosen by one rule on the generator itself:
 
 - reversible generators (structurally symmetric support whose rate ratios
   close every cycle, Kolmogorov's criterion) take their stationary law
@@ -90,6 +95,9 @@ _REVERSIBLE_TOL = 1e-12
 # Transition classes: an edge adds a particle, removes one, or moves one.
 EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_HOP = 1, 2, 3
 EDGE_CLASS_NAMES = {EDGE_ARRIVAL: "arrival", EDGE_DEPARTURE: "departure", EDGE_HOP: "hop"}
+# Largest state count plus one: below it the key rows * dim + cols of an
+# edge fits in int64.
+_MAX_DIM = 1 << 31
 
 
 class CapExceededError(RuntimeError):
@@ -155,6 +163,17 @@ class Generator:
     was built from (perturbed copies keep it for state decoding even
     though their rates no longer follow the model).  The arrays are
     read-only; build a changed copy with :func:`dataclasses.replace`.
+
+    ``reverse`` is derived data, not an option: ``reverse[e]`` is the index
+    of the edge ``cols[e] -> rows[e]``, and it is ``None`` when the support
+    is not structurally symmetric (an edge without its reverse).  One that
+    is given is checked in O(edges) and a wrong one raises
+    :class:`ValueError`; otherwise it is found once by a sort.  Edges given
+    out of order are sorted, with one stable sort of the key
+    ``rows * dim + cols``, and ``reverse`` follows them; edges already in
+    order are only checked.  So a copy made with
+    :func:`dataclasses.replace`, which passes the sorted arrays and their
+    ``reverse`` on, costs O(edges) checks and no sort.
     """
 
     dim: int
@@ -163,32 +182,64 @@ class Generator:
     rates: np.ndarray
     kinds: np.ndarray
     params: ModelParams | None = field(default=None)
+    reverse: np.ndarray | None = field(default=None)
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"dimension must be an integer, got {dim!r}")
+        dim = int(dim)
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        if dim >= _MAX_DIM:
+            # Keeps the key rows * dim + cols inside int64.
+            raise ValueError(f"dimension must be below 2**31, got {dim}")
+        rows = _exact_cast(self.rows, np.int64, "rows")
+        cols = _exact_cast(self.cols, np.int64, "cols")
         rates = np.asarray(self.rates, dtype=np.float64)
-        kinds = np.asarray(self.kinds, dtype=np.int8)
-        if not (rows.shape == cols.shape == rates.shape == kinds.shape):
-            raise ValueError("edge arrays must have identical shapes")
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        kinds = _exact_cast(self.kinds, np.int8, "kinds")
+        reverse = None if self.reverse is None else _exact_cast(self.reverse, np.int64, "reverse")
+        if not (rows.shape == cols.shape == rates.shape == kinds.shape) or rows.ndim != 1:
+            raise ValueError("edge arrays must be one-dimensional with identical shapes")
+        if reverse is not None and reverse.shape != rows.shape:
+            raise ValueError("reverse must hold one edge index per edge")
         if rows.size:
-            if rows.min() < 0 or rows.max() >= self.dim or cols.min() < 0 or cols.max() >= self.dim:
+            if rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim:
                 raise ValueError("edge endpoints outside the state space")
             if np.any(rows == cols):
                 raise ValueError("diagonal entries are implied and must not be stored")
             if np.any(rates <= 0.0) or not np.all(np.isfinite(rates)):
                 raise ValueError("stored rates must be positive and finite")
-            if not np.all(np.isin(kinds, (EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_HOP))):
+            if kinds.min() < EDGE_ARRIVAL or kinds.max() > EDGE_HOP:
                 raise ValueError("unknown edge class code")
-        order = np.lexsort((cols, rows))
-        rows, cols, rates, kinds = rows[order], cols[order], rates[order], kinds[order]
-        if rows.size > 1 and np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
-            raise ValueError("duplicate transition between the same state pair")
-        for name, array in (("rows", rows), ("cols", cols), ("rates", rates), ("kinds", kinds)):
-            # Read-only, so the memoised tree potential cannot go stale.
-            array.flags.writeable = False
+            if reverse is not None and (reverse.min() < 0 or reverse.max() >= rows.size):
+                raise ValueError("reverse holds an index outside the edges")
+        key = rows * dim + cols
+        # Strictly increasing keys are sorted and free of duplicates.
+        if not np.all(key[1:] > key[:-1]):
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            if np.any(key[1:] == key[:-1]):
+                raise ValueError("duplicate transition between the same state pair")
+            rows, cols, rates, kinds = rows[order], cols[order], rates[order], kinds[order]
+            if reverse is not None:
+                reverse = _follow(reverse, order)
+        del key
+        if reverse is None:
+            reverse = np.argsort(cols * dim + rows)
+            if not _reverses(rows, cols, reverse):
+                reverse = None
+        elif not _reverses(rows, cols, reverse):
+            raise ValueError("reverse does not give each edge's reverse edge")
+        object.__setattr__(self, "dim", dim)
+        for name, array in (
+            ("rows", rows), ("cols", cols), ("rates", rates), ("kinds", kinds), ("reverse", reverse)
+        ):
+            if array is not None:
+                if array is getattr(self, name) and array.flags.writeable:
+                    array = array.copy()  # the caller's own array stays theirs
+                # Read-only, so the memoised tree potential cannot go stale.
+                array.flags.writeable = False
             object.__setattr__(self, name, array)
 
     @property
@@ -224,14 +275,45 @@ class Generator:
         Copies made with :func:`dataclasses.replace` are new instances, so
         a perturbed or reversed generator computes its own.
         """
-        try:
-            reverse = reverse_rates(self)
-        except ValueError:  # the support is not structurally symmetric
+        if self.reverse is None:
             return None
-        log_ratio = np.log(self.rates) - np.log(reverse)
+        # In place where the result does not change, to hold fewer
+        # edge-sized temporaries at once.
+        log_ratio = np.log(self.rates)
+        log_ratio -= np.log(reverse_rates(self))
         phi, n_components = _forest_potential(self, log_ratio)
-        mismatch = log_ratio - (phi[self.cols] - phi[self.rows])
-        return TreePotential(phi, float(np.abs(np.expm1(mismatch)).max(initial=0.0)), n_components)
+        mismatch = phi[self.cols]
+        mismatch -= phi[self.rows]
+        np.subtract(log_ratio, mismatch, out=mismatch)
+        np.abs(np.expm1(mismatch, out=mismatch), out=mismatch)
+        return TreePotential(phi, float(mismatch.max(initial=0.0)), n_components)
+
+
+def _exact_cast(values, dtype, name: str) -> np.ndarray:
+    """``values`` as an array of ``dtype``, refusing any value the cast
+    would change (a wrapped integer, a truncated float).  An empty list,
+    which numpy reads as float64, is accepted."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        array = raw.astype(dtype, copy=False)
+    if array is not raw and raw.size and not np.array_equal(array, raw):
+        raise ValueError(f"{name} holds values that are not {np.dtype(dtype).name}")
+    return array
+
+
+def _reverses(rows: np.ndarray, cols: np.ndarray, reverse: np.ndarray) -> bool:
+    """True when edge ``reverse[e]`` runs ``cols[e] -> rows[e]`` for every
+    ``e``.  With no duplicate edges that pins ``reverse`` down."""
+    return np.array_equal(rows[reverse], cols) and np.array_equal(cols[reverse], rows)
+
+
+def _follow(reverse: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``reverse`` after the edges are put in ``order``: for each edge in
+    its new place, the new place of its reverse, through the inverse
+    permutation."""
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return position[reverse[order]]
 
 
 def build_generator(params: ModelParams, *, cap: int | None = None) -> Generator:
@@ -239,9 +321,16 @@ def build_generator(params: ModelParams, *, cap: int | None = None) -> Generator
 
     Refuses models whose state count exceeds :func:`resolve_state_cap`.
     The construction is vectorised over the whole state space: each event
-    family (arrival/departure per boundary site and type, hop per adjacent
-    site pair and type) contributes one block of edges, and the canonical
-    base-(n_types+1) encoding turns an event into a constant index shift.
+    family (a type's arrival at a boundary site, a type's right hop on a
+    bond) contributes one block of edges, and its reverse family (that
+    departure, that left hop) the next block.  The canonical
+    base-(n_types+1) encoding turns an event into a constant index shift,
+    so within a block the sources and the targets both ascend, and the
+    reverse block's sources are the forward block's targets in the same
+    order: edge ``t`` of one block is the reverse of edge ``t`` of the
+    other.  One stable sort of the key ``rows * dim + cols``, whose blocks
+    are already sorted runs, puts the edges in (row, col) order, and the
+    reverse indices follow it, so :class:`Generator` only checks both.
     """
     m = state_space_size(params)
     limit = resolve_state_cap(cap)
@@ -251,66 +340,79 @@ def build_generator(params: ModelParams, *, cap: int | None = None) -> Generator
     n, base = params.n_sites, params.n_types + 1
     pows = [base ** (n - 1 - i) for i in range(n)]
     idx = np.arange(m, dtype=np.int64)
+    # Site i's value in each state: each value repeated pows[i] times, and
+    # that run tiled over the states.
+    values = np.arange(base, dtype=np.min_scalar_type(params.n_types))
+    digits = [np.tile(np.repeat(values, w), m // (w * base)) for w in pows]
 
-    def digit(i0: int) -> np.ndarray:
-        return (idx // pows[i0]) % base
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    rates: list[np.ndarray] = []
-    kinds: list[np.ndarray] = []
-
-    def add(src: np.ndarray, dst: np.ndarray, rate: float, kind: int) -> None:
-        rows.append(src)
-        cols.append(dst)
-        rates.append(np.full(src.size, rate))
-        kinds.append(np.full(src.size, kind, dtype=np.int8))
-
+    # (sources, shift, forward rate and class, reverse rate and class): the
+    # forward edges are sources -> sources + shift, the reverse edges the
+    # other way.
+    pairs: list[tuple[np.ndarray, int, float, int, float, int]] = []
     for i0 in (0, n - 1):
-        d = digit(i0)
-        vacant = idx[d == 0]
+        vacant = idx[digits[i0] == 0]
         for k in range(1, base):
-            add(vacant, vacant + k * pows[i0], params.alpha[k - 1], EDGE_ARRIVAL)
-        for k in range(1, base):
-            occupied = idx[d == k]
-            add(occupied, occupied - k * pows[i0], params.beta[k - 1], EDGE_DEPARTURE)
-
+            pairs.append((vacant, k * pows[i0], params.alpha[k - 1], EDGE_ARRIVAL,
+                          params.beta[k - 1], EDGE_DEPARTURE))
     # Hops: every adjacent pair unless the pair joins the two boundary
-    # sites of a two-site lattice and boundary_hops is off.  Each right hop
-    # src -> dst is added with its reverse, the left hop dst -> src.
+    # sites of a two-site lattice and boundary_hops is off.
     if params.boundary_hops or n > 2:
         for i0 in range(n - 1):
-            d_src, d_dst = digit(i0), digit(i0 + 1)
+            hole = digits[i0 + 1] == 0
             for k in range(1, base):
                 rate = params.delta[k - 1]
-                if rate <= 0.0:
-                    continue
-                src = idx[(d_src == k) & (d_dst == 0)]
-                dst = src - k * pows[i0] + k * pows[i0 + 1]
-                add(src, dst, rate, EDGE_HOP)
-                add(dst, src, rate, EDGE_HOP)
+                if rate > 0.0:
+                    src = idx[(digits[i0] == k) & hole]
+                    shift = k * (pows[i0 + 1] - pows[i0])
+                    pairs.append((src, shift, rate, EDGE_HOP, rate, EDGE_HOP))
+    del idx, digits
 
+    n_edges = 2 * sum(src.size for src, *_ in pairs)
+    rows = np.empty(n_edges, dtype=np.int64)
+    cols = np.empty(n_edges, dtype=np.int64)
+    rates = np.empty(n_edges)
+    kinds = np.empty(n_edges, dtype=np.int8)
+    reverse = np.empty(n_edges, dtype=np.int64)
+    at = 0
+    for src, shift, rate, kind, back_rate, back_kind in pairs:
+        size = src.size
+        fwd, back = slice(at, at + size), slice(at + size, at + 2 * size)
+        rows[fwd] = cols[back] = src
+        np.add(src, shift, out=cols[fwd])
+        rows[back] = cols[fwd]
+        rates[fwd], kinds[fwd], rates[back], kinds[back] = rate, kind, back_rate, back_kind
+        reverse[fwd] = np.arange(at + size, at + 2 * size)
+        reverse[back] = np.arange(at, at + size)
+        at += 2 * size
+    del pairs
+
+    # Rebinding each array in turn frees its unsorted copy before the next
+    # one is gathered.
+    order = np.argsort(rows * m + cols, kind="stable")
+    rows = rows[order]
+    cols = cols[order]
+    rates = rates[order]
+    kinds = kinds[order]
+    reverse = _follow(reverse, order)
+    del order
+    for array in (rows, cols, rates, kinds, reverse):
+        array.flags.writeable = False  # so the generator keeps them without a copy
     return Generator(
-        dim=m,
-        rows=np.concatenate(rows),
-        cols=np.concatenate(cols),
-        rates=np.concatenate(rates),
-        kinds=np.concatenate(kinds),
-        params=params,
+        dim=m, rows=rows, cols=cols, rates=rates, kinds=kinds, params=params, reverse=reverse
     )
 
 
 def reverse_rates(gen: Generator) -> np.ndarray:
     """Rate of the opposite-direction transition, aligned with each edge.
 
-    Entry ``e`` holds the rate of ``cols[e] -> rows[e]``.  Requires the
-    transition support to be structurally symmetric (an edge exists iff
-    its reverse does), which holds for every generator built here.
+    Entry ``e`` holds the rate of ``cols[e] -> rows[e]``, read through
+    :attr:`Generator.reverse`.  Requires the transition support to be
+    structurally symmetric (an edge exists iff its reverse does), which
+    holds for every generator built here.
     """
-    perm = np.lexsort((gen.rows, gen.cols))
-    if not (np.array_equal(gen.rows[perm], gen.cols) and np.array_equal(gen.cols[perm], gen.rows)):
+    if gen.reverse is None:
         raise ValueError("transition support is not structurally symmetric")
-    return gen.rates[perm]
+    return gen.rates[gen.reverse]
 
 
 def _forest_potential(gen: Generator, log_ratio: np.ndarray) -> tuple[np.ndarray, int]:
@@ -426,7 +528,8 @@ def balance_residuals(gen: Generator, dist: np.ndarray) -> np.ndarray:
     exit_rates = np.zeros(gen.dim, dtype=np.longdouble)
     np.add.at(exit_rates, gen.rows, rates)
     residual = dist.astype(np.longdouble) * exit_rates
-    np.subtract.at(residual, gen.cols, rates * dist[gen.rows])
+    rates *= dist[gen.rows]  # the flow along each edge, in place
+    np.subtract.at(residual, gen.cols, rates)
     return residual.astype(np.float64)
 
 

@@ -291,6 +291,9 @@ class _MemoWalk:
     upper ends, total rate and successor ids of state ``states[c]`` once it
     has been visited (None before).  A block of events is then a bare walk
     over ids, whose states and total rates are gathered afterwards.
+    ``totals`` is the array of each id's total rate (0 until visited); the
+    totals of a block's first visits are written into a grown copy of it
+    after that block, so a block that visits no new state reuses it.
     """
 
     def __init__(self, params: ModelParams, rng_random) -> None:
@@ -300,7 +303,8 @@ class _MemoWalk:
         self.rng_random = rng_random
         self.id_of = {0: 0}  # state index -> id
         self.states = [0]  # id -> state index
-        self.totals = [0.0]  # id -> total rate, once visited
+        self.totals = np.zeros(1)  # id -> total rate, once visited
+        self.fresh: list[tuple[int, float]] = []  # (id, total) visited in this block
         self.steps: list[tuple | None] = [None]
         self.current = 0  # the current state's id
         self.t = 0.0
@@ -312,9 +316,8 @@ class _MemoWalk:
             if s not in id_of:
                 id_of[s] = len(states)
                 states.append(s)
-                self.totals.append(0.0)
                 self.steps.append(None)
-        self.totals[c] = total
+        self.fresh.append((c, total))
         step = self.steps[c] = (uppers, total, tuple(id_of[s] for s in successors))
         return step
 
@@ -343,7 +346,12 @@ class _MemoWalk:
             ids = np.fromiter(path, np.int64, block + 1)
             # math.log1p, not np.log1p: numpy's SIMD log1p may round differently.
             dt = -np.fromiter(map(log1p, (-uniforms[0::2]).tolist()), float, block)
-            dt /= np.array(self.totals)[ids[:-1]]
+            if self.fresh:
+                totals = np.zeros(len(self.states))
+                totals[: len(self.totals)] = self.totals
+                totals[[c for c, _ in self.fresh]] = [total for _, total in self.fresh]
+                self.totals, self.fresh = totals, []
+            dt /= self.totals[ids[:-1]]
             times = np.cumsum(np.concatenate(([self.t], dt)))  # adds in order, as t += dt
             self.t = float(times[-1])
             yield ids, times, dt

@@ -35,7 +35,8 @@ from sepsim.exact import (
     _solve_lu,
     _solve_reversible,
 )
-from sepsim.reversibility import perturb_hop_rate
+from sepsim.model import EventKind, apply_event, encode, enabled_events, enumerate_states
+from sepsim.reversibility import perturb_hop_rate, reversed_generator
 
 
 def params(n=2, k=1, alpha=None, beta=None, delta=None, boundary_hops=True):
@@ -163,6 +164,13 @@ class TestBuildGenerator:
         with pytest.raises(ValueError, match="read-only"):
             gen.rates[0] = 5.0
 
+    def test_generator_keeps_its_own_copy_of_a_callers_arrays(self):
+        rows, cols, rates = np.array([0, 1]), np.array([1, 0]), np.array([1.0, 2.0])
+        gen = Generator(dim=2, rows=rows, cols=cols, rates=rates, kinds=[EDGE_HOP] * 2)
+        rows[0], cols[0], rates[0] = 1, 1, 5.0
+        assert gen.rows.tolist() == [0, 1] and gen.cols.tolist() == [1, 0]
+        assert gen.rates.tolist() == [1.0, 2.0]
+
     def test_generator_validation(self):
         with pytest.raises(ValueError):
             Generator(dim=2, rows=[0], cols=[0], rates=[1.0], kinds=[EDGE_HOP])
@@ -172,6 +180,132 @@ class TestBuildGenerator:
             Generator(
                 dim=2, rows=[0, 0], cols=[1, 1], rates=[1.0, 2.0], kinds=[EDGE_HOP, EDGE_HOP]
             )
+        for dim in (2.0, True):
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                Generator(dim=dim, rows=[0, 1], cols=[1, 0], rates=[1.0, 1.0], kinds=[EDGE_HOP] * 2)
+        gen = Generator(dim=np.int64(2), rows=[0], cols=[1], rates=[1.0], kinds=[EDGE_HOP])
+        assert gen.dim == 2 and type(gen.dim) is int
+        # Values are checked before the cast: int8 would wrap kinds 259 and
+        # 257 to EDGE_HOP and EDGE_ARRIVAL, and int64 would truncate rows
+        # [0.7, 1.2] to [0, 1].
+        for edges in (
+            dict(rows=np.array([0, 1]), cols=np.array([1, 0]), kinds=np.array([259, 257])),
+            dict(rows=np.array([0, 1]), cols=np.array([1, 0]), kinds=np.array([0, 1])),
+            dict(rows=np.array([0, 1]), cols=np.array([1, 0]), kinds=np.array([3.5, 3.0])),
+            dict(rows=np.array([0.7, 1.2]), cols=np.array([1, 0]), kinds=np.array([3, 3])),
+            dict(rows=np.array([0, 1]), cols=np.array([1.0, np.nan]), kinds=np.array([3, 3])),
+        ):
+            with pytest.raises(ValueError):
+                Generator(dim=2, rates=[1.0, 1.0], **edges)
+
+    def test_generator_accepts_exact_casts(self):
+        gen = Generator(dim=2, rows=[0.0, 1.0], cols=np.array([1, 0], dtype=np.uint8),
+                        rates=[1, 2], kinds=[3.0, 3.0])
+        assert gen.rows.dtype == np.int64 and gen.cols.dtype == np.int64
+        assert gen.kinds.dtype == np.int8 and gen.kinds.tolist() == [EDGE_HOP, EDGE_HOP]
+
+
+_CLASS_OF = {
+    EventKind.ARRIVAL: EDGE_ARRIVAL,
+    EventKind.DEPARTURE: EDGE_DEPARTURE,
+    EventKind.HOP_LEFT: EDGE_HOP,
+    EventKind.HOP_RIGHT: EDGE_HOP,
+}
+
+
+class TestGeneratorOrderAndReverse:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("bh", [True, False])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["all-hop", "one-delta-zero"])
+    def test_edges_are_the_event_rules(self, n, k, bh, frozen):
+        rng = np.random.default_rng(100 * n + 10 * k + 2 * bh + frozen)
+        rates = rng.uniform(0.2, 5.0, size=(3, k))
+        delta = tuple(rates[2])
+        if frozen:
+            delta = delta[:-1] + (0.0,)
+        p = params(n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]), delta=delta,
+                   boundary_hops=bh)
+        expected = {}
+        for state in enumerate_states(p):
+            source = encode(state, p)
+            for event, rate in enabled_events(state, p):
+                target = encode(apply_event(state, event), p)
+                assert (source, target) not in expected
+                expected[(source, target)] = (rate, _CLASS_OF[event.kind])
+        gen = build_generator(p)
+        assert edge_map(gen) == expected
+        assert gen.n_edges == len(expected)
+        keys = gen.rows * gen.dim + gen.cols
+        assert np.all(np.diff(keys) > 0)
+        assert gen.reverse is not None
+        opposite = [expected[(j, i)][0] for i, j in zip(gen.rows.tolist(), gen.cols.tolist())]
+        assert gen.rates[gen.reverse].tolist() == opposite
+        assert reverse_rates(gen).tolist() == opposite
+
+    def test_more_types_than_a_signed_byte_holds(self):
+        # Site values up to 130 on two sites without hops: 4 K (K + 1) edges.
+        k = 130
+        p = params(2, k, alpha=tuple(np.linspace(0.5, 2.0, k)), boundary_hops=False)
+        gen = build_generator(p)
+        assert gen.n_edges == 4 * k * (k + 1)
+        assert np.abs(solve_stationary(gen) / product_form(p) - 1.0).max() <= 1e-12
+
+    def test_copies_keep_the_reverse(self):
+        p = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
+        gen = build_generator(p)
+        for copy in (perturb_hop_rate(gen), reversed_generator(gen, product_form(p)),
+                     dataclasses.replace(gen, params=None)):
+            assert copy.reverse is gen.reverse
+            assert copy.rows is gen.rows and copy.cols is gen.cols
+
+    def test_hand_built_edges_are_sorted(self):
+        # 0 <-> 1 <-> 2, given out of order with matching rates and classes.
+        gen = Generator(dim=3, rows=[2, 0, 1, 1], cols=[1, 1, 2, 0], rates=[4.0, 1.0, 3.0, 2.0],
+                        kinds=[EDGE_HOP, EDGE_ARRIVAL, EDGE_HOP, EDGE_DEPARTURE])
+        assert gen.rows.tolist() == [0, 1, 1, 2]
+        assert gen.cols.tolist() == [1, 0, 2, 1]
+        assert gen.rates.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert gen.kinds.tolist() == [EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_HOP, EDGE_HOP]
+        assert gen.reverse.tolist() == [1, 0, 3, 2]
+        assert reverse_rates(gen).tolist() == [2.0, 1.0, 4.0, 3.0]
+
+    def test_a_given_reverse_follows_the_sort(self):
+        gen = Generator(dim=3, rows=[2, 0, 1, 1], cols=[1, 1, 2, 0], rates=[4.0, 1.0, 3.0, 2.0],
+                        kinds=[EDGE_HOP] * 4, reverse=[2, 3, 0, 1])
+        assert gen.reverse.tolist() == [1, 0, 3, 2]
+
+    def test_asymmetric_support_has_no_reverse(self):
+        gen = Generator(dim=3, rows=[0, 1, 2, 1], cols=[1, 2, 0, 0], rates=[1.0, 2.0, 3.0, 4.0],
+                        kinds=[EDGE_HOP] * 4)
+        assert gen.reverse is None
+        assert gen.tree_potential is None
+        with pytest.raises(ValueError, match="transition support is not structurally symmetric"):
+            reverse_rates(gen)
+
+    @pytest.mark.parametrize(
+        "reverse",
+        [[0, 1, 2, 3], [1, 0, 2, 3], [1, 0, 3, 3], [1, 0, 3, 4], [1, 0, 3, -2], [1, 0, 3]],
+        ids=["identity", "half", "not-a-permutation", "past-the-end", "negative", "short"],
+    )
+    def test_a_wrong_reverse_raises(self, reverse):
+        with pytest.raises(ValueError):
+            Generator(dim=3, rows=[0, 1, 1, 2], cols=[1, 0, 2, 1], rates=[1.0, 2.0, 3.0, 4.0],
+                      kinds=[EDGE_HOP] * 4, reverse=reverse)
+
+    def test_a_copy_with_a_changed_support_keeps_no_stale_reverse(self):
+        gen = Generator(dim=3, rows=[0, 1, 1, 2], cols=[1, 0, 2, 1], rates=[1.0, 2.0, 3.0, 4.0],
+                        kinds=[EDGE_HOP] * 4)
+        with pytest.raises(ValueError, match="reverse"):
+            dataclasses.replace(gen, cols=[2, 0, 2, 1])
+
+    def test_dimension_must_fit_the_key(self):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            Generator(dim=2**31, rows=[0], cols=[1], rates=[1.0], kinds=[EDGE_HOP])
+        gen = Generator(dim=2**31 - 1, rows=[2**31 - 2, 0], cols=[0, 2**31 - 2], rates=[1.0, 2.0],
+                        kinds=[EDGE_HOP] * 2)
+        assert gen.rows.tolist() == [0, 2**31 - 2]
+        assert gen.reverse.tolist() == [1, 0]
 
 
 class TestSolveStationary:
