@@ -10,25 +10,22 @@ order (holding time first), which makes replicas bit-reproducible and lets
 :func:`run_replica` draws the uniforms in blocks.  The order of events
 depends only on the state (see ``RNG_SCHEME["event_order"]``): the site-1
 block, the site-N block, then each type's active bonds in ascending order.
-Two paths pick from that order, bitwise alike, and the run takes one of
-them by lattice size:
+A run has two parts.  A *walk* picks the events from that order and
+advances time; there are two, bitwise alike, and the run takes one of them
+by lattice size:
 
-- the memo path, where every state's step records (upper ends,
+- the memo walk, where every state's step records (upper ends,
   successor) fit in ``_RECORD_CACHE_LIMIT`` records, keeps each visited
-  state's records, built in O(N) on first visit.  Each block of uniforms
-  is a bare walk that picks by bisection and logs the states it visits;
-  the window statistics then come from that state sequence in one numpy
-  pass per block;
-- the incremental path is one event loop over a lattice array that keeps
-  one sorted list of active bonds per type, updates at most two of them
-  per event, and picks the class by bisection over the K+2 class ends and
-  the bond by division, so its cost per event does not grow with N; it
-  updates the statistics event by event.
+  state's records, built in O(N) on first visit, and picks by bisection
+  over them;
+- the lattice walk keeps the lattice as a list and one sorted list of
+  active bonds per type, updates at most two of them per event, and picks
+  the class by bisection over the K+2 class ends and the bond by
+  division, so its cost per event does not grow with N.
 
-One replica on one core of a 2-core machine, in µs/event: 0.51-0.66 at
-N=5, K=2 (memo path, 10^6 events; 0.75-1.02 when the memo path updated
-its statistics event by event); 3.4-4.0 at N=30, K=3, 3.0-3.1 at N=100,
-K=2 and 3.7-4.7 at N=1000, K=2 (incremental path, 10^5 events).
+The warm-up is the bare walk.  One *window pass* then takes every
+statistic from what the walk gives for each block of the window: its
+event times, its holding times and its site changes, in numpy.
 
 :func:`run_replicas` runs all replicas of a run.  Long runs of two or
 more replicas go to a pool of forked worker processes, at most one per
@@ -99,8 +96,11 @@ RNG_SCHEME = {
 # beyond this size.
 STATE_TRACKING_LIMIT = 1 << 20
 
-# Events per block of uniforms drawn at once (two uniforms per event).
-_EVENT_BLOCK = 1 << 15
+# Events per block of uniforms drawn at once (two uniforms per event).  The
+# window pass holds a few arrays of one entry per site change of a block:
+# at N=30, K=3 and 10^5 events the traced peak of a replica was 2.7 MiB
+# with blocks of 2^13 events and 9.5 MiB with 2^15, at the same speed.
+_EVENT_BLOCK = 1 << 13
 
 # Fewest events in all (replicas * max_events) for which run_replicas uses
 # a process pool.  Creating and tearing down the pool costs 15-20 ms.  On
@@ -220,19 +220,17 @@ def sample_next_event(
     return dt, (boundary + hops)[pick][0]
 
 
-# Event codes of the incremental path.
-_ARRIVAL, _DEPARTURE, _HOP_LEFT, _HOP_RIGHT = 0, 1, 2, 3
 _BOUNDARY_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE)
 
 # Record budget of the per-state memo (80-100 bytes a record with its
 # state's share, so about 25 MiB).  A lattice all of whose states' records
-# fit in it runs from the memo; any other runs the incremental path.
+# fit in it is walked from the memo; any other by the lattice walk.
 _RECORD_CACHE_LIMIT = 1 << 18
 
 
 def _memo_fits(params: ModelParams) -> bool:
     """Whether the records of all (K+1)^N states, at most N+2K-1 events
-    each, fit in ``_RECORD_CACHE_LIMIT``: the path rule of :func:`run_replica`."""
+    each, fit in ``_RECORD_CACHE_LIMIT``: the walk rule of :func:`run_replica`."""
     n, k = params.n_sites, params.n_types
     return (k + 1) ** n * (n + 2 * k - 1) <= _RECORD_CACHE_LIMIT
 
@@ -284,16 +282,45 @@ def _state_step(s: int, weight: list[int], sums, delta):
     return uppers, base, successors
 
 
-class _MemoWalk:
-    """The memo path's walk over the lattice's states.
+class _Walk:
+    """A walk over the lattice's states: it picks the events and advances
+    time, and gives the window pass what it needs.
+
+    :meth:`blocks` walks ``_EVENT_BLOCK`` events at a time; ``_walk(picks)``
+    takes one event for each event-pick uniform and returns their total
+    rates.  :meth:`changes` gives the last block's site changes,
+    :meth:`lattice` each site's value now and ``t`` the time now.
+    """
+
+    t = 0.0
+
+    def blocks(self, events: int):
+        """Walk ``events`` events, yielding each block's event times, led
+        by the time before its first event, and its holding times
+        ``-log1p(-u1) / total``."""
+        while events:
+            block = min(events, _EVENT_BLOCK)
+            events -= block
+            uniforms = self.rng_random(2 * block)
+            totals = self._walk(uniforms[1::2].tolist())
+            # math.log1p, not np.log1p: numpy's SIMD log1p may round differently.
+            dt = -np.fromiter(map(log1p, (-uniforms[0::2]).tolist()), float, block)
+            dt /= totals
+            times = np.cumsum(np.concatenate(([self.t], dt)))  # adds in order, as t += dt
+            self.t = float(times[-1])
+            yield times, dt
+
+
+class _MemoWalk(_Walk):
+    """The walk over a lattice all of whose states' steps fit the memo.
 
     Each state gets a dense id when first reached; ``steps[c]`` holds the
     upper ends, total rate and successor ids of state ``states[c]`` once it
     has been visited (None before).  A block of events is then a bare walk
-    over ids, whose states and total rates are gathered afterwards.
-    ``totals`` is the array of each id's total rate (0 until visited); the
-    totals of a block's first visits are written into a grown copy of it
-    after that block, so a block that visits no new state reuses it.
+    over ids, whose total rates are gathered afterwards.  ``totals`` is the
+    array of each id's total rate (0 until visited); the totals of a
+    block's first visits are written into a grown copy of it after that
+    block, so a block that visits no new state reuses it.
     """
 
     def __init__(self, params: ModelParams, rng_random) -> None:
@@ -306,8 +333,15 @@ class _MemoWalk:
         self.totals = np.zeros(1)  # id -> total rate, once visited
         self.fresh: list[tuple[int, float]] = []  # (id, total) visited in this block
         self.steps: list[tuple | None] = [None]
+        # id -> each site's value, one column per id, grown by changes()
+        self.values = np.zeros((n, 0), dtype=np.min_scalar_type(params.n_types))
         self.current = 0  # the current state's id
-        self.t = 0.0
+        self.ids = np.zeros(1, dtype=np.int64)  # the last block's ids, led by the one before it
+
+    def lattice(self) -> list[int]:
+        """Each site's value now."""
+        s = self.states[self.current]
+        return [s // w % len(self.sums) for w in self.weight]
 
     def _visit(self, c: int) -> tuple:
         uppers, total, successors = _state_step(self.states[c], self.weight, self.sums, self.delta)
@@ -321,40 +355,158 @@ class _MemoWalk:
         step = self.steps[c] = (uppers, total, tuple(id_of[s] for s in successors))
         return step
 
-    def blocks(self, events: int):
-        """Walk ``events`` events, ``_EVENT_BLOCK`` at a time.  Yields each
-        block's state ids and event times, each led by the id and time
-        before the block's first event, and its holding times."""
+    def _walk(self, picks: list[float]) -> np.ndarray:
+        """Keeps the ids visited in ``self.ids``, led by the one before."""
         steps = self.steps
-        while events:
-            block = min(events, _EVENT_BLOCK)
-            events -= block
-            uniforms = self.rng_random(2 * block)
-            c = self.current
-            path = [c]
-            append = path.append
-            # u2 <= 1 - 2**-53, so u2 * total rounds below total, the last
-            # upper end: the bisection always finds an event.
-            for u2 in uniforms[1::2].tolist():
-                try:
-                    uppers, total, successors = steps[c]
-                except TypeError:  # None: a state not visited before
-                    uppers, total, successors = self._visit(c)
-                c = successors[bisect_right(uppers, u2 * total)]
-                append(c)
-            self.current = c
-            ids = np.fromiter(path, np.int64, block + 1)
-            # math.log1p, not np.log1p: numpy's SIMD log1p may round differently.
-            dt = -np.fromiter(map(log1p, (-uniforms[0::2]).tolist()), float, block)
-            if self.fresh:
-                totals = np.zeros(len(self.states))
-                totals[: len(self.totals)] = self.totals
-                totals[[c for c, _ in self.fresh]] = [total for _, total in self.fresh]
-                self.totals, self.fresh = totals, []
-            dt /= self.totals[ids[:-1]]
-            times = np.cumsum(np.concatenate(([self.t], dt)))  # adds in order, as t += dt
-            self.t = float(times[-1])
-            yield ids, times, dt
+        c = self.current
+        path = [c]
+        append = path.append
+        # u2 <= 1 - 2**-53, so u2 * total rounds below total, the last
+        # upper end: the bisection always finds an event.
+        for u2 in picks:
+            try:
+                uppers, total, successors = steps[c]
+            except TypeError:  # None: a state not visited before
+                uppers, total, successors = self._visit(c)
+            c = successors[bisect_right(uppers, u2 * total)]
+            append(c)
+        self.current = c
+        self.ids = np.fromiter(path, np.int64, len(path))
+        if self.fresh:
+            totals = np.zeros(len(self.states))
+            totals[: len(self.totals)] = self.totals
+            totals[[c for c, _ in self.fresh]] = [total for _, total in self.fresh]
+            self.totals, self.fresh = totals, []
+        return self.totals[self.ids[:-1]]
+
+    def changes(self) -> tuple[np.ndarray, ...]:
+        """The last block's site changes as :func:`_window_pass` takes them,
+        read off the site values of the ids it visited."""
+        known = self.values.shape[1]
+        if known < len(self.states):
+            new = np.array(self.states[known:], dtype=np.int64)
+            place = np.array(self.weight, dtype=np.int64)[:, None]
+            values = (new // place % len(self.sums)).astype(self.values.dtype)
+            self.values = np.concatenate((self.values, values), axis=1)
+        occ = np.take(self.values, self.ids, axis=1)  # column j: the lattice before event j
+        changed = np.flatnonzero(occ[:, 1:] != occ[:, :-1])  # site by site, each in time order
+        site, event = np.divmod(changed, len(self.ids) - 1)
+        before = changed + site  # the flat index in occ of the value before the event
+        occ = occ.ravel()
+        return event, site, occ[before], occ[before + 1]
+
+
+def _flip_bond(classes: list[tuple[list[int], float]], i0: int, k0: int, far: int) -> None:
+    """Bond ``i0``'s near end switches between vacant and type ``k0 + 1``
+    while its far end holds ``far``, so the bond turns active or inactive:
+    insert it into, or delete it from, its type's sorted list of members
+    in ``classes``, the (members, rate) of each type."""
+    if far:
+        k0 = far - 1
+    members, rate = classes[k0]
+    if rate > 0.0:
+        j = bisect_left(members, i0)
+        if j < len(members) and members[j] == i0:
+            del members[j]
+        else:
+            members.insert(j, i0)
+
+
+class _LatticeWalk(_Walk):
+    """The walk over any other lattice: the lattice as a list, and one
+    sorted list of active bonds per type.
+
+    Each event updates at most two of the bond lists and is picked by
+    bisection over the K+2 class ends, then by division within a hop
+    class, so its cost does not grow with N.  A block logs each event's
+    total rate and its move, one integer
+    ``((a + 1) * (N + 1) + b + 1) * (K + 1) + v`` for a particle of value
+    ``v`` going from site ``a`` to site ``b``, with -1 for outside.
+    """
+
+    def __init__(self, params: ModelParams, rng_random) -> None:
+        self.sums = _block_sums(params)
+        # Per type: its active bonds, ascending, and its hop rate.
+        self.classes = [([], rate) for rate in _hop_rates(params)]
+        self.occ = [0] * params.n_sites
+        self.rng_random = rng_random
+        self.moves = np.zeros(0, dtype=np.int64)  # the last block's moves
+
+    def lattice(self) -> list[int]:
+        """Each site's value now."""
+        return list(self.occ)
+
+    def _walk(self, picks: list[float]) -> np.ndarray:
+        """Keeps the events' moves in ``self.moves``."""
+        occ, classes, sums = self.occ, self.classes, self.sums
+        block_total = [block[-1] for block in sums]
+        n, radix = len(occ), len(sums)
+        source = (n + 1) * radix  # the move's weight of a + 1
+        totals: list[float] = []
+        moves: list[int] = []
+        # u2 <= 1 - 2**-53, so u2 * total rounds below total, the last class
+        # end: the bisection always finds a class.
+        for u2 in picks:
+            start = block_total[occ[0]]  # the site-1 block's end, 0.0 + its sum
+            total = start + block_total[occ[-1]]
+            ends = [start, total]
+            for members, rate in classes:
+                total = total + len(members) * rate
+                ends.append(total)
+            x = u2 * total
+            c = bisect_right(ends, x)
+            if c < 2:
+                a = 0 if c == 0 else n - 1
+                v = occ[a]
+                if v:  # a departure
+                    occ[a] = 0
+                    moves.append((a + 1) * source + v)
+                else:  # an arrival
+                    lower = 0.0 if c == 0 else start
+                    while lower + sums[0][v] <= x:
+                        v += 1
+                    occ[a] = v = v + 1
+                    moves.append((a + 1) * radix + v)
+                # The boundary site's one bond flips.
+                if a:
+                    _flip_bond(classes, a - 1, v - 1, occ[a - 1])
+                else:
+                    _flip_bond(classes, 0, v - 1, occ[1])
+            else:
+                k0 = c - 2
+                (members, rate), lower = classes[k0], ends[c - 1]
+                j = min(int((x - lower) / rate), len(members) - 1)
+                while lower + j * rate > x:
+                    j -= 1
+                while lower + (j + 1) * rate <= x:
+                    j += 1
+                i0 = members[j]
+                a, b = (i0, i0 + 1) if occ[i0] else (i0 + 1, i0)
+                # The hopped bond stays active; the bonds beyond its two ends flip.
+                if i0:
+                    _flip_bond(classes, i0 - 1, k0, occ[i0 - 1])
+                if i0 < n - 2:
+                    _flip_bond(classes, i0 + 1, k0, occ[i0 + 2])
+                occ[a], occ[b] = 0, k0 + 1
+                moves.append((a + 1) * source + (b + 1) * radix + k0 + 1)
+            totals.append(total)
+        self.moves = np.array(moves, dtype=np.int64)
+        return np.array(totals)
+
+    def changes(self) -> tuple[np.ndarray, ...]:
+        """The last block's site changes as :func:`_window_pass` takes them,
+        decoded from its moves."""
+        radix, n, moves = len(self.sums), len(self.occ), self.moves
+        v = moves % radix
+        # Two entries per event, the site left then the site entered, and
+        # the value each of them held before.
+        sites = np.stack(np.divmod(moves // radix, n + 1), axis=1).ravel() - 1
+        old = np.stack((v, np.zeros_like(v)), axis=1).ravel()
+        kept = np.flatnonzero(sites >= 0)
+        # A stable sort of integers of 16 bits or fewer is a radix sort.
+        kept = kept[np.argsort(sites[kept].astype(np.min_scalar_type(n)), kind="stable")]
+        event = kept // 2
+        return event, sites[kept], old[kept], v[event] - old[kept]
 
 
 def _add_in_order(totals: np.ndarray, index: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -366,35 +518,23 @@ def _add_in_order(totals: np.ndarray, index: np.ndarray, terms: np.ndarray) -> n
     )
 
 
-def _memo_replica(params: ModelParams, config: SimConfig, rng_random, m: int) -> SimStats:
-    """:func:`run_replica` on the memo path, with state occupancy tracked
-    over ``m`` states when ``m`` is nonzero.
+def _window_pass(walk: _Walk, params: ModelParams, config: SimConfig, m: int) -> SimStats:
+    """The statistics of ``walk``'s measurement window, with state
+    occupancy tracked over ``m`` states when ``m`` is nonzero.
 
-    The walk gives each block's state ids and times; the window statistics
-    come from them in one numpy pass per block, bitwise as one event at a
-    time: each running sum takes its additions in time order.
+    Each block of the window gives its event times, its holding times and
+    its site changes: arrays (event, site, old value, new value), site by
+    site and each site's in time order.  The statistics come from them in
+    one numpy pass per block, bitwise as one event at a time: each running
+    sum takes its additions in time order.
     """
     n, n_types = params.n_sites, params.n_types
     radix = n_types + 1
-    walk = _MemoWalk(params, rng_random)
-    warmup = config.warmup_events
-    for _ in walk.blocks(warmup):
-        pass
-
-    # Per id seen so far: the state index, each site's value and the
-    # particle count.
-    place = np.array(walk.weight, dtype=np.int64)[:, None]
-    index = np.zeros(0, dtype=np.int64)
-    lattice = np.zeros((n, 0), dtype=np.min_scalar_type(n_types))
-    particles = np.zeros(0, dtype=np.intp)
-
-    def site_values(c: int) -> list[int]:
-        return [walk.states[c] // w % radix for w in walk.weight]
-
+    start = walk.lattice()
     t_start = walk.t
-    start_counts = np.bincount(site_values(walk.current), minlength=radix)[1:].astype(np.int64)
-    occupancy = np.zeros((n, radix))
-    last_change = [walk.t] * n
+    start_counts = np.bincount(start, minlength=radix)[1:].astype(np.int64)
+    occupancy = np.zeros(n * radix)  # site i0's time in value v at i0 * radix + v
+    last_change = np.full(n, t_start)
     arrivals = np.zeros(radix, dtype=np.int64)  # by particle value
     departures = np.zeros(radix, dtype=np.int64)
     sojourns: list[list[float]] = [[] for _ in range(n_types)]
@@ -405,68 +545,79 @@ def _memo_replica(params: ModelParams, config: SimConfig, rng_random, m: int) ->
     # times, NaN for those present when the window opened.
     lo, hi = 0, int(start_counts.sum())
     arrived = np.full(hi, np.nan)
-    state_occ = np.zeros(m) if m else None
+    state_occ = None
+    if m:
+        state_occ = np.zeros(m)
+        weight = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)  # (K+1)^N <= m
+        s = int(np.dot(start, weight))  # the state index
 
-    for ids, times, dt in walk.blocks(config.max_events - warmup):
-        if len(index) < len(walk.states):
-            new = np.array(walk.states[len(index):], dtype=np.int64)
-            index = np.concatenate((index, new))
-            lattice = np.concatenate((lattice, (new // place % radix).astype(lattice.dtype)), axis=1)
-            particles = np.count_nonzero(lattice, axis=0)
+    for times, dt in walk.blocks(config.max_events - config.warmup_events):
+        event, site, old, new = walk.changes()
+        when = times[event + 1]
+
         if state_occ is not None:
-            state_occ = _add_in_order(state_occ, index[ids[:-1]], dt)
-        occ = lattice[:, ids]  # column j: the lattice after the block's event j
+            moved = (new.astype(np.int64) - old) * weight[site]
+            step = np.bincount(event, moved, minlength=len(dt))
+            index = s + np.cumsum(step.astype(np.int64))  # the state after each event
+            state_occ = _add_in_order(state_occ, np.concatenate(([s], index[:-1])), dt)
+            s = int(index[-1])
 
         # Each site's time in each value, added when the site changes.
-        for i0, values in enumerate(occ):
-            j = np.flatnonzero(values[1:] != values[:-1])
-            if len(j):
-                when = times[j + 1]
-                spans = np.diff(when, prepend=last_change[i0])
-                occupancy[i0] = _add_in_order(occupancy[i0], values[j], spans)
-                last_change[i0] = when[-1]
+        first = np.flatnonzero(np.diff(site, prepend=-1))  # each changed site's first change
+        last = np.append(first[1:], len(site)) - 1
+        since = np.concatenate(([0.0], when[:-1]))
+        since[first] = last_change[site[first]]
+        occupancy = _add_in_order(occupancy, site * radix + old, when - since)
+        last_change[site[last]] = when[last]
 
-        # Arrivals and departures: the events that change the particle count.
-        moved = np.diff(particles[ids])
-        event = np.flatnonzero(moved)
-        pop = moved[event] < 0
-        first, last = occ[0], occ[-1]
-        left = first[event] != first[event + 1]
-        value = np.where(left, first[event] + first[event + 1], last[event] + last[event + 1])
-        arrivals += np.bincount(value[~pop], minlength=radix)
-        departures += np.bincount(value[pop], minlength=radix)
-        lo_after = lo + np.cumsum(np.where(left, 2 * pop - 1, 0))
-        hi_after = hi + np.cumsum(np.where(left, 0, 1 - 2 * pop))
-        slot = np.where(left, lo_after - pop, hi_after - ~pop)
+        # Arrivals and departures: the events that change one site only (a
+        # hop changes two), those at site 1 first, then those at site N.
+        per_event = np.bincount(event, minlength=len(dt))  # changes per event
+        io = np.flatnonzero(per_event[event] == 1)
+        pop = old[io] != 0
+        value = old[io] + new[io]  # one of the two is 0
+        counts = np.bincount(value + radix * pop, minlength=2 * radix)
+        arrivals += counts[:radix]
+        departures += counts[radix:]
+        sign = 1 - 2 * pop.astype(np.int64)  # +1 for an arrival, -1 for a departure
+        at_left = np.count_nonzero(site[io] == 0)
+        lo_after = lo - np.cumsum(sign[:at_left])
+        hi_after = hi + np.cumsum(sign[at_left:])
+        slot = np.concatenate((lo_after - pop[:at_left], hi_after - 1 + pop[at_left:]))
+        in_time = np.argsort(event[io], kind="stable")
+        io, pop, value, slot = io[in_time], pop[in_time], value[in_time], slot[in_time]
 
         # In each slot arrivals and departures alternate, so in slot order,
         # then time order, a departure directly follows the arrival of the
         # particle it removes.
         slots = np.concatenate((np.arange(lo, hi), slot))
-        at = np.concatenate((arrived, times[event + 1]))
-        order = np.argsort(slots, kind="stable")
-        popped = np.concatenate((np.zeros(hi - lo, dtype=bool), pop))[order]
+        at = np.concatenate((arrived, when[io]))
+        gone = np.concatenate((np.zeros(hi - lo, dtype=bool), pop))
+        # slots is never empty: on an empty lattice the next event is an arrival.
+        span = slots - slots.min()
+        order = np.argsort(span.astype(np.min_scalar_type(span.max())), kind="stable")
+        popped = gone[order]
         p = np.flatnonzero(popped)
-        stays = at[order[p]] - at[order[p - 1]]
-        stays, kinds = stays[np.argsort(order[p])], value[pop]  # in time order
+        stays = np.empty(len(at))
+        stays[order[p]] = at[order[p]] - at[order[p - 1]]
+        stays, kinds = stays[gone], value[pop]  # in time order
         for k0, out in enumerate(sojourns, start=1):
             stay = stays[kinds == k0]
             out.extend(stay[~np.isnan(stay)].tolist())
         sorted_slots = slots[order]
         ends = np.flatnonzero(np.append(sorted_slots[1:] != sorted_slots[:-1], True))
         arrived = at[order[ends[~popped[ends]]]]
-        if len(event):
-            lo, hi = int(lo_after[-1]), int(hi_after[-1])
+        lo = int(lo_after[-1]) if at_left else lo
+        hi = int(hi_after[-1]) if len(hi_after) else hi
 
     t = walk.t
-    end = site_values(walk.current)
-    for i0, v in enumerate(end):
-        occupancy[i0, v] += t - last_change[i0]
+    end = walk.lattice()
+    occupancy[np.arange(n) * radix + end] += t - last_change
     return SimStats(
         n_sites=n,
         n_types=n_types,
         total_time=t - t_start,
-        site_occupancy_time=occupancy,
+        site_occupancy_time=occupancy.reshape(n, radix),
         arrivals_by_type=arrivals[1:],
         departures_by_type=departures[1:],
         start_counts_by_type=start_counts,
@@ -475,21 +626,6 @@ def _memo_replica(params: ModelParams, config: SimConfig, rng_random, m: int) ->
         event_count=config.max_events,
         state_occupancy_time=state_occ,
     )
-
-
-def _flip_bond(bonds: list[list[int]], delta, i0: int, k0: int, far: int) -> None:
-    """Bond ``i0``'s near end switches between vacant and type ``k0 + 1``
-    while its far end holds ``far``, so the bond turns active or inactive:
-    insert it into, or delete it from, its type's sorted list."""
-    if far:
-        k0 = far - 1
-    if delta[k0] > 0.0:
-        members = bonds[k0]
-        j = bisect_left(members, i0)
-        if j < len(members) and members[j] == i0:
-            del members[j]
-        else:
-            members.insert(j, i0)
 
 
 def run_replica(
@@ -510,21 +646,18 @@ def run_replica(
     canonical state index (dense vector; desk-scale models only), which is
     what empirical joint-distribution checks consume.
 
-    The path is chosen once per run by :func:`_memo_fits`.  The memo path
-    (:func:`_memo_replica`) keeps each visited state's step
-    (:func:`_state_step`) in a table that can hold every state's, walks
-    each block of uniforms by one bisection per event over the upper ends,
-    and takes the window statistics from the block's state sequence in
-    numpy.  The incremental path keeps each type's active bonds as a sorted
-    list, updates at most two of them per event, picks the class by
-    bisection over the K+2 class ends and the member by division, and
-    updates the statistics as it goes.  Both use the same upper-end
-    expressions, so they pick the same events, and both add each running
-    statistic's terms in time order, so their statistics are bitwise alike.
+    A walk picks the events and advances time; :func:`_memo_fits` chooses
+    it once per run.  :class:`_MemoWalk` keeps each visited state's step
+    (:func:`_state_step`) in a table that can hold every state's and picks
+    by one bisection per event over the upper ends; :class:`_LatticeWalk`
+    keeps each type's active bonds as a sorted list, updates at most two
+    of them per event, and picks the class by bisection over the K+2 class
+    ends and the member by division.  Both use the same upper-end
+    expressions, so they pick the same events.  The warm-up is the bare
+    walk; :func:`_window_pass` then takes the statistics from what the walk
+    gives for each block of the window.
     """
-    if replica_index < 0:
-        raise ValueError(f"replica_index must be >= 0, got {replica_index!r}")
-    n, n_types = params.n_sites, params.n_types
+    m = 0
     if track_state_occupancy:
         m = state_space_size(params)
         if m > STATE_TRACKING_LIMIT:
@@ -532,134 +665,11 @@ def run_replica(
                 f"state occupancy tracking needs a dense vector of {m} entries; "
                 f"limit is {STATE_TRACKING_LIMIT}"
             )
-
-    rng_random = replica_rng(config.seed, replica_index).random
-    if _memo_fits(params):
-        return _memo_replica(params, config, rng_random, m if track_state_occupancy else 0)
-    sums = _block_sums(params)
-    block_total = [block[-1] for block in sums]
-    delta = _hop_rates(params)
-    bonds: list[list[int]] = [[] for _ in range(n_types)]  # active bonds per type, ascending
-    weight = [(n_types + 1) ** (n - 1 - i0) for i0 in range(n)]
-    warmup = config.warmup_events
-
-    # The lattice; s is its canonical index, which the incremental path
-    # keeps only when it tracks state occupancy.
-    occ = [0] * n
-    s = 0
-    t = 0.0
-    arrival_at: list[float] = [0.0] * n
-
-    # Pass one is the warm-up, pass two the measurement window; statistics
-    # restart at the start of each pass, so only the window's are returned.
-    for remaining in (warmup, config.max_events - warmup):
-        t_start = t
-        start_counts = np.bincount(occ, minlength=n_types + 1)[1:].astype(np.int64)
-        occupancy = [[0.0] * (n_types + 1) for _ in range(n)]
-        last_change = [t] * n
-        arrivals = [0] * n_types
-        departures = [0] * n_types
-        sojourns: list[list[float]] = [[] for _ in range(n_types)]
-        in_window = [False] * n
-        state_occ = [0.0] * m if track_state_occupancy else None
-        while remaining:
-            block = min(remaining, _EVENT_BLOCK)
-            remaining -= block
-            uniforms = iter(rng_random(2 * block).tolist())
-            # u2 <= 1 - 2**-53, so u2 * total rounds below total, the last
-            # class end: the bisection always finds a class.
-            for u1, u2 in zip(uniforms, uniforms):
-                ends = [block_total[occ[0]]]  # the site-1 block's end, 0.0 + its sum
-                total = ends[0] + block_total[occ[-1]]
-                ends.append(total)
-                for members, rate in zip(bonds, delta):
-                    total = total + len(members) * rate
-                    ends.append(total)
-                dt = -log1p(-u1) / total
-                x = u2 * total
-                c = bisect_right(ends, x)
-                if c < 2:
-                    a, b = (0 if c == 0 else n - 1), -1
-                    v = occ[a]
-                    if v:
-                        code, k0 = _DEPARTURE, v - 1
-                    else:
-                        code, k0 = _ARRIVAL, 0
-                        lower = 0.0 if c == 0 else ends[0]
-                        while lower + sums[0][k0] <= x:
-                            k0 += 1
-                    # The boundary site's one bond flips.
-                    if a:
-                        _flip_bond(bonds, delta, a - 1, k0, occ[a - 1])
-                    else:
-                        _flip_bond(bonds, delta, 0, k0, occ[1])
-                else:
-                    k0 = c - 2
-                    members, rate, lower = bonds[k0], delta[k0], ends[c - 1]
-                    j = min(int((x - lower) / rate), len(members) - 1)
-                    while lower + j * rate > x:
-                        j -= 1
-                    while lower + (j + 1) * rate <= x:
-                        j += 1
-                    i0 = members[j]
-                    code, a, b = (_HOP_RIGHT, i0, i0 + 1) if occ[i0] else (_HOP_LEFT, i0 + 1, i0)
-                    # The hopped bond stays active; the bonds beyond its two ends flip.
-                    if i0:
-                        _flip_bond(bonds, delta, i0 - 1, k0, occ[i0 - 1])
-                    if i0 < n - 2:
-                        _flip_bond(bonds, delta, i0 + 1, k0, occ[i0 + 2])
-                if state_occ is not None:
-                    state_occ[s] += dt
-                    if code == _ARRIVAL:
-                        s += (k0 + 1) * weight[a]
-                    elif code == _DEPARTURE:
-                        s -= (k0 + 1) * weight[a]
-                    else:
-                        s += (k0 + 1) * (weight[b] - weight[a])
-                t += dt
-                if code == _ARRIVAL:
-                    occ[a] = k0 + 1
-                    occupancy[a][0] += t - last_change[a]
-                    last_change[a] = t
-                    arrival_at[a] = t
-                    in_window[a] = True
-                    arrivals[k0] += 1
-                elif code == _DEPARTURE:
-                    occ[a] = 0
-                    occupancy[a][k0 + 1] += t - last_change[a]
-                    last_change[a] = t
-                    departures[k0] += 1
-                    if in_window[a]:
-                        sojourns[k0].append(t - arrival_at[a])
-                        in_window[a] = False
-                else:
-                    occ[b] = k0 + 1
-                    occ[a] = 0
-                    occupancy[a][k0 + 1] += t - last_change[a]
-                    last_change[a] = t
-                    occupancy[b][0] += t - last_change[b]
-                    last_change[b] = t
-                    arrival_at[b] = arrival_at[a]
-                    in_window[b] = in_window[a]
-                    in_window[a] = False
-
-    for i0 in range(n):
-        occupancy[i0][occ[i0]] += t - last_change[i0]
-    end_counts = np.bincount(occ, minlength=n_types + 1)[1:].astype(np.int64)
-
-    return SimStats(
-        n_sites=n,
-        n_types=n_types,
-        total_time=t - t_start,
-        site_occupancy_time=np.array(occupancy),
-        arrivals_by_type=np.array(arrivals, dtype=np.int64),
-        departures_by_type=np.array(departures, dtype=np.int64),
-        start_counts_by_type=start_counts,
-        end_counts_by_type=end_counts,
-        completed_sojourns=sojourns,
-        event_count=config.max_events,
-        state_occupancy_time=None if state_occ is None else np.array(state_occ),
-    )
+    walk_type = _MemoWalk if _memo_fits(params) else _LatticeWalk
+    walk = walk_type(params, replica_rng(config.seed, replica_index).random)
+    for _ in walk.blocks(config.warmup_events):
+        pass
+    return _window_pass(walk, params, config, m)
 
 
 def _usable_cpus() -> int:

@@ -237,9 +237,9 @@ class TestRunReplica:
         ids=[*DIRECT_METHOD_IDS, "n30k3"],
     )
     def test_memo_and_incremental_paths_agree(self, monkeypatch, model, warmup_fraction):
-        # Each path forced in turn: the per-state memo and the per-type
-        # sorted bond lists must pick bitwise the same events, and both
-        # must replay through the reference stepper.
+        # Each walk forced in turn: the per-state memo and the per-type
+        # sorted bond lists must pick bitwise the same events, and the one
+        # window pass over either must replay through the reference stepper.
         track = state_space_size(model) <= simulate.STATE_TRACKING_LIMIT
         for seed in range(3):
             cfg = SimConfig(seed=seed, max_events=2000, warmup_fraction=warmup_fraction)
@@ -280,16 +280,23 @@ class TestRunReplica:
                 ("0x1.ccf25dcfa9dafp+13", [8607, 16836], [8605, 16838], "0x1.20177aa1ca28ep+16"),
                 (["0x1.4ea1161fe367cp+13", "0x1.4706116b4b342p+15"], "0x1.ccf25dcfa9db6p+13"),
             ),
+            (
+                params(10, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
+                SimConfig(seed=4, max_events=50_000, warmup_fraction=0.2),
+                ("0x1.6129687166b0cp+12", [3120, 6546], [3120, 6548], "0x1.b973c28dc05cep+15"),
+                (["0x1.8f18ab6a1ba52p+12", "0x1.003e1d84934e6p+15"], "0x1.6129687166b25p+12"),
+            ),
         ],
-        ids=["n5k2", "n30k3", "n5k2-blocks"],
+        ids=["n5k2", "n30k3", "n5k2-blocks", "n10k2-incremental"],
     )
     def test_stream_and_event_order_are_pinned(self, model, cfg, expected, sums):
         # Fixed-seed figures recorded under RNG_SCHEME's event order (n5k2
-        # runs the memo path, n30k3 the incremental one): any change to the
+        # runs the memo walk, n30k3 the lattice walk): any change to the
         # uniform stream, the event order or the upper-end sums shows here.
-        # n5k2-blocks runs the memo path over four blocks of uniforms, the
-        # warm-up ending inside the first, with state occupancy tracked; it
-        # also pins each type's sojourn sum and the state-occupancy sum.
+        # n5k2-blocks runs the memo walk over several blocks of uniforms,
+        # with state occupancy tracked; it also pins each type's sojourn sum
+        # and the state-occupancy sum.  n10k2-incremental pins the same sums
+        # on the lattice walk (3^10 states, off the memo).
         stats = run_replica(model, cfg, 1, track_state_occupancy=sums is not None)
         observed = (
             stats.total_time.hex(),
@@ -305,11 +312,15 @@ class TestRunReplica:
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("memo", [True, False], ids=["memo", "incremental"])
     @pytest.mark.parametrize(
-        "model, warmup_fraction", DIRECT_METHOD_CASES[3:], ids=DIRECT_METHOD_IDS[3:]
+        "model, warmup_fraction",
+        [*DIRECT_METHOD_CASES[3:], (TWO_SITE, 0.3)],
+        ids=[*DIRECT_METHOD_IDS[3:], "two-site-warmup"],
     )
     def test_statistics_carry_across_blocks(self, monkeypatch, model, warmup_fraction, memo, block):
         # Blocks of 1 and 7 events, the warm-up ending inside a block of 7:
-        # every running statistic crosses many block edges, on each path.
+        # every running statistic crosses many block edges, on each walk.
+        # On two sites a hop changes both boundary sites in one event, which
+        # is neither an arrival nor a departure.
         cfg = SimConfig(seed=5, max_events=2000, warmup_fraction=warmup_fraction)
         assert cfg.warmup_events % 7
         monkeypatch.setattr(simulate, "_memo_fits", lambda _params: memo)
@@ -432,7 +443,7 @@ class TestRunReplica:
             run_replica(TWO_SITE, SimConfig(seed=0, max_events=1), -1)
 
     def test_large_lattice_runs_without_full_state_table(self):
-        # 4^30 states: the lazy record cache must not enumerate the space.
+        # 4^30 states: the lattice walk must not enumerate the space.
         p = params(30, 3, alpha=(1.0, 1.0, 1.0), beta=(1.0, 1.0, 1.0), delta=(1.0, 1.0, 1.0))
         cfg = SimConfig(seed=43, max_events=5000, warmup_fraction=0.0)
         stats = run_replica(p, cfg, 0)
