@@ -51,11 +51,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, state_space_size
+from .model import ModelParams, hop_rates, state_space_size
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -316,75 +316,73 @@ def _follow(reverse: np.ndarray, order: np.ndarray) -> np.ndarray:
     return position[reverse[order]]
 
 
+def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, int, float, int]]:
+    """The model's event rules, each event family beside its reverse family.
+
+    Each item is ``(a, b, rate_ab, kind_ab, rate_ba, kind_ba)``, where ``a``
+    and ``b`` index the ``(K+1,)*N`` state tensor: the family's events take
+    each state of ``a`` to the state in the same place of ``b`` at rate
+    ``rate_ab``, and the reverse family takes it back at ``rate_ba``.  In
+    order: a type-k arrival at a vacant site against its departure, for k =
+    1..K, on axis 0 and then on axis N-1; then on each bond ``(i, i+1)`` a
+    type-k right hop, ``(k, 0) -> (0, k)``, against its left hop, for each
+    k whose rate in :func:`~sepsim.model.hop_rates` is positive.
+    """
+    full = (slice(None),) * params.n_sites
+
+    def at(axis: int, *values: int) -> tuple:
+        """The states holding ``values`` on the axes from ``axis`` on."""
+        return full[:axis] + values + full[axis + len(values):]
+
+    for axis in (0, params.n_sites - 1):
+        for k, (alpha, beta) in enumerate(zip(params.alpha, params.beta), 1):
+            yield at(axis, 0), at(axis, k), alpha, EDGE_ARRIVAL, beta, EDGE_DEPARTURE
+    for i in range(params.n_sites - 1):
+        for k, rate in enumerate(hop_rates(params), 1):
+            if rate > 0.0:
+                yield at(i, k, 0), at(i, 0, k), rate, EDGE_HOP, rate, EDGE_HOP
+
+
 def build_generator(params: ModelParams, *, cap: int | None = None) -> Generator:
     """Assemble the generator from the event rules, one edge per enabled event.
 
     Refuses models whose state count exceeds :func:`resolve_state_cap`.
     The construction is vectorised over the whole state space: each event
-    family (a type's arrival at a boundary site, a type's right hop on a
-    bond) contributes one block of edges, and its reverse family (that
-    departure, that left hop) the next block.  The canonical
-    base-(n_types+1) encoding turns an event into a constant index shift,
-    so within a block the sources and the targets both ascend, and the
-    reverse block's sources are the forward block's targets in the same
-    order: edge ``t`` of one block is the reverse of edge ``t`` of the
-    other.  One stable sort of the key ``rows * dim + cols``, whose blocks
-    are already sorted runs, puts the edges in (row, col) order, and the
-    reverse indices follow it, so :class:`Generator` only checks both.
+    family of :func:`_event_pairs` contributes one block of edges, and its
+    reverse family the next block.  Both index the tensor of state indices
+    ``arange(M).reshape((K+1,)*N)``, whose slices list their states in
+    ascending order, so within a block the sources and the targets both
+    ascend, and the reverse block's sources are the forward block's targets
+    in the same order: edge ``t`` of one block is the reverse of edge ``t``
+    of the other.  One stable sort of the key ``rows * dim + cols``, whose
+    blocks are already sorted runs, puts the edges in (row, col) order, and
+    the reverse indices follow it, so :class:`Generator` only checks both.
     """
     m = state_space_size(params)
     limit = resolve_state_cap(cap)
     if m > limit:
         raise CapExceededError(m, limit)
 
-    n, base = params.n_sites, params.n_types + 1
-    pows = [base ** (n - 1 - i) for i in range(n)]
-    idx = np.arange(m, dtype=np.int64)
-    # Site i's value in each state: each value repeated pows[i] times, and
-    # that run tiled over the states.
-    values = np.arange(base, dtype=np.min_scalar_type(params.n_types))
-    digits = [np.tile(np.repeat(values, w), m // (w * base)) for w in pows]
-
-    # (sources, shift, forward rate and class, reverse rate and class): the
-    # forward edges are sources -> sources + shift, the reverse edges the
-    # other way.
-    pairs: list[tuple[np.ndarray, int, float, int, float, int]] = []
-    for i0 in (0, n - 1):
-        vacant = idx[digits[i0] == 0]
-        for k in range(1, base):
-            pairs.append((vacant, k * pows[i0], params.alpha[k - 1], EDGE_ARRIVAL,
-                          params.beta[k - 1], EDGE_DEPARTURE))
-    # Hops: every adjacent pair unless the pair joins the two boundary
-    # sites of a two-site lattice and boundary_hops is off.
-    if params.boundary_hops or n > 2:
-        for i0 in range(n - 1):
-            hole = digits[i0 + 1] == 0
-            for k in range(1, base):
-                rate = params.delta[k - 1]
-                if rate > 0.0:
-                    src = idx[(digits[i0] == k) & hole]
-                    shift = k * (pows[i0 + 1] - pows[i0])
-                    pairs.append((src, shift, rate, EDGE_HOP, rate, EDGE_HOP))
-    del idx, digits
-
-    n_edges = 2 * sum(src.size for src, *_ in pairs)
+    ids = np.arange(m, dtype=np.int64).reshape((params.n_types + 1,) * params.n_sites)
+    # Each family's sources and targets, as views of ids.
+    families = [(ids[a], ids[b], *rules) for a, b, *rules in _event_pairs(params)]
+    n_edges = 2 * sum(src.size for src, *_ in families)
     rows = np.empty(n_edges, dtype=np.int64)
     cols = np.empty(n_edges, dtype=np.int64)
     rates = np.empty(n_edges)
     kinds = np.empty(n_edges, dtype=np.int8)
     reverse = np.empty(n_edges, dtype=np.int64)
     at = 0
-    for src, shift, rate, kind, back_rate, back_kind in pairs:
+    for src, dst, rate, kind, back_rate, back_kind in families:
         size = src.size
         fwd, back = slice(at, at + size), slice(at + size, at + 2 * size)
-        rows[fwd] = cols[back] = src
-        np.add(src, shift, out=cols[fwd])
-        rows[back] = cols[fwd]
+        rows[fwd] = cols[back] = src.ravel()
+        cols[fwd] = rows[back] = dst.ravel()
         rates[fwd], kinds[fwd], rates[back], kinds[back] = rate, kind, back_rate, back_kind
         reverse[fwd] = np.arange(at + size, at + 2 * size)
         reverse[back] = np.arange(at, at + size)
         at += 2 * size
-    del pairs
+    del ids, families
 
     # Rebinding each array in turn frees its unsorted copy before the next
     # one is gathered.
@@ -592,42 +590,19 @@ def certify_stationary(params: ModelParams, dist: np.ndarray) -> float:
 
     No generator is built.  The residual is accumulated in
     ``np.longdouble``, as in :func:`balance_residuals`, on the tensor
-    ``P = dist.reshape((K+1,)*N)``, one event and its reverse at a time:
-    their net flow between the two slices they join is added to the
-    residual of the slice it leaves and subtracted from the one it enters.
-    A type-k arrival and departure join the values ``0`` and ``k`` on axis
-    ``0`` or ``N-1``; a type-k hop joins ``(k, 0)`` and ``(0, k)`` on
-    adjacent axes ``(i, i+1)`` when ``delta_k > 0`` (on two sites only with
-    ``boundary_hops``), as in :func:`build_generator`.  That is O(M·N·K)
-    work for M states.
+    ``P = dist.reshape((K+1,)*N)``, one family of :func:`_event_pairs` and
+    its reverse family at a time: their net flow between the two slices
+    they join is added to the residual of the slice it leaves and
+    subtracted from the one it enters.  That is O(M·N·K) work for M states.
     """
     if not is_irreducible_model(params):
         raise ValueError(_REDUCIBLE_MESSAGE)
-    n, base = params.n_sites, params.n_types + 1
     p = _tensor(dist, params).astype(np.longdouble)
     residual = np.zeros_like(p)
-
-    def at(values: dict[int, int]) -> tuple:
-        """Index of the states holding ``values[axis]`` on each given axis."""
-        return tuple(values.get(axis, slice(None)) for axis in range(n))
-
-    def exchange(a: tuple, b: tuple, rate_ab: float, rate_ba: float) -> None:
-        """Count the events ``a -> b`` and ``b -> a``: their net flow leaves a
-        and enters b."""
+    for a, b, rate_ab, _, rate_ba, _ in _event_pairs(params):
         net = np.longdouble(rate_ab) * p[a] - np.longdouble(rate_ba) * p[b]
         residual[a] += net
         residual[b] -= net
-
-    for axis in (0, n - 1):
-        vacant = at({axis: 0})
-        for k in range(1, base):
-            exchange(vacant, at({axis: k}), params.alpha[k - 1], params.beta[k - 1])
-    if params.boundary_hops or n > 2:
-        for i in range(n - 1):
-            for k in range(1, base):
-                rate = params.delta[k - 1]
-                if rate > 0.0:
-                    exchange(at({i: k, i + 1: 0}), at({i: 0, i + 1: k}), rate, rate)
     return float(np.abs(residual).max())
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "encode",
     "decode",
     "enumerate_states",
+    "hop_rates",
     "enabled_events",
     "apply_event",
 ]
@@ -173,6 +174,15 @@ def enumerate_states(params: ModelParams) -> Iterator[LatticeState]:
     """Yield every state in canonical index order (desk-scale models only)."""
     for index in range(state_space_size(params)):
         yield decode(index, params)
+
+
+def hop_rates(params: ModelParams) -> tuple[float, ...]:
+    """The hop rate of each type: ``delta``, or all zeros on a two-site
+    lattice without ``boundary_hops``, whose one bond joins the two
+    boundary sites."""
+    if params.boundary_hops or params.n_sites > 2:
+        return params.delta
+    return (0.0,) * params.n_types
 
 
 def enabled_events(state: LatticeState, params: ModelParams) -> list[tuple[Event, float]]:

@@ -65,6 +65,7 @@ from .model import (
     LatticeState,
     ModelParams,
     enabled_events,
+    hop_rates,
     state_space_size,
 )
 
@@ -241,14 +242,6 @@ def _block_sums(params: ModelParams) -> list[tuple[float, ...]]:
     return [tuple(accumulate(params.alpha))] + [(rate,) for rate in params.beta]
 
 
-def _hop_rates(params: ModelParams) -> tuple[float, ...]:
-    """delta per type, or all zero on a two-site lattice without boundary
-    hops, whose one bond joins the two boundary sites."""
-    if params.n_sites == 2 and not params.boundary_hops:
-        return (0.0,) * params.n_types
-    return params.delta
-
-
 def _state_step(s: int, weight: list[int], sums, delta):
     """Upper ends, total rate and successor indices of state ``s``.
 
@@ -326,7 +319,7 @@ class _MemoWalk(_Walk):
     def __init__(self, params: ModelParams, rng_random) -> None:
         n = params.n_sites
         self.weight = [(params.n_types + 1) ** (n - 1 - i0) for i0 in range(n)]
-        self.sums, self.delta = _block_sums(params), _hop_rates(params)
+        self.sums, self.delta = _block_sums(params), hop_rates(params)
         self.rng_random = rng_random
         self.id_of = {0: 0}  # state index -> id
         self.states = [0]  # id -> state index
@@ -427,7 +420,7 @@ class _LatticeWalk(_Walk):
     def __init__(self, params: ModelParams, rng_random) -> None:
         self.sums = _block_sums(params)
         # Per type: its active bonds, ascending, and its hop rate.
-        self.classes = [([], rate) for rate in _hop_rates(params)]
+        self.classes = [([], rate) for rate in hop_rates(params)]
         self.occ = [0] * params.n_sites
         self.rng_random = rng_random
         self.moves = np.zeros(0, dtype=np.int64)  # the last block's moves

@@ -478,7 +478,8 @@ class TestCertifyStationary:
         with pytest.raises(ValueError, match="irreducible"):
             certify_stationary(p, product_form(p))
 
-    def test_tensor_residual_equals_the_generator_residual(self):
+    @staticmethod
+    def random_models_and_distributions():
         # Random positive distributions are far from stationary, so every
         # event family, hop pair and boundary term shows in the residual.
         rng = np.random.default_rng(7)
@@ -489,8 +490,28 @@ class TestCertifyStationary:
                            boundary_hops=bh)
                 d = rng.uniform(0.05, 1.0, size=(k + 1) ** n)
                 d /= d.sum()
-                expected = np.abs(balance_residuals(build_generator(p), d)).max()
-                assert certify_stationary(p, d) == pytest.approx(expected, rel=1e-13)
+                yield p, d
+
+    def test_tensor_residual_equals_the_generator_residual(self):
+        for p, d in self.random_models_and_distributions():
+            expected = np.abs(balance_residuals(build_generator(p), d)).max()
+            assert certify_stationary(p, d) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant != 63, reason="the pinned bits are those of x87 80-bit long doubles"
+    )
+    def test_certificate_bits_are_pinned(self):
+        # The exact floats, so a reordered extended-precision accumulation
+        # shows even where it stays within the relative tolerance above.
+        expected = [
+            "0x1.44aca2a0ab4c9p+2", "0x1.d09d24721a4f1p-1", "0x1.a9347233be4bbp+0", "0x1.0a75cefcc86cdp+0",
+            "0x1.e836b34bb53f8p-1", "0x1.903a0c9c92310p-1", "0x1.42ec89d7b751dp+0", "0x1.9f04dad8b73eap+0",
+            "0x1.f74bcfb4b95e9p-2", "0x1.25186ef3eacf2p-1", "0x1.e96bb7037c380p-2", "0x1.ae36323a7fb22p-3",
+            "0x1.933dd14d04441p-3", "0x1.74762bb19cf88p-3", "0x1.42013517f1e13p-1", "0x1.3757e1e4ffcbcp-1",
+            "0x1.48d984cf8bb1cp-3", "0x1.9853fcfa4fa9cp-4", "0x1.64f86e392a0d0p-2", "0x1.53baaa2423b14p-2",
+        ]
+        got = [certify_stationary(p, d).hex() for p, d in self.random_models_and_distributions()]
+        assert got == expected
 
     def test_shape_check(self):
         with pytest.raises(ValueError, match="shape"):

@@ -11,6 +11,7 @@ from sepsim import (
     enabled_events,
     encode,
     enumerate_states,
+    hop_rates,
     state_space_size,
 )
 
@@ -113,6 +114,20 @@ class TestStateSpace:
         for index, state in enumerate(enumerate_states(p)):
             assert encode(state, p) == index
             assert decode(index, p) == state
+
+
+class TestHopRates:
+    def test_two_sites_follow_the_boundary_hops_flag(self):
+        assert hop_rates(params(2, 2, delta=(0.5, 3.0))) == (0.5, 3.0)
+        assert hop_rates(params(2, 2, delta=(0.5, 3.0), boundary_hops=False)) == (0.0, 0.0)
+
+    def test_longer_lattices_hop_without_boundary_hops(self):
+        # Every bond of three or more sites has an interior end.
+        assert hop_rates(params(3, 2, delta=(0.5, 3.0), boundary_hops=False)) == (0.5, 3.0)
+
+    def test_a_zero_hop_rate_stays_zero(self):
+        for n, bh in ((2, True), (2, False), (3, True), (3, False)):
+            assert hop_rates(params(n, 2, delta=(0.0, 3.0), boundary_hops=bh))[0] == 0.0
 
 
 class TestEnabledEvents:
