@@ -104,10 +104,12 @@ def estimate_from_stats(
     """Empirical flux, sojourn and site-marginal estimates from one run.
 
     Flux standard errors treat arrival counts as Poisson; sojourn standard
-    errors come from the sample variance.  A type with no completed
-    sojourn is reported with ``nan`` estimates instead of failing.  The
-    third return value is the empirical (n_sites, n_types+1) marginal
-    matrix, occupancy time normalized by the measurement time.
+    errors come from the sample variance of each type's
+    ``completed_sojourns``, a float64 array from the sampler (any sequence
+    of floats works).  A type with no completed sojourn is reported with
+    ``nan`` estimates instead of failing.  The third return value is the
+    empirical (n_sites, n_types+1) marginal matrix, occupancy time
+    normalized by the measurement time.
     """
     if stats.n_sites != params.n_sites or stats.n_types != params.n_types:
         raise ValueError("statistics were collected for a different model")
@@ -136,7 +138,7 @@ def estimate_from_stats(
     for k0 in range(n_types):
         samples = stats.completed_sojourns[k0]
         counts[k0] = len(samples)
-        if not samples:
+        if not len(samples):
             means[k0] = errors[k0] = zscores[k0] = nan
             continue
         arr = np.asarray(samples)

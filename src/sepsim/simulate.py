@@ -37,7 +37,10 @@ Replica streams come from a counter-based generator: replica ``i`` of a
 run seeded with ``s`` uses ``numpy`` Philox keyed by
 ``SeedSequence(entropy=s, spawn_key=(i,))``.  Exponentials are drawn by
 inversion (``-log1p(-u) / rate``), never by ziggurat, so the uniform
-stream alone determines the run.
+stream alone determines the run.  The reference stepper takes
+:func:`math.log1p` and a walk the same C library ``log1p`` through one
+numpy call per block (see :meth:`_Walk.blocks`), so both give the same
+bits.
 
 Statistics accumulate only after a warm-up prefix of
 ``floor(warmup_fraction * max_events)`` events; the measurement clock runs
@@ -105,9 +108,10 @@ _EVENT_BLOCK = 1 << 13
 
 # Fewest events in all (replicas * max_events) for which run_replicas uses
 # a process pool.  Creating and tearing down the pool costs 15-20 ms.  On
-# a 2-core machine at N=5/K=2 the pool is slower below 5*10^4 events, as
-# fast at 5*10^4, and faster in at least 10 of 11 calls from 10^5 on
-# (figures in run_replicas).
+# a 2-core machine at N=5/K=2 the pool is slower at 5*10^4 and 7.5*10^4
+# events; at 10^5 it is faster in 8-10 of 11 calls with 2 replicas and
+# level with 4 (faster in 4-8 of 11, three sets); from 2*10^5 on it is
+# faster in at least 10 of 11 (figures in run_replicas).
 _POOL_MIN_EVENTS = 100_000
 
 
@@ -146,7 +150,10 @@ class SimStats:
     ``start_counts_by_type`` / ``end_counts_by_type`` hold the particles
     present at the window edges so that conservation
     (arrivals - departures == end - start) is checkable per type.
-    ``event_count`` is the number of events executed including warm-up.
+    ``completed_sojourns[k0]`` is a float64 array of the sojourn times of
+    type ``k0 + 1`` completed in the window: in time order for one
+    replica, sorted for a merge.  ``event_count`` is the number of events
+    executed including warm-up.
     """
 
     n_sites: int
@@ -157,7 +164,7 @@ class SimStats:
     departures_by_type: np.ndarray
     start_counts_by_type: np.ndarray
     end_counts_by_type: np.ndarray
-    completed_sojourns: list[list[float]]
+    completed_sojourns: list[np.ndarray]
     event_count: int
     state_occupancy_time: np.ndarray | None = None
 
@@ -166,7 +173,10 @@ class SimStats:
             return NotImplemented
         for f in fields(self):
             mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
+            if f.name == "completed_sojourns":
+                if len(mine) != len(theirs) or not all(map(np.array_equal, mine, theirs)):
+                    return False
+            elif isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
                 if not np.array_equal(mine, theirs):
                     return False
             elif mine != theirs:
@@ -290,14 +300,21 @@ class _Walk:
     def blocks(self, events: int):
         """Walk ``events`` events, yielding each block's event times, led
         by the time before its first event, and its holding times
-        ``-log1p(-u1) / total``."""
+        ``-log1p(-u1) / total``.
+
+        The block's ``log1p`` runs in one numpy call over a reversed view.
+        numpy's vectorised loop, which it takes for contiguous and for
+        positive-stride arrays, rounds differently from the C library's
+        ``log1p`` on some inputs; over a negative stride it runs its
+        scalar loop, which calls the C library's ``log1p`` as
+        :func:`math.log1p` (and :func:`sample_next_event`) does.
+        """
         while events:
             block = min(events, _EVENT_BLOCK)
             events -= block
             uniforms = self.rng_random(2 * block)
             totals = self._walk(uniforms[1::2].tolist())
-            # math.log1p, not np.log1p: numpy's SIMD log1p may round differently.
-            dt = -np.fromiter(map(log1p, (-uniforms[0::2]).tolist()), float, block)
+            dt = -np.log1p((-uniforms[0::2])[::-1])[::-1]
             dt /= totals
             times = np.cumsum(np.concatenate(([self.t], dt)))  # adds in order, as t += dt
             self.t = float(times[-1])
@@ -530,7 +547,8 @@ def _window_pass(walk: _Walk, params: ModelParams, config: SimConfig, m: int) ->
     last_change = np.full(n, t_start)
     arrivals = np.zeros(radix, dtype=np.int64)  # by particle value
     departures = np.zeros(radix, dtype=np.int64)
-    sojourns: list[list[float]] = [[] for _ in range(n_types)]
+    # Each block's completed sojourns, in time order, and their particles' values.
+    stay_blocks, kind_blocks = [np.zeros(0)], [np.zeros(0, dtype=np.uint8)]
     # Particles never pass each other, so from site 1 to site N they hold
     # consecutive slots lo, ..., hi - 1: an arrival at site 1 takes slot
     # lo - 1 and one at site N slot hi; a departure from site 1 frees slot
@@ -593,10 +611,10 @@ def _window_pass(walk: _Walk, params: ModelParams, config: SimConfig, m: int) ->
         p = np.flatnonzero(popped)
         stays = np.empty(len(at))
         stays[order[p]] = at[order[p]] - at[order[p - 1]]
-        stays, kinds = stays[gone], value[pop]  # in time order
-        for k0, out in enumerate(sojourns, start=1):
-            stay = stays[kinds == k0]
-            out.extend(stay[~np.isnan(stay)].tolist())
+        stays, kinds = stays[gone], value[pop]
+        done = ~np.isnan(stays)  # NaN: a particle present when the window opened
+        stay_blocks.append(stays[done])
+        kind_blocks.append(kinds[done])
         sorted_slots = slots[order]
         ends = np.flatnonzero(np.append(sorted_slots[1:] != sorted_slots[:-1], True))
         arrived = at[order[ends[~popped[ends]]]]
@@ -606,6 +624,7 @@ def _window_pass(walk: _Walk, params: ModelParams, config: SimConfig, m: int) ->
     t = walk.t
     end = walk.lattice()
     occupancy[np.arange(n) * radix + end] += t - last_change
+    stays, kinds = np.concatenate(stay_blocks), np.concatenate(kind_blocks)
     return SimStats(
         n_sites=n,
         n_types=n_types,
@@ -615,7 +634,7 @@ def _window_pass(walk: _Walk, params: ModelParams, config: SimConfig, m: int) ->
         departures_by_type=departures[1:],
         start_counts_by_type=start_counts,
         end_counts_by_type=np.bincount(end, minlength=radix)[1:].astype(np.int64),
-        completed_sojourns=sojourns,
+        completed_sojourns=[stays[kinds == k] for k in range(1, radix)],
         event_count=config.max_events,
         state_occupancy_time=state_occ,
     )
@@ -704,8 +723,10 @@ def run_replicas(
     fork is safe; in a threaded caller, or on a platform without
     ``fork``, the replicas run in process.  Serial against pooled on a
     2-core machine, N=5/K=2 with state tracking, medians of 11 alternating
-    calls: 2 x 2500 events 11 -> 19 ms, 2 x 2.5*10^4 38 -> 37 ms,
-    2 x 5*10^4 69 -> 59 ms, 4 x 5*10^4 121 -> 89 ms, 4 x 2*10^5 448 -> 266 ms.
+    calls in each of two sets: 2 x 2500 events 9.3-9.5 -> 19-32 ms,
+    2 x 2.5*10^4 28-31 -> 33-58 ms, 2 x 5*10^4 49-50 -> 42-44 ms,
+    4 x 2.5*10^4 42-55 -> 47-48 ms, 4 x 5*10^4 101-102 -> 69-73 ms,
+    4 x 2*10^5 340-357 -> 198-213 ms.
     """
     workers = _pool_workers(config, _usable_cpus())
     if workers:
@@ -735,22 +756,22 @@ def run_replicas(
 
 def _fresh(value):
     """A copy of a :class:`SimStats` field's value that shares only its
-    immutable parts: numbers, and the floats of the sojourn lists."""
+    immutable parts, the numbers."""
     if isinstance(value, np.ndarray):
         return value.copy()
-    if isinstance(value, list):
-        return [list(item) for item in value]
+    if isinstance(value, list):  # the sojourns
+        return [np.array(item, dtype=np.float64) for item in value]
     return value
 
 
 def merge_replicas(stats: Sequence[SimStats]) -> SimStats:
-    """Pool replica statistics: times and counts add, sojourn lists pool.
+    """Pool replica statistics: times and counts add, sojourns pool.
 
     The result is independent of the input order: ``total_time`` is an
     exact sum (``fsum``); the occupancy arrays add each element's values in
     sorted order, which rounds but does not depend on the order of the
-    inputs; and pooled sojourn lists are sorted.  Merging a single replica
-    returns an independent copy.
+    inputs; and each type's pooled sojourns are sorted.  Merging a single
+    replica returns an independent copy.
     """
     stats = list(stats)
     if not stats:
@@ -771,7 +792,7 @@ def merge_replicas(stats: Sequence[SimStats]) -> SimStats:
 
     track = all(s.state_occupancy_time is not None for s in stats)
     sojourns = [
-        np.sort(np.concatenate([s.completed_sojourns[k0] for s in stats])).tolist()
+        np.sort(np.concatenate([s.completed_sojourns[k0] for s in stats]))
         for k0 in range(first.n_types)
     ]
     return SimStats(

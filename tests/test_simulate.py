@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import pickle
 import threading
 import tracemalloc
 
@@ -212,6 +213,39 @@ class TestSampleNextEvent:
         rng = replica_rng(5, 0)
         draws = [sample_next_event((0, 0), TWO_SITE, rng)[0] for _ in range(4000)]
         assert np.mean(draws) == pytest.approx(0.5, rel=0.05)
+
+
+class UnitRateWalk(simulate._Walk):
+    """A walk whose every state has total rate 1, fed fixed holding-time
+    uniforms: its holding times are ``-log1p(-u1)`` as the walks compute them."""
+
+    def __init__(self, holding):
+        self.uniforms = np.zeros(2 * len(holding))
+        self.uniforms[0::2] = holding
+        self.drawn = 0
+
+    def rng_random(self, size):
+        self.drawn += size
+        return self.uniforms[self.drawn - size : self.drawn].copy()
+
+    def _walk(self, picks):
+        return np.ones(len(picks))
+
+
+class TestHoldingTimes:
+    def test_walk_blocks_match_math_log1p_bitwise(self):
+        # The walks take a block's log1p in one numpy call over a reversed
+        # view, which runs the C library's log1p like math.log1p (and so
+        # sample_next_event).  numpy's vectorised loop, which it takes for
+        # contiguous and forward-strided arrays, rounds differently on some
+        # uniforms; a change of route that reaches it differs here.
+        edges = [0.0, 2.0**-53, 2.0**-29, 1.0 - 2.0**-0.5, 0.5, 1.0 - 2.0**-53]
+        holding = np.concatenate((edges, replica_rng(11, 0).random(1 << 20), edges))
+        walk = UnitRateWalk(holding)
+        got = np.concatenate([dt for _, dt in walk.blocks(len(holding))])
+        expected = np.array([-math.log1p(-u) for u in holding.tolist()])
+        assert walk.drawn == 2 * len(holding)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestRunReplica:
@@ -465,7 +499,7 @@ class TestMergeReplicas:
         cfg = SimConfig(seed=5, max_events=4000)
         original = run_replica(TWO_SITE, cfg, 0, track_state_occupancy=True)
         copied = merge_replicas([original])
-        copied.completed_sojourns[0].append(-1.0)
+        copied.completed_sojourns[0][0] = -1.0
         copied.site_occupancy_time[0, 0] = -1.0
         assert -1.0 not in original.completed_sojourns[0]
         assert original.site_occupancy_time[0, 0] != -1.0
@@ -485,8 +519,9 @@ class TestMergeReplicas:
         assert np.array_equal(
             merged.arrivals_by_type, self.a.arrivals_by_type + self.b.arrivals_by_type
         )
-        assert sorted(self.a.completed_sojourns[0] + self.b.completed_sojourns[0]) == list(
-            merged.completed_sojourns[0]
+        assert np.array_equal(
+            np.sort(np.concatenate((self.a.completed_sojourns[0], self.b.completed_sojourns[0]))),
+            merged.completed_sojourns[0],
         )
 
     def test_replica_count_in_config_does_not_change_streams(self):
@@ -607,3 +642,27 @@ class TestSimStatsEquality:
         assert stats == twin
         setattr(twin, name, self.changed(getattr(twin, name)))
         assert stats != twin
+
+    def test_sojourns_take_part_by_value_and_count(self):
+        stats = run_replica(params(3, 2), SimConfig(seed=3, max_events=2000), 0)
+        assert all(len(times) > 1 for times in stats.completed_sojourns)
+
+        def twin():
+            return dataclasses.replace(
+                stats, completed_sojourns=[times.copy() for times in stats.completed_sojourns]
+            )
+
+        one_value, one_fewer = twin(), twin()
+        one_value.completed_sojourns[1][-1] += 1.0
+        one_fewer.completed_sojourns[0] = one_fewer.completed_sojourns[0][:-1]
+        assert stats == twin()
+        assert stats != one_value
+        assert stats != one_fewer
+        assert one_fewer != stats
+
+    def test_pickle_keeps_float64_sojourn_arrays(self):
+        stats = run_replica(params(3, 2), SimConfig(seed=3, max_events=2000), 0)
+        twin = pickle.loads(pickle.dumps(stats))
+        assert twin == stats
+        for times in (*stats.completed_sojourns, *twin.completed_sojourns):
+            assert isinstance(times, np.ndarray) and times.dtype == np.float64
