@@ -10,6 +10,7 @@ double precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import nan, sqrt
 
 import numpy as np
@@ -74,11 +75,14 @@ def arrival_rate_closed_form(params: ModelParams, k: int) -> float:
 
 
 def arrival_rate_boundary_form(params: ModelParams, k: int) -> float:
-    """Arrival flux via boundary vacancies: alpha_k * (P_1(0) + P_N(0))."""
+    """Arrival flux via boundary vacancies: alpha_k * (P_1(0) + P_N(0)).
+
+    Every site has the same marginal (:func:`~sepsim.exact.site_marginal`),
+    so one vacancy probability stands for both boundary sites.
+    """
     _check_type(params, k)
-    vacancy_left = site_marginal(params, 1)[0]
-    vacancy_right = site_marginal(params, params.n_sites)[0]
-    return params.alpha[k - 1] * (vacancy_left + vacancy_right)
+    vacancy = site_marginal(params, 1)[0]
+    return params.alpha[k - 1] * (vacancy + vacancy)
 
 
 def sojourn_closed_form(params: ModelParams, k: int) -> float:
@@ -92,9 +96,13 @@ def sojourn_closed_form(params: ModelParams, k: int) -> float:
 
 def sojourn_littles_law(params: ModelParams, k: int) -> float:
     """Mean sojourn via Little's law: mean number of type-k particles on
-    the lattice divided by the type-k arrival flux."""
+    the lattice divided by the type-k arrival flux.
+
+    The mean is the left-to-right sum of the n_sites equal site terms, one
+    marginal read once; ``n_sites * p`` would round differently.
+    """
     _check_type(params, k)
-    mean_on_lattice = sum(site_marginal(params, site)[k] for site in range(1, params.n_sites + 1))
+    mean_on_lattice = sum(repeat(site_marginal(params, 1)[k], params.n_sites))
     return mean_on_lattice / arrival_rate_closed_form(params, k)
 
 

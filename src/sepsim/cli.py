@@ -24,9 +24,9 @@ CSV tables are the columns listed in ``_CSV_TABLES``, plus ``verify``'s
 
 JSON documents, the ``emit_config`` text and error payloads are written by
 :func:`_dumps`, whose bytes are ``json.dumps(doc, indent=2,
-sort_keys=True)``'s: dicts are written in Python, each list of scalars by
-the standard library's C encoder, and each distinct float of a float list
-once.
+sort_keys=True)``'s: dicts are written in Python, float lists and tables
+of float rows by joins of each float's repr, and other lists of scalars by
+the standard library's C encoder.
 
 Exit codes: 0 success, 1 a verification check failed, 2 execution error
 (invalid configuration, state cap exceeded, solver failure).
@@ -45,7 +45,7 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from numbers import Real
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -200,9 +200,32 @@ def _float_text(value: float) -> str:
     return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
 
+def _float_repr(floats: list[float]) -> Callable[[float], str] | None:
+    """The function that gives each item's JSON text, for a list of
+    ``float``s, or None if one is NaN or infinite.  Where values repeat and
+    none is a zero, each distinct value's repr is made once and looked up:
+    product-form vectors and the closed-form marginal table repeat few
+    values.  (0.0 and -0.0 are one set member with two texts.)"""
+    if not all(map(math.isfinite, distinct := set(floats))):
+        return None
+    if len(distinct) == len(floats) or 0.0 in distinct:
+        return float.__repr__
+    return dict(zip(distinct, map(float.__repr__, distinct))).__getitem__
+
+
 def _write_json(value: Any, parts: list[str], newline: str) -> None:
     """Append the text of ``value`` to ``parts``; ``newline`` is a line
-    break plus the indentation of the line that ``value`` starts on."""
+    break plus the indentation of the line that ``value`` starts on.
+
+    A list or tuple is written by the first of these that fits it:
+
+    - only finite ``float``s: one join of their texts (:func:`_float_repr`);
+    - only scalars: the standard library's C encoder;
+    - only non-empty lists of finite ``float``s (the per-site marginal
+      tables): one join per row and one for the table;
+    - anything else, such as a table with an empty row, a NaN or an ``int``,
+      or a list of tuple rows: item by item.
+    """
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
@@ -218,14 +241,18 @@ def _write_json(value: Any, parts: list[str], newline: str) -> None:
         inner = newline + "  "
         separator = "," + inner
         kinds = set(map(type, value))
-        if kinds == {float} and 0.0 not in (distinct := set(value)) and all(map(math.isfinite, distinct)):
-            # Product-form vectors repeat few values: format each once.  0.0
-            # and -0.0 are one set member with two texts, so they take the
-            # per-item encoder below.
-            texts = dict(zip(distinct, map(float.__repr__, distinct)))
-            parts += "[", inner, separator.join(map(texts.__getitem__, value)), newline, "]"
+        if kinds == {float} and (text := _float_repr(value)):
+            parts += "[", inner, separator.join(map(text, value)), newline, "]"
         elif kinds <= _C_SCALARS:
             parts += "[", inner, _scalar_list_encoder(separator)(value)[1:-1], newline, "]"
+        elif (kinds == {list} and all(value)
+              and set(map(type, floats := list(itertools.chain.from_iterable(value)))) == {float}
+              and (text := _float_repr(floats))):
+            row_inner = inner + "  "
+            row_separator = "," + row_inner
+            row_end = inner + "]"
+            rows = ["[" + row_inner + row_separator.join(map(text, row)) + row_end for row in value]
+            parts += "[", inner, separator.join(rows), newline, "]"
         else:
             for index, item in enumerate(value):
                 parts.append(separator if index else "[" + inner)
@@ -247,8 +274,9 @@ def _write_json(value: Any, parts: list[str], newline: str) -> None:
 def _dumps(doc: Any) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte,
     for documents whose keys are strings.  With ``indent`` set the standard
-    library formats every value in Python; here each list of scalars is
-    formatted by its C encoder, and each distinct float of a float list once."""
+    library formats every value in Python; here float lists and float
+    tables are joins of ``float.__repr__`` texts and other scalar lists go
+    through its C encoder (see :func:`_write_json`)."""
     parts: list[str] = []
     _write_json(doc, parts, "\n")
     parts.append("\n")
@@ -352,8 +380,8 @@ def _simulation_section(config: RunConfig, merged: SimStats) -> dict[str, Any]:
             "end_counts_by_type": merged.end_counts_by_type,
             "completed_sojourns_by_type": [len(v) for v in merged.completed_sojourns],
         },
-        "flux": {"type": types, **asdict(flux)},
-        "sojourn": {"type": types, **asdict(sojourn), "insufficient_data": sojourn.insufficient_data},
+        "flux": {"type": types, **vars(flux)},
+        "sojourn": {"type": types, **vars(sojourn), "insufficient_data": sojourn.insufficient_data},
         "marginals": {"empirical": marginals, "closed_form": _closed_marginals(params)},
     }
 

@@ -734,7 +734,7 @@ def product_form(params: ModelParams) -> np.ndarray:
     weights = np.concatenate(([1.0], ratios))
     probs = weights
     for _ in range(params.n_sites - 1):
-        probs = np.kron(probs, weights)
+        probs = np.multiply.outer(probs, weights).ravel()
     return probs * normalization_constant(params)
 
 
@@ -762,7 +762,7 @@ def joint_from_marginals(params: ModelParams) -> np.ndarray:
     marginal = site_marginal(params, 1)
     probs = marginal
     for _ in range(params.n_sites - 1):
-        probs = np.kron(probs, marginal)
+        probs = np.multiply.outer(probs, marginal).ravel()
     return probs
 
 

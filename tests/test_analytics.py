@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,66 @@ class TestEstimateFromStats:
         assert np.abs(sojourn.closed_form - sojourn.littles_law).max() <= 1e-12
         assert np.abs(flux.zscore).max() <= 3.0
         assert np.abs(sojourn.zscore).max() <= 3.0
+
+
+PINNED_MODELS = {
+    "n2k1": params(2, 1, alpha=(1.3,), beta=(0.7,)),
+    "n5k2": params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
+    "n30k3": params(30, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(1.0, 0.3, 2.0)),
+    "n100k2": params(100, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
+    "n100k3": params(100, 3, alpha=(0.3, 1.7, 2.9), beta=(1.1, 0.6, 2.3)),
+}
+# Per model: arrival_rate_boundary_form and sojourn_littles_law of each
+# type as float.hex, and the SHA-256 of every array estimate_from_stats
+# returns for pinned_stats, in field order.
+PINNED_BITS = {
+    "n2k1": (["0x1.d1eb851eb851dp-1"], ["0x1.6db6db6db6db8p+0"],
+             "7e030105b28d2a858bb11c4256a79a1cac480f537a98382ace495c4c43149d31"),
+    "n5k2": (["0x1.2492492492492p-1", "0x1.2492492492492p+0"],
+             ["0x1.4000000000000p+0", "0x1.4000000000000p+1"],
+             "2cbbd4731a110bb710d8bae9bebc0080894d43c5b7d412fff2ef36dd9afe14ca"),
+    "n30k3": (["0x1.af286bca1af28p-2", "0x1.af286bca1af28p-1", "0x1.af286bca1af28p-3"],
+              ["0x1.dfffffffffffbp+2", "0x1.dfffffffffffbp+3", "0x1.2c00000000004p+5"],
+              "764ebc9b42c8699bafed145bfd0da117a876505414f9440dbc7f0656a9485e1e"),
+    "n100k2": (["0x1.2492492492492p-1", "0x1.2492492492492p+0"],
+               ["0x1.8fffffffffffap+4", "0x1.8fffffffffffap+5"],
+               "ba3ab1f38aae528ebeba5d4a21e25f161e4b37049fab2ef11553b2f07a98d654"),
+    "n100k3": (["0x1.c9ea57f212d0dp-4", "0x1.445b53a0cd53ep-1", "0x1.14a83fcceb5e2p+0"],
+               ["0x1.6ba2e8ba2e8b2p+5", "0x1.4d5555555554fp+6", "0x1.5bd37a6f4dea4p+4"],
+               "e8850cdc9d601939045999a270904aed64f60b9da27d2f81b4aa9ed3a47a4894"),
+}
+
+
+def pinned_stats(p):
+    rng = np.random.default_rng(p.n_sites * 10 + p.n_types)
+    k = p.n_types
+    arrivals = rng.integers(100, 1000, k)
+    occupancy = rng.uniform(0.0, 1.0, (p.n_sites, k + 1))
+    return SimStats(
+        n_sites=p.n_sites,
+        n_types=k,
+        total_time=float(occupancy[0].sum()) * 7.0,
+        site_occupancy_time=occupancy * 7.0,
+        arrivals_by_type=arrivals,
+        departures_by_type=arrivals.copy(),
+        start_counts_by_type=np.zeros(k, dtype=np.int64),
+        end_counts_by_type=np.zeros(k, dtype=np.int64),
+        completed_sojourns=[rng.exponential(2.0, 50 + i) for i in range(k)],
+        event_count=int(arrivals.sum()) * 2,
+    )
+
+
+@pytest.mark.parametrize("name", PINNED_MODELS)
+def test_analytics_bits_are_pinned(name):
+    # The exact floats, so a reordered sum over the sites shows even where it
+    # stays within the identity tolerances above.
+    p = PINNED_MODELS[name]
+    boundary, littles, report_digest = PINNED_BITS[name]
+    types = range(1, p.n_types + 1)
+    assert [arrival_rate_boundary_form(p, k).hex() for k in types] == boundary
+    assert [sojourn_littles_law(p, k).hex() for k in types] == littles
+    flux, sojourn, marginals = estimate_from_stats(pinned_stats(p), p)
+    digest = hashlib.sha256()
+    for array in (*vars(flux).values(), *vars(sojourn).values(), marginals):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == report_digest

@@ -647,6 +647,20 @@ class TestClosedForms:
         assert probs[2] == pytest.approx(2 / 9, abs=1e-15)  # (1,0)
         assert probs[0] == pytest.approx(normalization_constant(TWO_SITE), abs=1e-15)
 
+    @pytest.mark.parametrize("n,k", [(2, 1), (9, 1), (6, 2), (4, 3), (8, 2), (12, 1), (5, 3)])
+    def test_products_are_the_bytes_of_kron(self, n, k):
+        # The outer-product build must give np.kron's bits, not just close values.
+        rng = np.random.default_rng(100 * n + k)
+        p = params(n, k, alpha=tuple(rng.uniform(0.3, 3.0, k)), beta=tuple(rng.uniform(0.3, 3.0, k)))
+        weights = np.concatenate(([1.0], [a / b for a, b in zip(p.alpha, p.beta)]))
+        marginal = site_marginal(p, 1)
+        kron_weights, kron_marginal = weights, marginal
+        for _ in range(n - 1):
+            kron_weights = np.kron(kron_weights, weights)
+            kron_marginal = np.kron(kron_marginal, marginal)
+        assert product_form(p).tobytes() == (kron_weights * normalization_constant(p)).tobytes()
+        assert joint_from_marginals(p).tobytes() == kron_marginal.tobytes()
+
     def test_marginals_from_distribution_consistency(self):
         for p in random_grid(draws=1):
             marginals = marginals_from_distribution(product_form(p), p)
