@@ -441,12 +441,20 @@ def _forest_potential(gen: Generator, log_ratio: np.ndarray) -> tuple[np.ndarray
 
 def _find_edges(gen: Generator, src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     """Index of the edge ``src[i] -> dst[i]`` for each ``i``, or ``None``
-    when one of them is not stored, by binary search on the (row, col)
-    order."""
-    keys = gen.rows * gen.dim + gen.cols
-    query = src * gen.dim + dst
-    edge = np.minimum(np.searchsorted(keys, query), gen.n_edges - 1)
-    return edge if np.array_equal(keys[edge], query) else None
+    when one of them is not stored; no state is in ``dst`` twice, as no
+    tree has two edges into one state.
+
+    One pass over the edges marks those that go from ``src[i]`` into
+    ``dst[i]``, through an int32 table of each state's wanted source.
+    """
+    wanted = np.full(gen.dim, -1, dtype=np.int32)  # dim < 2**31
+    wanted[dst] = src
+    edge = np.flatnonzero(wanted[gen.cols] == gen.rows)
+    if edge.size != dst.size:
+        return None
+    into = np.empty(gen.dim, dtype=np.int64)  # the found edge into each state of dst
+    into[gen.cols[edge]] = edge
+    return into[dst]
 
 
 def _lemma_tree(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

@@ -14,10 +14,10 @@ A run has two parts.  A *walk* picks the events from that order and
 advances time; there are two, bitwise alike, and the run takes one of them
 by lattice size:
 
-- the memo walk, where every state's step records (upper ends,
-  successor) fit in ``_RECORD_CACHE_LIMIT`` records, keeps each visited
-  state's records, built in O(N) on first visit, and picks by bisection
-  over them;
+- the memo walk, where every state's step records fit in
+  ``_RECORD_CACHE_LIMIT`` records and the model's pick table in
+  ``_PICK_TABLE_LIMIT`` bytes, keeps each visited state's successors,
+  built in O(N) on first visit, and picks from the table (see below);
 - the lattice walk keeps the lattice as a list and one sorted list of
   active bonds per type, updates at most two of them per event, and picks
   the class by bisection over the K+2 class ends and the bond by
@@ -26,6 +26,18 @@ by lattice size:
 The warm-up is the bare walk.  One *window pass* then takes every
 statistic from what the walk gives for each block of the window: its
 event times, its holding times and its site changes, in numpy.
+
+A state's upper ends depend only on its *rate profile*: the values of
+site 1 and site N and its number of active bonds of each type.  For each
+upper end ``e`` of a profile's total ``T`` the memo walk's pick table
+(:class:`_PickTable`) holds the threshold, the smallest double ``u`` with
+``u * T >= e`` as the product rounds.  Rounding is monotone, so the
+bisection's pick ``bisect_right(uppers, u2 * T)`` is the number of
+thresholds at most ``u2``.  The thresholds of all profiles cut [0, 1)
+into cells, found for a whole block of uniforms at once; a byte row per
+profile maps each cell to that number, so the pick, the stream and every
+statistic are bitwise those of the bisection (the guide table of Chen and
+Asau, AIIE Trans. 6, 1974, made exact).
 
 :func:`run_replicas` runs all replicas of a run.  Long runs of two or
 more replicas go to a pool of forked worker processes, at most one per
@@ -55,6 +67,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from itertools import accumulate
 from math import fsum, log1p
 from numbers import Real
@@ -107,12 +120,12 @@ STATE_TRACKING_LIMIT = 1 << 20
 _EVENT_BLOCK = 1 << 13
 
 # Fewest events in all (replicas * max_events) for which run_replicas uses
-# a process pool.  Creating and tearing down the pool costs 15-20 ms.  On
-# a 2-core machine at N=5/K=2 the pool is slower at 5*10^4 and 7.5*10^4
-# events; at 10^5 it is faster in 8-10 of 11 calls with 2 replicas and
-# level with 4 (faster in 4-8 of 11, three sets); from 2*10^5 on it is
-# faster in at least 10 of 11 (figures in run_replicas).
-_POOL_MIN_EVENTS = 100_000
+# a process pool.  Creating and tearing down the pool costs 15-20 ms, about
+# one replica of 2.5*10^4 events.  On a 2-core machine at N=5/K=2 the pool
+# is slower at 5*10^4 events and level at 10^5 (faster in 4-7 of 11 calls
+# with 2 or 4 replicas, two sets); from 2*10^5 on it is faster in at least
+# 10 of 11 (figures in run_replicas).
+_POOL_MIN_EVENTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -235,15 +248,27 @@ _BOUNDARY_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE)
 
 # Record budget of the per-state memo (80-100 bytes a record with its
 # state's share, so about 25 MiB).  A lattice all of whose states' records
-# fit in it is walked from the memo; any other by the lattice walk.
+# fit in it, and whose pick table fits in _PICK_TABLE_LIMIT bytes, is
+# walked from the memo; any other by the lattice walk.
 _RECORD_CACHE_LIMIT = 1 << 18
+# Byte budget of the memo walk's pick table (rate profiles x cells, and its
+# cell grid).  At rates drawn at random over a decade, each of the 97
+# lattices whose records fit has a table of at most 19 MB (N=3/K=18 and
+# N=2/K=49), so all of them keep the memo walk; N=9/K=2 takes 0.23 MB and
+# N=5/K=2 26 kB.
+_PICK_TABLE_LIMIT = 1 << 25
 
 
 def _memo_fits(params: ModelParams) -> bool:
     """Whether the records of all (K+1)^N states, at most N+2K-1 events
-    each, fit in ``_RECORD_CACHE_LIMIT``: the walk rule of :func:`run_replica`."""
+    each, fit in ``_RECORD_CACHE_LIMIT``, and the pick table's rows for
+    every rate profile fit in ``_PICK_TABLE_LIMIT``: the walk rule of
+    :func:`run_replica`."""
     n, k = params.n_sites, params.n_types
-    return (k + 1) ** n * (n + 2 * k - 1) <= _RECORD_CACHE_LIMIT
+    return (
+        (k + 1) ** n * (n + 2 * k - 1) <= _RECORD_CACHE_LIMIT
+        and _pick_table(params).max_bytes <= _PICK_TABLE_LIMIT
+    )
 
 
 def _block_sums(params: ModelParams) -> list[tuple[float, ...]]:
@@ -252,37 +277,155 @@ def _block_sums(params: ModelParams) -> list[tuple[float, ...]]:
     return [tuple(accumulate(params.alpha))] + [(rate,) for rate in params.beta]
 
 
-def _state_step(s: int, weight: list[int], sums, delta):
-    """Upper ends, total rate and successor indices of state ``s``.
+def _profile_ends(profile: tuple, sums, delta) -> tuple[list[float], float]:
+    """Upper ends and total rate of every state of rate profile
+    ``profile``, in ``RNG_SCHEME["event_order"]``.
 
-    Events come in ``RNG_SCHEME["event_order"]``; each type's active bonds
-    are collected in ascending order.  The lattice and the successor
-    indices are derived from ``s`` and the site weights
-    ``weight[i] = (K+1)**(N-1-i)``.
+    A state's upper ends depend only on its *rate profile*
+    ``(first, last, counts)``: the values of site 1 and site N and the
+    number of active bonds of each type, 0 for a type that does not hop.
     """
-    occ = [s // w % len(sums) for w in weight]
-    n = len(occ)
+    first, last, counts = profile
     uppers: list[float] = []
-    successors: list[int] = []
     base = 0.0
+    for v in (first, last):
+        uppers.extend(base + running for running in sums[v])
+        base = base + sums[v][-1]
+    for count, rate in zip(counts, delta):
+        uppers.extend(base + (j + 1) * rate for j in range(count))
+        base = base + count * rate
+    return uppers, base
+
+
+def _state_step(s: int, weight: list[int], radix: int, delta) -> tuple[tuple, list[int]]:
+    """Rate profile (see :func:`_profile_ends`) and successor indices of
+    state ``s``, its events in ``RNG_SCHEME["event_order"]``.
+
+    Each type's active bonds are collected in ascending order.  The
+    lattice and the successor indices are derived from ``s`` and the site
+    weights ``weight[i] = radix**(N-1-i)``, ``radix = K+1``.
+    """
+    occ = [s // w % radix for w in weight]
+    n = len(occ)
+    successors: list[int] = []
     for i0 in (0, n - 1):
         v, w = occ[i0], weight[i0]
         if v:
             successors.append(s - v * w)
         else:
             successors.extend(s + (k0 + 1) * w for k0 in range(len(delta)))
-        uppers.extend(base + running for running in sums[v])
-        base = base + sums[v][-1]
     hops: list[list[int]] = [[] for _ in delta]
     for i0, (u, v) in enumerate(zip(occ, occ[1:])):
         if (u == 0) != (v == 0) and delta[u + v - 1] > 0.0:
             step = weight[i0] - weight[i0 + 1]
             hops[u + v - 1].append(s - u * step if u else s + v * step)
-    for members, rate in zip(hops, delta):
-        uppers.extend(base + (j + 1) * rate for j in range(len(members)))
+    for members in hops:
         successors.extend(members)
-        base = base + len(members) * rate
-    return uppers, base, successors
+    return (occ[0], occ[-1], tuple(map(len, hops))), successors
+
+
+def _profiles(params: ModelParams) -> list[tuple]:
+    """Every rate profile a state of ``params``' lattice has, found site
+    by site from left to right: the reachable (site-1 value, value of the
+    site reached, active bonds of each type so far)."""
+    delta = hop_rates(params)
+    radix = params.n_types + 1
+    reach = {(v, v, (0,) * params.n_types) for v in range(radix)}
+    for _ in range(params.n_sites - 1):
+        grown = set()
+        for first, u, counts in reach:
+            for v in range(radix):
+                k0 = u + v - 1
+                if (u == 0) != (v == 0) and delta[k0] > 0.0:
+                    grown.add((first, v, counts[:k0] + (counts[k0] + 1,) + counts[k0 + 1:]))
+                else:
+                    grown.add((first, v, counts))
+        reach = grown
+    return sorted(reach)
+
+
+def _thresholds(ends: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """For each upper end ``e`` of total ``T``, the smallest double
+    ``u >= 0`` for which the product ``u * T``, rounded, is at least
+    ``e``.  numpy rounds the product as Python does, and rounding is
+    monotone, so ``u2 * T >= e`` exactly when ``u2`` is at least the
+    threshold."""
+    u = ends / totals
+    while True:
+        low = u * totals < ends
+        if not low.any():
+            break
+        u[low] = np.nextafter(u[low], np.inf)
+    while True:
+        down = np.nextafter(u, -np.inf)
+        high = (down >= 0.0) & (down * totals >= ends)
+        if not high.any():
+            return u
+        u[high] = down[high]
+
+
+class _PickTable:
+    """The memo walk's event picks for one model, exact to the bit.
+
+    ``bisect_right(uppers, u2 * total)``, the bisection's pick, is the
+    number of the state's upper ends whose threshold (:func:`_thresholds`)
+    is at most ``u2``.  The sorted thresholds of every rate profile
+    (:func:`_profiles`) below 1 are the ``cuts``; they split [0, 1) into
+    cells, and a uniform's cell (:meth:`cells`) is the number of cuts at
+    or below it.  Within a cell no profile's pick changes, so a profile's
+    pick row (:meth:`row`), one byte per cell, gives the bisection's pick
+    for every uniform.  The rows are built on each profile's first use;
+    all of them and the cell grid take ``max_bytes``.
+    """
+
+    def __init__(self, params: ModelParams) -> None:
+        sums, delta = _block_sums(params), hop_rates(params)
+        profiles = _profiles(params)
+        ends = [_profile_ends(profile, sums, delta) for profile in profiles]
+        sizes = [len(uppers) for uppers, _ in ends]
+        thresholds = _thresholds(
+            np.array([e for uppers, _ in ends for e in uppers]),
+            np.repeat([total for _, total in ends], sizes),
+        )
+        # Sorted and deduplicated by hand: np.unique imports numpy.ma.
+        cuts = np.sort(thresholds[thresholds < 1.0])
+        self.cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
+        self.lowest = np.concatenate(([0.0], self.cuts))  # each cell's lowest uniform
+        self.highest = np.append(self.cuts, 1.0)  # above each cell's uniforms
+        # A grid of 2^b equal buckets, more than 8 per cut, and the cell of
+        # each bucket's lowest uniform; u * 2^b is exact.
+        self.scale = float(1 << (8 * len(self.cuts)).bit_length())
+        self.first = np.searchsorted(
+            self.cuts, np.arange(self.scale) / self.scale, side="right"
+        )
+        self.thresholds = dict(zip(profiles, np.split(thresholds, np.cumsum(sizes)[:-1])))
+        self.totals = {profile: total for profile, (_, total) in zip(profiles, ends)}
+        self.rows: dict[tuple, bytes] = {}
+        self.max_bytes = len(profiles) * len(self.lowest) + self.first.nbytes
+
+    def cells(self, uniforms: np.ndarray) -> list[int]:
+        """The cell of each uniform: its bucket's first cell, or for the
+        few that lie at or above a cut of their bucket, a binary search."""
+        cell = self.first[(uniforms * self.scale).astype(np.intp)]
+        late = np.flatnonzero(uniforms >= self.highest[cell])
+        if late.size:
+            cell[late] = np.searchsorted(self.cuts, uniforms[late], side="right")
+        return cell.tolist()
+
+    def row(self, profile: tuple) -> bytes:
+        """Each cell's pick for a state of rate profile ``profile``.  The
+        last upper end, the total, has threshold 1, above every uniform, so
+        no pick passes the last event; a state has fewer than 256 events
+        wherever the records fit."""
+        row = self.rows.get(profile)
+        if row is None:
+            picks = np.searchsorted(self.thresholds[profile], self.lowest, side="right")
+            row = self.rows[profile] = picks.astype(np.uint8).tobytes()
+        return row
+
+
+# A process simulates one model at a time; worker processes build their own.
+_pick_table = lru_cache(maxsize=1)(_PickTable)
 
 
 class _Walk:
@@ -290,9 +433,9 @@ class _Walk:
     time, and gives the window pass what it needs.
 
     :meth:`blocks` walks ``_EVENT_BLOCK`` events at a time; ``_walk(picks)``
-    takes one event for each event-pick uniform and returns their total
-    rates.  :meth:`changes` gives the last block's site changes,
-    :meth:`lattice` each site's value now and ``t`` the time now.
+    takes one event for each event-pick uniform of the array ``picks`` and
+    returns their total rates.  :meth:`changes` gives the last block's site
+    changes, :meth:`lattice` each site's value now and ``t`` the time now.
     """
 
     t = 0.0
@@ -313,7 +456,7 @@ class _Walk:
             block = min(events, _EVENT_BLOCK)
             events -= block
             uniforms = self.rng_random(2 * block)
-            totals = self._walk(uniforms[1::2].tolist())
+            totals = self._walk(uniforms[1::2])
             dt = -np.log1p((-uniforms[0::2])[::-1])[::-1]
             dt /= totals
             times = np.cumsum(np.concatenate(([self.t], dt)))  # adds in order, as t += dt
@@ -325,18 +468,23 @@ class _MemoWalk(_Walk):
     """The walk over a lattice all of whose states' steps fit the memo.
 
     Each state gets a dense id when first reached; ``steps[c]`` holds the
-    upper ends, total rate and successor ids of state ``states[c]`` once it
-    has been visited (None before).  A block of events is then a bare walk
-    over ids, whose total rates are gathered afterwards.  ``totals`` is the
-    array of each id's total rate (0 until visited); the totals of a
-    block's first visits are written into a grown copy of it after that
-    block, so a block that visits no new state reuses it.
+    pick row of state ``states[c]``'s rate profile and its successor ids
+    once it has been visited (None before).  A block of events is then a
+    bare walk over ids: the block's event-pick uniforms are turned into
+    cells of the model's :class:`_PickTable` in one numpy call, and each
+    event is ``successors[row[cell]]``, bitwise the pick of a bisection
+    over the state's upper ends.  The total rates are gathered afterwards:
+    ``totals`` is the array of each id's total rate (0 until visited); the
+    totals of a block's first visits are written into a grown copy of it
+    after that block, so a block that visits no new state reuses it.
     """
 
     def __init__(self, params: ModelParams, rng_random) -> None:
         n = params.n_sites
-        self.weight = [(params.n_types + 1) ** (n - 1 - i0) for i0 in range(n)]
-        self.sums, self.delta = _block_sums(params), hop_rates(params)
+        self.radix = params.n_types + 1
+        self.weight = [self.radix ** (n - 1 - i0) for i0 in range(n)]
+        self.delta = hop_rates(params)
+        self.table = _pick_table(params)
         self.rng_random = rng_random
         self.id_of = {0: 0}  # state index -> id
         self.states = [0]  # id -> state index
@@ -351,34 +499,32 @@ class _MemoWalk(_Walk):
     def lattice(self) -> list[int]:
         """Each site's value now."""
         s = self.states[self.current]
-        return [s // w % len(self.sums) for w in self.weight]
+        return [s // w % self.radix for w in self.weight]
 
     def _visit(self, c: int) -> tuple:
-        uppers, total, successors = _state_step(self.states[c], self.weight, self.sums, self.delta)
+        profile, successors = _state_step(self.states[c], self.weight, self.radix, self.delta)
         id_of, states = self.id_of, self.states
         for s in successors:
             if s not in id_of:
                 id_of[s] = len(states)
                 states.append(s)
                 self.steps.append(None)
-        self.fresh.append((c, total))
-        step = self.steps[c] = (uppers, total, tuple(id_of[s] for s in successors))
+        self.fresh.append((c, self.table.totals[profile]))
+        step = self.steps[c] = (self.table.row(profile), tuple(id_of[s] for s in successors))
         return step
 
-    def _walk(self, picks: list[float]) -> np.ndarray:
+    def _walk(self, picks: np.ndarray) -> np.ndarray:
         """Keeps the ids visited in ``self.ids``, led by the one before."""
         steps = self.steps
         c = self.current
         path = [c]
         append = path.append
-        # u2 <= 1 - 2**-53, so u2 * total rounds below total, the last
-        # upper end: the bisection always finds an event.
-        for u2 in picks:
+        for cell in self.table.cells(picks):
             try:
-                uppers, total, successors = steps[c]
+                row, successors = steps[c]
             except TypeError:  # None: a state not visited before
-                uppers, total, successors = self._visit(c)
-            c = successors[bisect_right(uppers, u2 * total)]
+                row, successors = self._visit(c)
+            c = successors[row[cell]]
             append(c)
         self.current = c
         self.ids = np.fromiter(path, np.int64, len(path))
@@ -396,7 +542,7 @@ class _MemoWalk(_Walk):
         if known < len(self.states):
             new = np.array(self.states[known:], dtype=np.int64)
             place = np.array(self.weight, dtype=np.int64)[:, None]
-            values = (new // place % len(self.sums)).astype(self.values.dtype)
+            values = (new // place % self.radix).astype(self.values.dtype)
             self.values = np.concatenate((self.values, values), axis=1)
         occ = np.take(self.values, self.ids, axis=1)  # column j: the lattice before event j
         changed = np.flatnonzero(occ[:, 1:] != occ[:, :-1])  # site by site, each in time order
@@ -446,7 +592,7 @@ class _LatticeWalk(_Walk):
         """Each site's value now."""
         return list(self.occ)
 
-    def _walk(self, picks: list[float]) -> np.ndarray:
+    def _walk(self, picks: np.ndarray) -> np.ndarray:
         """Keeps the events' moves in ``self.moves``."""
         occ, classes, sums = self.occ, self.classes, self.sums
         block_total = [block[-1] for block in sums]
@@ -456,7 +602,7 @@ class _LatticeWalk(_Walk):
         moves: list[int] = []
         # u2 <= 1 - 2**-53, so u2 * total rounds below total, the last class
         # end: the bisection always finds a class.
-        for u2 in picks:
+        for u2 in picks.tolist():
             start = block_total[occ[0]]  # the site-1 block's end, 0.0 + its sum
             total = start + block_total[occ[-1]]
             ends = [start, total]
@@ -661,13 +807,14 @@ def run_replica(
     A walk picks the events and advances time; :func:`_memo_fits` chooses
     it once per run.  :class:`_MemoWalk` keeps each visited state's step
     (:func:`_state_step`) in a table that can hold every state's and picks
-    by one bisection per event over the upper ends; :class:`_LatticeWalk`
-    keeps each type's active bonds as a sorted list, updates at most two
-    of them per event, and picks the class by bisection over the K+2 class
-    ends and the member by division.  Both use the same upper-end
-    expressions, so they pick the same events.  The warm-up is the bare
-    walk; :func:`_window_pass` then takes the statistics from what the walk
-    gives for each block of the window.
+    each event from its rate profile's row of the model's
+    :class:`_PickTable`, bitwise the bisection over its upper ends;
+    :class:`_LatticeWalk` keeps each type's active bonds as a sorted list,
+    updates at most two of them per event, and picks the class by
+    bisection over the K+2 class ends and the member by division.  Both
+    use the same upper-end expressions, so they pick the same events.  The
+    warm-up is the bare walk; :func:`_window_pass` then takes the
+    statistics from what the walk gives for each block of the window.
     """
     m = 0
     if track_state_occupancy:
@@ -723,10 +870,10 @@ def run_replicas(
     fork is safe; in a threaded caller, or on a platform without
     ``fork``, the replicas run in process.  Serial against pooled on a
     2-core machine, N=5/K=2 with state tracking, medians of 11 alternating
-    calls in each of two sets: 2 x 2500 events 9.3-9.5 -> 19-32 ms,
-    2 x 2.5*10^4 28-31 -> 33-58 ms, 2 x 5*10^4 49-50 -> 42-44 ms,
-    4 x 2.5*10^4 42-55 -> 47-48 ms, 4 x 5*10^4 101-102 -> 69-73 ms,
-    4 x 2*10^5 340-357 -> 198-213 ms.
+    calls in each of two sets: 2 x 2.5*10^4 events 26-28 -> 31-58 ms,
+    4 x 2.5*10^4 38-51 -> 40-51 ms, 2 x 5*10^4 41-44 -> 41-48 ms,
+    4 x 5*10^4 80-84 -> 63-64 ms, 4 x 10^5 144-152 -> 99-106 ms,
+    4 x 2*10^5 252-267 -> 165-167 ms.
     """
     workers = _pool_workers(config, _usable_cpus())
     if workers:

@@ -2,8 +2,10 @@ import concurrent.futures
 import dataclasses
 import math
 import pickle
+import random
 import threading
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sepsim import (
     SimStats,
     apply_event,
     encode,
+    hop_rates,
     merge_replicas,
     product_form,
     replica_rng,
@@ -51,6 +54,8 @@ DIRECT_METHOD_CASES = [
 DIRECT_METHOD_IDS = [
     "two-site", "n6k3-immobile-type", "n2k2-no-boundary-hops", "n5k2-warmup", "n3k2-warmup",
 ]
+# A K=3 memo lattice with an immobile type and rates over two decades.
+N4K3_ZERO_HOP = params(4, 3, alpha=(0.2, 3.0, 1.0), beta=(1.5, 0.1, 8.0), delta=(2.0, 0.0, 0.5))
 
 
 def replay(model, cfg, replica_index, track=False):
@@ -248,6 +253,57 @@ class TestHoldingTimes:
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+def kmc_small_rates(seed):
+    """The README model at N=5, K=2, each rate times a factor drawn
+    log-uniformly from [0.8, 1.25], as the benchmark draws them."""
+    rng = random.Random(seed)
+
+    def jitter(base):
+        return tuple(b * math.exp(rng.uniform(math.log(0.8), math.log(1.25))) for b in base)
+
+    return params(5, 2, alpha=jitter((1.0, 2.0)), beta=jitter((2.0, 1.0)), delta=jitter((1.0, 1.0)))
+
+
+PICK_TABLE_CASES = [
+    kmc_small_rates(1),
+    N4K3_ZERO_HOP,
+    params(2, 2, alpha=(1.0, 0.5), beta=(2.0, 1.0), delta=(1.0, 3.0), boundary_hops=False),
+    params(5, 2, alpha=(1e-6, 1e3), beta=(1e3, 1e-3)),
+]
+PICK_TABLE_IDS = ["n5k2-jittered", "n4k3-zero-hop", "n2k2-no-boundary-hops", "n5k2-stiff"]
+
+
+class TestPickTable:
+    @pytest.mark.parametrize("model", PICK_TABLE_CASES, ids=PICK_TABLE_IDS)
+    def test_profiles_are_those_of_the_states(self, model):
+        radix = model.n_types + 1
+        weight = [radix ** (model.n_sites - 1 - i0) for i0 in range(model.n_sites)]
+        seen = {
+            simulate._state_step(s, weight, radix, hop_rates(model))[0]
+            for s in range(state_space_size(model))
+        }
+        assert seen == set(simulate._profiles(model))
+
+    @pytest.mark.parametrize("model", PICK_TABLE_CASES, ids=PICK_TABLE_IDS)
+    def test_picks_equal_the_bisection(self, model):
+        # Each profile's bisection pick changes only at its thresholds, all
+        # of which are cuts, and the table's only from cell to cell, so the
+        # two agree for every uniform once they agree on both sides of every
+        # cut: at the cut and at the double below it.
+        table = simulate._PickTable(model)
+        cuts = table.cuts
+        assert cuts[0] > 0.0 and cuts[-1] < 1.0
+        u = np.concatenate(([0.0, 1.0 - 2.0**-53], cuts, np.nextafter(cuts, 0.0)))
+        cells = table.cells(u)
+        assert cells == np.searchsorted(cuts, u, side="right").tolist()
+        sums, delta = simulate._block_sums(model), hop_rates(model)
+        for profile in simulate._profiles(model):
+            uppers, total = simulate._profile_ends(profile, sums, delta)
+            row = table.row(profile)
+            assert len(row) == len(cuts) + 1
+            assert [row[c] for c in cells] == [bisect_right(uppers, x * total) for x in u.tolist()]
+
+
 class TestRunReplica:
     def test_bitwise_determinism(self):
         cfg = SimConfig(seed=9, max_events=5000, warmup_fraction=0.25)
@@ -266,32 +322,57 @@ class TestRunReplica:
         "model, warmup_fraction",
         [
             *DIRECT_METHOD_CASES,
+            (N4K3_ZERO_HOP, 0.2),
             (params(30, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(1.0, 0.3, 2.0)), 0.2),
         ],
-        ids=[*DIRECT_METHOD_IDS, "n30k3"],
+        ids=[*DIRECT_METHOD_IDS, "n4k3-zero-hop", "n30k3"],
     )
     def test_memo_and_incremental_paths_agree(self, monkeypatch, model, warmup_fraction):
         # Each walk forced in turn: the per-state memo and the per-type
         # sorted bond lists must pick bitwise the same events, and the one
         # window pass over either must replay through the reference stepper.
+        # N=30/K=3 is off the memo, by its records and by its pick table
+        # (37,037 rate profiles with 896,820 upper ends, so up to 0.9 MB a
+        # row), so it runs the lattice walk alone.
         track = state_space_size(model) <= simulate.STATE_TRACKING_LIMIT
+        memo_fits = simulate._memo_fits(model)
+        assert memo_fits == (model.n_sites < 30)
+        walks = (True, False) if memo_fits else (False,)
         for seed in range(3):
             cfg = SimConfig(seed=seed, max_events=2000, warmup_fraction=warmup_fraction)
             runs = []
-            for memo in (True, False):
+            for memo in walks:
                 monkeypatch.setattr(simulate, "_memo_fits", lambda _params, memo=memo: memo)
                 runs.append(run_replica(model, cfg, 1, track_state_occupancy=track))
-            memo_stats, incremental_stats = runs
-            assert incremental_stats == memo_stats
+            incremental_stats = runs[-1]
+            assert all(stats == incremental_stats for stats in runs)
             assert (incremental_stats.state_occupancy_time is not None) == track
             assert incremental_stats == replay(model, cfg, 1, track)
 
-    def test_path_rule_keeps_the_memo_within_budget(self):
-        # The memo holds every state's records at once only where they fit.
+    def test_path_rule_keeps_the_memo_within_budget(self, monkeypatch):
+        # The memo holds every state's records at once only where they fit,
+        # and its pick table only where every rate profile's row fits.
         assert simulate._memo_fits(params(9, 2))  # 3^9 states x 12 events
         assert not simulate._memo_fits(params(10, 2))
         assert simulate._memo_fits(params(14, 1))  # 2^14 states x 15 events
         assert not simulate._memo_fits(params(15, 1))
+        # The widest lattice whose records fit, at rates spread over a
+        # decade: 2500 rate profiles of up to 99 events.
+        k = 49
+        wide = params(2, k, alpha=tuple(10 ** (j / k) for j in range(k)),
+                      beta=tuple(10 ** ((j * 7 % k) / k) for j in range(k)),
+                      delta=tuple(10 ** ((j * 3 % k) / k) for j in range(k)))
+        table = simulate._PickTable(wide)
+        assert 10 * 2**20 < table.max_bytes <= simulate._PICK_TABLE_LIMIT
+        assert simulate._memo_fits(wide)
+        monkeypatch.setattr(simulate, "_PICK_TABLE_LIMIT", table.max_bytes - 1)
+        assert not simulate._memo_fits(wide)
+        # The rows a run builds stay within the table's bound.
+        model = params(6, 3, alpha=(1.0, 0.5, 2.0), beta=(1.5, 1.0, 0.7), delta=(1.0, 0.4, 2.0))
+        run_replica(model, SimConfig(seed=1, max_events=20_000), 0)
+        table = simulate._pick_table(model)
+        built = sum(map(len, table.rows.values())) + table.first.nbytes
+        assert table.rows and built <= table.max_bytes < 2**20
 
     @pytest.mark.parametrize(
         "model, cfg, expected, sums",
@@ -347,8 +428,8 @@ class TestRunReplica:
     @pytest.mark.parametrize("memo", [True, False], ids=["memo", "incremental"])
     @pytest.mark.parametrize(
         "model, warmup_fraction",
-        [*DIRECT_METHOD_CASES[3:], (TWO_SITE, 0.3)],
-        ids=[*DIRECT_METHOD_IDS[3:], "two-site-warmup"],
+        [*DIRECT_METHOD_CASES[3:], (TWO_SITE, 0.3), (N4K3_ZERO_HOP, 0.2)],
+        ids=[*DIRECT_METHOD_IDS[3:], "two-site-warmup", "n4k3-zero-hop"],
     )
     def test_statistics_carry_across_blocks(self, monkeypatch, model, warmup_fraction, memo, block):
         # Blocks of 1 and 7 events, the warm-up ending inside a block of 7:
