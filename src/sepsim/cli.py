@@ -443,11 +443,11 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
     closed = product_form(params)
     solved = solve_stationary(gen) if negative_control else clean_solved
 
-    # Constant: solve_stationary has already refused a reducible generator,
-    # and the negative control changes rates, not the transition graph.
-    checks = [_check("irreducible", 0.0, 0.5, note="0 when the transition graph is strongly connected")]
-    checks.append(_check("oracle_equivalence", np.abs(solved - closed).max(), tol["oracle_equivalence"],
-                         note=f"max relative deviation {np.abs(solved / closed - 1.0).max():.3e}"))
+    # No irreducibility entry: solve_stationary has already refused a
+    # reducible generator (exit 2), and the negative control changes rates,
+    # not the transition graph.
+    checks = [_check("oracle_equivalence", np.abs(solved - closed).max(), tol["oracle_equivalence"],
+                     note=f"max relative deviation {np.abs(solved / closed - 1.0).max():.3e}")]
 
     balance = detailed_balance_residual(gen, closed)
     checks.append(_check("detailed_balance", balance.max_abs_residual, tol["detailed_balance"]))

@@ -16,8 +16,10 @@ by lattice size:
 
 - the memo walk, where every state's step records fit in
   ``_RECORD_CACHE_LIMIT`` records and the model's pick table in
-  ``_PICK_TABLE_LIMIT`` bytes, keeps each visited state's successors,
-  built in O(N) on first visit, and picks from the table (see below);
+  ``_PICK_TABLE_LIMIT`` bytes, walks on canonical state indices through
+  every state's successors, built at once per model from the event rules
+  of :func:`~sepsim.exact._event_pairs`, and picks from the table (see
+  below);
 - the lattice walk keeps the lattice as a list and one sorted list of
   active bonds per type, updates at most two of them per event, and picks
   the class by bisection over the K+2 class ends and the bond by
@@ -75,6 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .exact import _event_pairs
 from .model import (
     Event,
     EventKind,
@@ -246,10 +249,13 @@ def sample_next_event(
 
 _BOUNDARY_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE)
 
-# Record budget of the per-state memo (80-100 bytes a record with its
-# state's share, so about 25 MiB).  A lattice all of whose states' records
-# fit in it, and whose pick table fits in _PICK_TABLE_LIMIT bytes, is
-# walked from the memo; any other by the lattice walk.
+# Record budget of the memo walk's table, which holds every state's
+# successors, at most N+2K-1 records each, built at once per model.  At
+# the README rates it kept 33 bytes per budget record at N=9/K=2 and 27 at
+# N=14/K=1 (7.5 and 6.4 MiB; the build's traced peak was 17 and 13 MiB).
+# A lattice all of whose states' records fit in it, and whose pick table
+# fits in _PICK_TABLE_LIMIT bytes, is walked from the memo; any other by
+# the lattice walk.
 _RECORD_CACHE_LIMIT = 1 << 18
 # Byte budget of the memo walk's pick table (rate profiles x cells, and its
 # cell grid).  At rates drawn at random over a decade, each of the 97
@@ -263,11 +269,16 @@ def _memo_fits(params: ModelParams) -> bool:
     """Whether the records of all (K+1)^N states, at most N+2K-1 events
     each, fit in ``_RECORD_CACHE_LIMIT``, and the pick table's rows for
     every rate profile fit in ``_PICK_TABLE_LIMIT``: the walk rule of
-    :func:`run_replica`."""
+    :func:`run_replica`.
+
+    Where the records fit, this builds the model's pick table and with it
+    every state's successors (:func:`_state_events`), once per process.
+    The rule looks at the lattice, not at the run, so a short run on a
+    large memo lattice builds states it never visits."""
     n, k = params.n_sites, params.n_types
     return (
         (k + 1) ** n * (n + 2 * k - 1) <= _RECORD_CACHE_LIMIT
-        and _pick_table(params).max_bytes <= _PICK_TABLE_LIMIT
+        and _pick_table(params).nbytes <= _PICK_TABLE_LIMIT
     )
 
 
@@ -282,10 +293,10 @@ def _profile_ends(profile: tuple, sums, delta) -> tuple[list[float], float]:
     ``profile``, in ``RNG_SCHEME["event_order"]``.
 
     A state's upper ends depend only on its *rate profile*
-    ``(first, last, counts)``: the values of site 1 and site N and the
+    ``(first, last, *counts)``: the values of site 1 and site N and the
     number of active bonds of each type, 0 for a type that does not hop.
     """
-    first, last, counts = profile
+    first, last, *counts = profile
     uppers: list[float] = []
     base = 0.0
     for v in (first, last):
@@ -297,51 +308,42 @@ def _profile_ends(profile: tuple, sums, delta) -> tuple[list[float], float]:
     return uppers, base
 
 
-def _state_step(s: int, weight: list[int], radix: int, delta) -> tuple[tuple, list[int]]:
-    """Rate profile (see :func:`_profile_ends`) and successor indices of
-    state ``s``, its events in ``RNG_SCHEME["event_order"]``.
+def _state_events(params: ModelParams) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Each state's successors, in ``RNG_SCHEME["event_order"]``, and its
+    rate profile (see :func:`_profile_ends`), by canonical state index,
+    read off the event families of :func:`~sepsim.exact._event_pairs`.
 
-    Each type's active bonds are collected in ascending order.  The
-    lattice and the successor indices are derived from ``s`` and the site
-    weights ``weight[i] = radix**(N-1-i)``, ``radix = K+1``.
+    A family and its reverse fill one column of a ``(K+1,)*N + (pairs,)``
+    tensor of successors, -1 where neither fires: each state of ``a`` goes
+    to the state in the same place of ``b``, and each state of ``b`` back.
+    The families come as the site-1 block, the site-N block, then the hops
+    by bond and type; with the hop columns put in type and bond order, a
+    state's row lists its events in the sampler's order, which the
+    row-major order of boolean indexing keeps.
     """
-    occ = [s // w % radix for w in weight]
-    n = len(occ)
-    successors: list[int] = []
-    for i0 in (0, n - 1):
-        v, w = occ[i0], weight[i0]
-        if v:
-            successors.append(s - v * w)
-        else:
-            successors.extend(s + (k0 + 1) * w for k0 in range(len(delta)))
-    hops: list[list[int]] = [[] for _ in delta]
-    for i0, (u, v) in enumerate(zip(occ, occ[1:])):
-        if (u == 0) != (v == 0) and delta[u + v - 1] > 0.0:
-            step = weight[i0] - weight[i0 + 1]
-            hops[u + v - 1].append(s - u * step if u else s + v * step)
-    for members in hops:
-        successors.extend(members)
-    return (occ[0], occ[-1], tuple(map(len, hops))), successors
-
-
-def _profiles(params: ModelParams) -> list[tuple]:
-    """Every rate profile a state of ``params``' lattice has, found site
-    by site from left to right: the reachable (site-1 value, value of the
-    site reached, active bonds of each type so far)."""
-    delta = hop_rates(params)
-    radix = params.n_types + 1
-    reach = {(v, v, (0,) * params.n_types) for v in range(radix)}
-    for _ in range(params.n_sites - 1):
-        grown = set()
-        for first, u, counts in reach:
-            for v in range(radix):
-                k0 = u + v - 1
-                if (u == 0) != (v == 0) and delta[k0] > 0.0:
-                    grown.add((first, v, counts[:k0] + (counts[k0] + 1,) + counts[k0 + 1:]))
-                else:
-                    grown.add((first, v, counts))
-        reach = grown
-    return sorted(reach)
+    n, n_types, radix = params.n_sites, params.n_types, params.n_types + 1
+    shape = (radix,) * n
+    m = state_space_size(params)
+    ids = np.arange(m).reshape(shape)
+    pairs = list(_event_pairs(params))
+    targets = np.full(shape + (len(pairs),), -1)
+    for column, (a, b, *_) in enumerate(pairs):
+        targets[a + (column,)] = ids[b]
+        targets[b + (column,)] = ids[a]
+    targets = targets.reshape(m, len(pairs))
+    boundary = 2 * n_types
+    mobile = [k0 for k0, rate in enumerate(hop_rates(params)) if rate > 0.0]
+    hops = targets[:, boundary:].reshape(m, n - 1, len(mobile)).swapaxes(1, 2)
+    targets = np.concatenate((targets[:, :boundary], hops.reshape(m, -1)), axis=1)
+    fires = targets >= 0
+    successors = targets[fires].tolist()
+    ends = np.cumsum(fires.sum(axis=1)).tolist()
+    counts = np.zeros((m, n_types), dtype=np.int64)
+    counts[:, mobile] = (hops >= 0).sum(axis=2)
+    ids = ids.ravel()
+    profiles = np.column_stack((ids // radix ** (n - 1), ids % radix, counts)).tolist()
+    steps = [tuple(successors[a:b]) for a, b in zip([0, *ends], ends)]
+    return steps, list(map(tuple, profiles))
 
 
 def _thresholds(ends: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -369,19 +371,24 @@ class _PickTable:
 
     ``bisect_right(uppers, u2 * total)``, the bisection's pick, is the
     number of the state's upper ends whose threshold (:func:`_thresholds`)
-    is at most ``u2``.  The sorted thresholds of every rate profile
-    (:func:`_profiles`) below 1 are the ``cuts``; they split [0, 1) into
-    cells, and a uniform's cell (:meth:`cells`) is the number of cuts at
-    or below it.  Within a cell no profile's pick changes, so a profile's
-    pick row (:meth:`row`), one byte per cell, gives the bisection's pick
-    for every uniform.  The rows are built on each profile's first use;
-    all of them and the cell grid take ``max_bytes``.
+    is at most ``u2``.  The ``profiles`` are those of the model's states
+    (:func:`_state_events`): state ``s`` has the successors
+    ``successors[s]`` and the profile ``profiles[profile_of[s]]``.  The
+    sorted thresholds of every profile below 1 are the ``cuts``; they
+    split [0, 1) into cells, and a uniform's cell (:meth:`cells`) is the
+    number of cuts at or below it.  Within a cell no profile's pick
+    changes, so a profile's pick row, one byte per cell, gives the
+    bisection's pick for every uniform; :meth:`rows` builds every
+    profile's at once.  All the rows and the cell grid take ``nbytes``.
     """
 
     def __init__(self, params: ModelParams) -> None:
         sums, delta = _block_sums(params), hop_rates(params)
-        profiles = _profiles(params)
-        ends = [_profile_ends(profile, sums, delta) for profile in profiles]
+        self.successors, profiles = _state_events(params)
+        number: dict[tuple, int] = {}
+        self.profile_of = [number.setdefault(profile, len(number)) for profile in profiles]
+        self.profiles = list(number)
+        ends = [_profile_ends(profile, sums, delta) for profile in self.profiles]
         sizes = [len(uppers) for uppers, _ in ends]
         thresholds = _thresholds(
             np.array([e for uppers, _ in ends for e in uppers]),
@@ -398,10 +405,9 @@ class _PickTable:
         self.first = np.searchsorted(
             self.cuts, np.arange(self.scale) / self.scale, side="right"
         )
-        self.thresholds = dict(zip(profiles, np.split(thresholds, np.cumsum(sizes)[:-1])))
-        self.totals = {profile: total for profile, (_, total) in zip(profiles, ends)}
-        self.rows: dict[tuple, bytes] = {}
-        self.max_bytes = len(profiles) * len(self.lowest) + self.first.nbytes
+        self.thresholds = np.split(thresholds, np.cumsum(sizes)[:-1])
+        self.totals = np.array([total for _, total in ends])
+        self.nbytes = len(self.profiles) * len(self.lowest) + self.first.nbytes
 
     def cells(self, uniforms: np.ndarray) -> list[int]:
         """The cell of each uniform: its bucket's first cell, or for the
@@ -412,20 +418,33 @@ class _PickTable:
             cell[late] = np.searchsorted(self.cuts, uniforms[late], side="right")
         return cell.tolist()
 
-    def row(self, profile: tuple) -> bytes:
-        """Each cell's pick for a state of rate profile ``profile``.  The
-        last upper end, the total, has threshold 1, above every uniform, so
-        no pick passes the last event; a state has fewer than 256 events
-        wherever the records fit."""
-        row = self.rows.get(profile)
-        if row is None:
-            picks = np.searchsorted(self.thresholds[profile], self.lowest, side="right")
-            row = self.rows[profile] = picks.astype(np.uint8).tobytes()
-        return row
+    def rows(self) -> list[bytes]:
+        """Each profile's pick for every cell.  The last upper end, the
+        total, has threshold 1, above every uniform, so no pick passes the
+        last event; a state has fewer than 256 events wherever the records
+        fit."""
+        return [
+            np.searchsorted(thresholds, self.lowest, side="right").astype(np.uint8).tobytes()
+            for thresholds in self.thresholds
+        ]
 
 
-# A process simulates one model at a time; worker processes build their own.
+# A process simulates one model at a time.  run_replicas builds both
+# tables before it forks its workers, so they inherit them.
 _pick_table = lru_cache(maxsize=1)(_PickTable)
+
+
+@lru_cache(maxsize=1)
+def _step_table(params: ModelParams) -> tuple[list[tuple[bytes, tuple]], np.ndarray, np.ndarray]:
+    """The memo walk's table for ``params``' lattice, built for every
+    state at once.  By canonical state index: the pick row of each state's
+    rate profile with its successors, its total rate, and its site values
+    (one column per state)."""
+    table = _pick_table(params)
+    rows = table.rows()
+    steps = [(rows[p], successors) for p, successors in zip(table.profile_of, table.successors)]
+    values = np.indices((params.n_types + 1,) * params.n_sites, dtype=np.min_scalar_type(params.n_types))
+    return steps, table.totals[table.profile_of], values.reshape(params.n_sites, -1)
 
 
 class _Walk:
@@ -467,83 +486,43 @@ class _Walk:
 class _MemoWalk(_Walk):
     """The walk over a lattice all of whose states' steps fit the memo.
 
-    Each state gets a dense id when first reached; ``steps[c]`` holds the
-    pick row of state ``states[c]``'s rate profile and its successor ids
-    once it has been visited (None before).  A block of events is then a
-    bare walk over ids: the block's event-pick uniforms are turned into
-    cells of the model's :class:`_PickTable` in one numpy call, and each
-    event is ``successors[row[cell]]``, bitwise the pick of a bisection
-    over the state's upper ends.  The total rates are gathered afterwards:
-    ``totals`` is the array of each id's total rate (0 until visited); the
-    totals of a block's first visits are written into a grown copy of it
-    after that block, so a block that visits no new state reuses it.
+    It walks on canonical state indices through the model's table
+    (:func:`_step_table`), built once per model and process: a block's
+    event-pick uniforms are turned into cells of the model's
+    :class:`_PickTable` in one numpy call, and each event is
+    ``successors[row[cell]]``, bitwise the pick of a bisection over the
+    state's upper ends.  The block's total rates and site changes are
+    gathered afterwards from the states it visited.
     """
 
     def __init__(self, params: ModelParams, rng_random) -> None:
-        n = params.n_sites
-        self.radix = params.n_types + 1
-        self.weight = [self.radix ** (n - 1 - i0) for i0 in range(n)]
-        self.delta = hop_rates(params)
         self.table = _pick_table(params)
+        self.steps, self.totals, self.values = _step_table(params)
         self.rng_random = rng_random
-        self.id_of = {0: 0}  # state index -> id
-        self.states = [0]  # id -> state index
-        self.totals = np.zeros(1)  # id -> total rate, once visited
-        self.fresh: list[tuple[int, float]] = []  # (id, total) visited in this block
-        self.steps: list[tuple | None] = [None]
-        # id -> each site's value, one column per id, grown by changes()
-        self.values = np.zeros((n, 0), dtype=np.min_scalar_type(params.n_types))
-        self.current = 0  # the current state's id
-        self.ids = np.zeros(1, dtype=np.int64)  # the last block's ids, led by the one before it
+        self.current = 0  # the current state
+        self.ids = np.zeros(1, dtype=np.int64)  # the last block's states, led by the one before it
 
     def lattice(self) -> list[int]:
         """Each site's value now."""
-        s = self.states[self.current]
-        return [s // w % self.radix for w in self.weight]
-
-    def _visit(self, c: int) -> tuple:
-        profile, successors = _state_step(self.states[c], self.weight, self.radix, self.delta)
-        id_of, states = self.id_of, self.states
-        for s in successors:
-            if s not in id_of:
-                id_of[s] = len(states)
-                states.append(s)
-                self.steps.append(None)
-        self.fresh.append((c, self.table.totals[profile]))
-        step = self.steps[c] = (self.table.row(profile), tuple(id_of[s] for s in successors))
-        return step
+        return self.values[:, self.current].tolist()
 
     def _walk(self, picks: np.ndarray) -> np.ndarray:
-        """Keeps the ids visited in ``self.ids``, led by the one before."""
+        """Keeps the states visited in ``self.ids``, led by the one before."""
         steps = self.steps
         c = self.current
         path = [c]
         append = path.append
         for cell in self.table.cells(picks):
-            try:
-                row, successors = steps[c]
-            except TypeError:  # None: a state not visited before
-                row, successors = self._visit(c)
+            row, successors = steps[c]
             c = successors[row[cell]]
             append(c)
         self.current = c
         self.ids = np.fromiter(path, np.int64, len(path))
-        if self.fresh:
-            totals = np.zeros(len(self.states))
-            totals[: len(self.totals)] = self.totals
-            totals[[c for c, _ in self.fresh]] = [total for _, total in self.fresh]
-            self.totals, self.fresh = totals, []
         return self.totals[self.ids[:-1]]
 
     def changes(self) -> tuple[np.ndarray, ...]:
         """The last block's site changes as :func:`_window_pass` takes them,
-        read off the site values of the ids it visited."""
-        known = self.values.shape[1]
-        if known < len(self.states):
-            new = np.array(self.states[known:], dtype=np.int64)
-            place = np.array(self.weight, dtype=np.int64)[:, None]
-            values = (new // place % self.radix).astype(self.values.dtype)
-            self.values = np.concatenate((self.values, values), axis=1)
+        read off the site values of the states it visited."""
         occ = np.take(self.values, self.ids, axis=1)  # column j: the lattice before event j
         changed = np.flatnonzero(occ[:, 1:] != occ[:, :-1])  # site by site, each in time order
         site, event = np.divmod(changed, len(self.ids) - 1)
@@ -805,9 +784,10 @@ def run_replica(
     what empirical joint-distribution checks consume.
 
     A walk picks the events and advances time; :func:`_memo_fits` chooses
-    it once per run.  :class:`_MemoWalk` keeps each visited state's step
-    (:func:`_state_step`) in a table that can hold every state's and picks
-    each event from its rate profile's row of the model's
+    it once per run.  :class:`_MemoWalk` walks on canonical state indices
+    through the model's table of every state's step (:func:`_step_table`),
+    built on the first replica of a model in a process and kept, and
+    picks each event from its rate profile's row of the model's
     :class:`_PickTable`, bitwise the bisection over its upper ends;
     :class:`_LatticeWalk` keeps each type's active bonds as a sorted list,
     updates at most two of them per event, and picks the class by
@@ -864,6 +844,7 @@ def run_replicas(
     in this process.
 
     Workers are forked, not spawned: a fork inherits the imported modules,
+    and the model's memo tables, which are built here before the fork,
     while a spawned worker would import numpy and sepsim again before its
     first event.  The sampler starts no threads and takes no locks, and
     the pool is used only while the caller runs no other thread, so the
@@ -885,6 +866,8 @@ def run_replicas(
         if threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
+            if _memo_fits(params):
+                _step_table(params)  # built once, here: the workers inherit it
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
                 futures = [

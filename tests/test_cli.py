@@ -175,7 +175,6 @@ class TestCmdVerify:
         assert doc["passed"] is True
         names = {c["name"] for c in doc["checks"]}
         assert {
-            "irreducible",
             "oracle_equivalence",
             "detailed_balance",
             "reversed_rates_general",
@@ -371,6 +370,18 @@ class TestMainEntry:
         path.write_text(json.dumps(document))
         assert main(["exact", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("flags", [[], ["--negative-control"]], ids=["clean", "negative-control"])
+    def test_verify_refuses_a_reducible_model(self, tmp_path, capsys, flags):
+        # verify has no irreducibility entry: the solve refuses a reducible
+        # generator, so the command exits 2 without a report.  An immobile
+        # type freezes the interior site of three.
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, n_sites=3, delta=[0.0])))
+        assert main(["verify", "--config", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "irreducible" in json.loads(captured.err)["error"]["message"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["exact", "--config", str(tmp_path / "nope.json")]) == 2

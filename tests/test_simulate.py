@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
+import functools
 import math
+import os
 import pickle
 import random
 import threading
@@ -17,6 +19,8 @@ from sepsim import (
     SimConfig,
     SimStats,
     apply_event,
+    decode,
+    enabled_events,
     encode,
     hop_rates,
     merge_replicas,
@@ -271,18 +275,45 @@ PICK_TABLE_CASES = [
     params(5, 2, alpha=(1e-6, 1e3), beta=(1e3, 1e-3)),
 ]
 PICK_TABLE_IDS = ["n5k2-jittered", "n4k3-zero-hop", "n2k2-no-boundary-hops", "n5k2-stiff"]
+# The widest lattice whose records fit, at rates spread over a decade: 2500
+# rate profiles of up to 99 events.
+WIDE = params(2, 49, alpha=tuple(10 ** (j / 49) for j in range(49)),
+              beta=tuple(10 ** ((j * 7 % 49) / 49) for j in range(49)),
+              delta=tuple(10 ** ((j * 3 % 49) / 49) for j in range(49)))
+
+
+def reference_order(state, model):
+    """The enabled events of ``state`` in sample_next_event's order: the
+    boundary events as enabled_events lists them, then the hops, stably by
+    type."""
+    events = [event for event, _ in enabled_events(state, model)]
+    boundary = [event for event in events if event.kind in (EventKind.ARRIVAL, EventKind.DEPARTURE)]
+    hops = [event for event in events if event not in boundary]
+    return boundary + sorted(hops, key=lambda event: event.ptype)
 
 
 class TestPickTable:
-    @pytest.mark.parametrize("model", PICK_TABLE_CASES, ids=PICK_TABLE_IDS)
-    def test_profiles_are_those_of_the_states(self, model):
-        radix = model.n_types + 1
-        weight = [radix ** (model.n_sites - 1 - i0) for i0 in range(model.n_sites)]
-        seen = {
-            simulate._state_step(s, weight, radix, hop_rates(model))[0]
-            for s in range(state_space_size(model))
-        }
-        assert seen == set(simulate._profiles(model))
+    @pytest.mark.parametrize("model", [*PICK_TABLE_CASES, WIDE], ids=[*PICK_TABLE_IDS, "n2k49-wide"])
+    def test_steps_follow_the_reference_rules(self, model):
+        # Every state's step, as the memo walk reads it, against the
+        # reference stepper's rules: its successors in order, its pick row
+        # and its total rate, which is its profile's.
+        table = simulate._pick_table(model)
+        steps, totals, values = simulate._step_table(model)
+        rows = table.rows()
+        sums, delta = simulate._block_sums(model), hop_rates(model)
+        assert len(steps) == len(totals) == values.shape[1] == state_space_size(model)
+        for s, (row, successors) in enumerate(steps):
+            state = decode(s, model)
+            assert values[:, s].tolist() == list(state)
+            expected = [encode(apply_event(state, event), model) for event in reference_order(state, model)]
+            assert list(successors) == expected
+            profile = table.profiles[table.profile_of[s]]
+            assert row == rows[table.profile_of[s]]
+            uppers, total = simulate._profile_ends(profile, sums, delta)
+            assert len(uppers) == len(successors) and totals[s] == total
+            rates = [rate for _, rate in enabled_events(state, model)]
+            assert total == pytest.approx(math.fsum(rates), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("model", PICK_TABLE_CASES, ids=PICK_TABLE_IDS)
     def test_picks_equal_the_bisection(self, model):
@@ -297,9 +328,8 @@ class TestPickTable:
         cells = table.cells(u)
         assert cells == np.searchsorted(cuts, u, side="right").tolist()
         sums, delta = simulate._block_sums(model), hop_rates(model)
-        for profile in simulate._profiles(model):
+        for profile, row in zip(table.profiles, table.rows(), strict=True):
             uppers, total = simulate._profile_ends(profile, sums, delta)
-            row = table.row(profile)
             assert len(row) == len(cuts) + 1
             assert [row[c] for c in cells] == [bisect_right(uppers, x * total) for x in u.tolist()]
 
@@ -356,23 +386,15 @@ class TestRunReplica:
         assert not simulate._memo_fits(params(10, 2))
         assert simulate._memo_fits(params(14, 1))  # 2^14 states x 15 events
         assert not simulate._memo_fits(params(15, 1))
-        # The widest lattice whose records fit, at rates spread over a
-        # decade: 2500 rate profiles of up to 99 events.
-        k = 49
-        wide = params(2, k, alpha=tuple(10 ** (j / k) for j in range(k)),
-                      beta=tuple(10 ** ((j * 7 % k) / k) for j in range(k)),
-                      delta=tuple(10 ** ((j * 3 % k) / k) for j in range(k)))
-        table = simulate._PickTable(wide)
-        assert 10 * 2**20 < table.max_bytes <= simulate._PICK_TABLE_LIMIT
-        assert simulate._memo_fits(wide)
-        monkeypatch.setattr(simulate, "_PICK_TABLE_LIMIT", table.max_bytes - 1)
-        assert not simulate._memo_fits(wide)
-        # The rows a run builds stay within the table's bound.
+        table = simulate._PickTable(WIDE)
+        assert 10 * 2**20 < table.nbytes <= simulate._PICK_TABLE_LIMIT
+        assert simulate._memo_fits(WIDE)
+        monkeypatch.setattr(simulate, "_PICK_TABLE_LIMIT", table.nbytes - 1)
+        assert not simulate._memo_fits(WIDE)
+        # The rows and the cell grid take the table's bytes.
         model = params(6, 3, alpha=(1.0, 0.5, 2.0), beta=(1.5, 1.0, 0.7), delta=(1.0, 0.4, 2.0))
-        run_replica(model, SimConfig(seed=1, max_events=20_000), 0)
-        table = simulate._pick_table(model)
-        built = sum(map(len, table.rows.values())) + table.first.nbytes
-        assert table.rows and built <= table.max_bytes < 2**20
+        table = simulate._PickTable(model)
+        assert sum(map(len, table.rows())) + table.first.nbytes == table.nbytes < 2**20
 
     @pytest.mark.parametrize(
         "model, cfg, expected, sums",
@@ -678,6 +700,29 @@ class TestRunReplicas:
         run_replicas(self.N5K2, cfg)
         assert pools == [2, 2]
         assert threading.active_count() == 1
+
+    def test_step_table_is_built_once_per_model(self, monkeypatch, pools):
+        # A model's memo table is built once per process: a second replica
+        # in process reuses it, and a pooled run builds it in the parent
+        # before the fork, so no worker builds its own.
+        parent, built = os.getpid(), []
+        build = simulate._step_table.__wrapped__
+
+        def counted(model):
+            assert os.getpid() == parent, "a pool worker built the step table"
+            built.append(model)
+            return build(model)
+
+        monkeypatch.setattr(simulate, "_step_table", functools.lru_cache(maxsize=1)(counted))
+        cfg = SimConfig(seed=7, max_events=2000, replicas=2)
+        for index in range(2):
+            run_replica(self.N5K2, cfg, index)
+        assert built == [self.N5K2]
+        other = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(0.5, 1.0))
+        pooled = run_replicas(other, cfg)
+        assert pools == [2] and built == [self.N5K2, other]
+        assert pooled == [run_replica(other, cfg, index) for index in range(2)]
+        assert built == [self.N5K2, other]
 
     def test_worker_exception_reaches_the_caller(self, pools):
         # N=30/K=3 has 4**30 states, too many to track: run_replica raises
