@@ -1,12 +1,14 @@
-"""Reversibility checks: pairwise balance, reversed rates, cycle criterion.
+"""Reversibility checks: pairwise balance, reversed rates, cycle criterion,
+and the hop-rate perturbation that breaks them.
 
 The stationary lattice process satisfies detailed balance: every directed
 transition rate weighted by the stationary probability of its source
 equals the reverse rate weighted by the target's probability, for general
 arrival/departure rates.  Consequently the time-reversed process has the
-same rates as the forward one.  This module computes the residuals of
-those statements so they can be asserted (or, for deliberately broken
-generators, shown to fail).
+same rates as the forward one.  This module computes the residual of each
+statement from a generator (the cycle criterion needs no distribution),
+and :func:`perturb_hop_rate` gives the negative control: a generator with
+one directed hop rate scaled, on which every one of them fails.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "detailed_balance_residual",
     "reversed_generator",
     "kolmogorov_cycle_residual",
-    "uniformity_check",
     "perturb_hop_rate",
 ]
 
@@ -117,19 +118,6 @@ def kolmogorov_cycle_residual(gen: Generator) -> float:
     if potential is None:
         raise ValueError("transition support is not structurally symmetric")
     return potential.mismatch
-
-
-def uniformity_check(params, dist: np.ndarray) -> float:
-    """Max deviation of the solved stationary distribution ``dist`` from uniform.
-
-    Only meaningful when every type's arrival rate equals its departure
-    rate, in which case the closed form collapses to the uniform
-    distribution; raises otherwise.
-    """
-    if any(a != b for a, b in zip(params.alpha, params.beta)):
-        raise ValueError("uniformity requires alpha[k] == beta[k] for every type")
-    dist = np.asarray(dist, dtype=np.float64)
-    return float(np.abs(dist - 1.0 / dist.size).max())
 
 
 def perturb_hop_rate(gen: Generator, factor: float = 2.0) -> Generator:

@@ -314,36 +314,42 @@ def _state_events(params: ModelParams) -> tuple[list[tuple[int, ...]], list[tupl
     read off the event families of :func:`~sepsim.exact._event_pairs`.
 
     A family and its reverse fill one column of a ``(K+1,)*N + (pairs,)``
-    tensor of successors, -1 where neither fires: each state of ``a`` goes
-    to the state in the same place of ``b``, and each state of ``b`` back.
-    The families come as the site-1 block, the site-N block, then the hops
-    by bond and type; with the hop columns put in type and bond order, a
-    state's row lists its events in the sampler's order, which the
-    row-major order of boolean indexing keeps.
+    int32 tensor of successors, -1 where neither fires: each state of ``a``
+    goes to the state in the same place of ``b``, and each state of ``b``
+    back.  The families come as the site-1 block, the site-N block, then
+    the hops by bond and type; each hop family fills the column of its
+    type and bond, so a state's row lists its events in the sampler's
+    order, which the row-major order of boolean indexing keeps.  The
+    tensor and its mask are dropped before the successors become lists.
     """
     n, n_types, radix = params.n_sites, params.n_types, params.n_types + 1
     shape = (radix,) * n
     m = state_space_size(params)
-    ids = np.arange(m).reshape(shape)
+    ids = np.arange(m, dtype=np.int32).reshape(shape)
     pairs = list(_event_pairs(params))
-    targets = np.full(shape + (len(pairs),), -1)
-    for column, (a, b, *_) in enumerate(pairs):
+    boundary = 2 * n_types
+    mobile = [k0 for k0, rate in enumerate(hop_rates(params)) if rate > 0.0]
+    # Family boundary + bond * len(mobile) + t goes to column
+    # boundary + t * (n - 1) + bond.
+    columns = [*range(boundary), *(boundary + t * (n - 1) + bond
+                                   for bond in range(n - 1) for t in range(len(mobile)))]
+    targets = np.full(shape + (len(pairs),), -1, dtype=np.int32)
+    for column, (a, b, *_) in zip(columns, pairs, strict=True):
         targets[a + (column,)] = ids[b]
         targets[b + (column,)] = ids[a]
     targets = targets.reshape(m, len(pairs))
-    boundary = 2 * n_types
-    mobile = [k0 for k0, rate in enumerate(hop_rates(params)) if rate > 0.0]
-    hops = targets[:, boundary:].reshape(m, n - 1, len(mobile)).swapaxes(1, 2)
-    targets = np.concatenate((targets[:, :boundary], hops.reshape(m, -1)), axis=1)
     fires = targets >= 0
-    successors = targets[fires].tolist()
-    ends = np.cumsum(fires.sum(axis=1)).tolist()
+    successors = targets[fires]
+    ends = np.cumsum(fires.sum(axis=1))
     counts = np.zeros((m, n_types), dtype=np.int64)
-    counts[:, mobile] = (hops >= 0).sum(axis=2)
+    counts[:, mobile] = fires[:, boundary:].reshape(m, len(mobile), n - 1).sum(axis=2)
+    del targets, fires
     ids = ids.ravel()
-    profiles = np.column_stack((ids // radix ** (n - 1), ids % radix, counts)).tolist()
+    firsts, lasts = (ids // radix ** (n - 1)).tolist(), (ids % radix).tolist()
+    profiles = list(zip(firsts, lasts, *counts.T.tolist()))
+    successors, ends = successors.tolist(), ends.tolist()
     steps = [tuple(successors[a:b]) for a, b in zip([0, *ends], ends)]
-    return steps, list(map(tuple, profiles))
+    return steps, profiles
 
 
 def _thresholds(ends: np.ndarray, totals: np.ndarray) -> np.ndarray:

@@ -90,8 +90,11 @@ class TestRunConfig:
         for value in (0.0, True, "1e-3", float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 run_config(tolerances={"oracle_equivalence": value})
-        with pytest.raises(ValueError):
-            run_config(tolerances={"no_such_check": 1e-9})
+        # verify has no flux, Little's law or uniformity entry, so their
+        # names are unknown too.
+        for name in ("no_such_check", "uniformity", "flux_identity", "littles_law_identity"):
+            with pytest.raises(ValueError, match="unknown tolerance"):
+                run_config(tolerances={name: 1e-9})
 
 
 class TestCmdExact:
@@ -173,18 +176,14 @@ class TestCmdVerify:
     def test_all_checks_pass_on_valid_model(self, overrides):
         doc = cmd_verify(run_config(**overrides))
         assert doc["passed"] is True
-        names = {c["name"] for c in doc["checks"]}
-        assert {
+        assert [c["name"] for c in doc["checks"]] == [
             "oracle_equivalence",
             "detailed_balance",
             "reversed_rates_general",
-            "flux_identity",
-            "littles_law_identity",
-            "uniformity",
             "delta_independence",
             "boundary_hop_independence",
             "kolmogorov_cycles",
-        } <= names
+        ]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -192,12 +191,11 @@ class TestCmdVerify:
               "delta": [1.0, 1.0]}],
         ids=["n2k1", "n8k2"],
     )
-    @pytest.mark.parametrize("negative_control, factorizations", [(False, 1), (True, 2)],
-                             ids=["clean", "negative-control"])
-    def test_factors_once_and_certifies_the_variants(self, monkeypatch, overrides,
-                                                       negative_control, factorizations):
+    @pytest.mark.parametrize("negative_control", [False, True], ids=["clean", "negative-control"])
+    def test_factors_once_and_certifies_the_variants(self, monkeypatch, overrides, negative_control):
         # The hop-rate and boundary-flag variants are certified, not solved:
-        # only the model itself (and its perturbed copy) is solved.
+        # only the model itself, or under the negative control only its
+        # perturbed copy, is solved.
         solve = sepsim.cli.solve_stationary
         calls = []
 
@@ -207,7 +205,7 @@ class TestCmdVerify:
 
         monkeypatch.setattr(sepsim.cli, "solve_stationary", counting_solve)
         doc = cmd_verify(run_config(**overrides), negative_control=negative_control)
-        assert len(calls) == factorizations
+        assert len(calls) == 1
         assert doc["passed"] is not negative_control
         by_name = {c["name"]: c for c in doc["checks"]}
         for name in ("delta_independence", "boundary_hop_independence"):
@@ -229,12 +227,10 @@ class TestCmdVerify:
         cmd_verify(config, negative_control=negative_control)
         assert calls == [config.model]
 
-    @pytest.mark.parametrize("negative_control, potentials", [(False, 1), (True, 2)],
-                             ids=["clean", "negative-control"])
-    def test_builds_the_tree_potential_once_per_generator(self, monkeypatch, negative_control,
-                                                          potentials):
-        # The solve and the cycle check read the same memoised potential; the
-        # negative control's perturbed copy builds its own, once.
+    @pytest.mark.parametrize("negative_control", [False, True], ids=["clean", "negative-control"])
+    def test_builds_the_tree_potential_once_per_generator(self, monkeypatch, negative_control):
+        # The solve and the cycle check read the same memoised potential: the
+        # model's own, or under the negative control its perturbed copy's.
         forest = sepsim.exact._forest_potential
         calls = []
 
@@ -246,7 +242,7 @@ class TestCmdVerify:
         config = run_config(n_sites=4, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0])
         doc = cmd_verify(config, negative_control=negative_control)
         assert doc["passed"] is not negative_control
-        assert len(calls) == len({id(gen) for gen in calls}) == potentials
+        assert len(calls) == 1
 
     def test_oracle_equivalence_notes_the_relative_deviation(self):
         config = run_config(n_sites=5, n_types=2, alpha=[1e-6, 1e3], beta=[1e3, 1e-3], delta=[1.0, 1.0])
@@ -256,15 +252,14 @@ class TestCmdVerify:
         assert float(oracle["note"][len(prefix):]) <= 1e-10
         assert oracle["status"] == "pass"
 
-    def test_rate_symmetric_model_runs_conditional_checks(self):
+    def test_rate_symmetric_model_passes_every_check(self):
         doc = cmd_verify(run_config(alpha=[1.0], beta=[1.0]))
-        by_name = {c["name"]: c for c in doc["checks"]}
-        assert by_name["uniformity"]["status"] == "pass"
+        assert doc["passed"] is True
+        assert {c["status"] for c in doc["checks"]} == {"pass"}
 
-    def test_general_model_skips_conditional_checks(self):
+    def test_general_model_notes_the_paper_case(self):
         doc = cmd_verify(run_config())
         by_name = {c["name"]: c for c in doc["checks"]}
-        assert by_name["uniformity"]["status"] == "skipped"
         general = by_name["reversed_rates_general"]
         assert general["status"] == "pass"
         # Detailed balance holds for alpha != beta too; the note names the paper's case.
@@ -288,7 +283,6 @@ class TestCmdVerify:
         assert doc["passed"] is False
         assert by_name["detailed_balance"]["status"] == "fail"
         assert by_name["kolmogorov_cycles"]["status"] == "fail"
-        assert by_name["flux_identity"]["status"] == "pass"
         general = by_name["reversed_rates_general"]
         assert general["status"] == "fail" and general["residual"] is None
         assert general["note"].startswith("distribution is not stationary")
@@ -639,7 +633,7 @@ class TestJsonWriter:
         assert err == _stdlib_text(json.loads(err))
 
     def test_emit_config_is_the_stdlib_text(self):
-        config = run_config(output="r\u00e9sultat.json", tolerances={"uniformity": 1e-5})
+        config = run_config(output="r\u00e9sultat.json", tolerances={"kolmogorov_cycles": 1e-5})
         assert emit_config(config) == _stdlib_text(config.to_dict())
 
     @pytest.mark.parametrize("array, expected", [

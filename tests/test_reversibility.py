@@ -11,7 +11,6 @@ from sepsim import (
     product_form,
     reversed_generator,
     solve_stationary,
-    uniformity_check,
 )
 from sepsim.exact import EDGE_HOP, _forest_potential, reverse_rates
 
@@ -164,25 +163,6 @@ class TestKolmogorovCycles:
         log_ratio = np.log(gen.rates) - np.log(reverse_rates(gen))
         offset = _forest_potential(gen, log_ratio)[0] - np.log(product_form(p))
         assert np.ptp(offset) <= 1e-10
-
-
-class TestUniformity:
-    @staticmethod
-    def solved(p):
-        return solve_stationary(build_generator(p))
-
-    def test_two_site_uniform(self):
-        p = params(2, 1)
-        assert uniformity_check(p, self.solved(p)) <= 1e-10
-
-    def test_three_site_two_type_uniform(self):
-        p = params(3, 2)
-        deviation = uniformity_check(p, self.solved(p))
-        assert deviation <= 1e-10  # 27 states, each 1/27
-
-    def test_unbalanced_rates_rejected(self):
-        with pytest.raises(ValueError):
-            uniformity_check(TWO_SITE, self.solved(TWO_SITE))
 
 
 class TestPerturbHopRate:
