@@ -165,6 +165,26 @@ class TestKolmogorovCycles:
         assert np.ptp(offset) <= 1e-10
 
 
+class TestUniformity:
+    """Under alpha == beta per type the stationary law is uniform, 1/M each."""
+
+    @staticmethod
+    def deviation(p):
+        dist = solve_stationary(build_generator(p))
+        return float(np.abs(dist - 1.0 / dist.size).max())
+
+    def test_two_site_uniform(self):
+        assert self.deviation(params(2, 1)) <= 1e-10
+
+    def test_three_site_two_type_uniform(self):
+        assert self.deviation(params(3, 2)) <= 1e-10  # 27 states, each 1/27
+
+    def test_unbalanced_rates_rejected(self):
+        dist = solve_stationary(build_generator(TWO_SITE))
+        np.testing.assert_allclose(dist, product_form(TWO_SITE), atol=1e-12)
+        assert self.deviation(TWO_SITE) > 1e-2
+
+
 class TestPerturbHopRate:
     def test_exactly_one_edge_scaled(self):
         gen = build_generator(TWO_SITE)
