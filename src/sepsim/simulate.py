@@ -15,11 +15,12 @@ advances time; there are two, bitwise alike, and the run takes one of them
 by lattice size:
 
 - the memo walk, where every state's step records fit in
-  ``_RECORD_CACHE_LIMIT`` records and the model's pick table in
-  ``_PICK_TABLE_LIMIT`` bytes, walks on canonical state indices through
-  every state's successors, built at once per model from the event rules
-  of :func:`~sepsim.exact._event_pairs`, and picks from the table (see
-  below);
+  ``_RECORD_CACHE_LIMIT`` records, walks on canonical state indices
+  through one table per model (:class:`_MemoTable`): every state's
+  successors, built at once from the event rules of
+  :func:`~sepsim.exact._event_pairs`, and its pick row (see below).  One
+  table, one budget: the record budget alone bounds the pick rows too,
+  whatever the rates (see ``_RECORD_CACHE_LIMIT``);
 - the lattice walk keeps the lattice as a list and one sorted list of
   active bonds per type, updates at most two of them per event, and picks
   the class by bisection over the K+2 class ends and the bond by
@@ -30,10 +31,10 @@ statistic from what the walk gives for each block of the window: its
 event times, its holding times and its site changes, in numpy.
 
 A state's upper ends depend only on its *rate profile*: the values of
-site 1 and site N and its number of active bonds of each type.  For each
-upper end ``e`` of a profile's total ``T`` the memo walk's pick table
-(:class:`_PickTable`) holds the threshold, the smallest double ``u`` with
-``u * T >= e`` as the product rounds.  Rounding is monotone, so the
+site 1 and site N and its number of active bonds of each type.  The memo
+walk's table (:class:`_MemoTable`) is built from the threshold of each
+upper end ``e`` of a profile's total ``T``, the smallest double ``u``
+with ``u * T >= e`` as the product rounds.  Rounding is monotone, so the
 bisection's pick ``bisect_right(uppers, u2 * T)`` is the number of
 thresholds at most ``u2``.  The thresholds of all profiles cut [0, 1)
 into cells, found for a whole block of uniforms at once; a byte row per
@@ -251,35 +252,26 @@ _BOUNDARY_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE)
 
 # Record budget of the memo walk's table, which holds every state's
 # successors, at most N+2K-1 records each, built at once per model.  At
-# the README rates it kept 33 bytes per budget record at N=9/K=2 and 27 at
-# N=14/K=1 (7.5 and 6.4 MiB; the build's traced peak was 17 and 13 MiB).
-# A lattice all of whose states' records fit in it, and whose pick table
-# fits in _PICK_TABLE_LIMIT bytes, is walked from the memo; any other by
-# the lattice walk.
+# the README rates the table keeps 29 bytes per budget record at N=9/K=2
+# and 26 at N=14/K=1 (6.5 and 6.0 MiB traced; the build's traced peak is
+# 8.9 and 8.0 MiB).  It bounds the table's pick rows too: with every
+# threshold distinct, the worst case for any rates, the largest pick table
+# (rows and cell grid) of the 97 lattices it admits is 19,866,226 bytes,
+# at N=3/K=18, and no state has 256 events.
 _RECORD_CACHE_LIMIT = 1 << 18
-# Byte budget of the memo walk's pick table (rate profiles x cells, and its
-# cell grid).  At rates drawn at random over a decade, each of the 97
-# lattices whose records fit has a table of at most 19 MB (N=3/K=18 and
-# N=2/K=49), so all of them keep the memo walk; N=9/K=2 takes 0.23 MB and
-# N=5/K=2 26 kB.
-_PICK_TABLE_LIMIT = 1 << 25
 
 
 def _memo_fits(params: ModelParams) -> bool:
     """Whether the records of all (K+1)^N states, at most N+2K-1 events
-    each, fit in ``_RECORD_CACHE_LIMIT``, and the pick table's rows for
-    every rate profile fit in ``_PICK_TABLE_LIMIT``: the walk rule of
-    :func:`run_replica`.
+    each, fit in ``_RECORD_CACHE_LIMIT``: the walk rule of
+    :func:`run_replica`.  It is the one budget of the memo walk's table,
+    which it bounds, pick rows included (see ``_RECORD_CACHE_LIMIT``).
 
-    Where the records fit, this builds the model's pick table and with it
-    every state's successors (:func:`_state_events`), once per process.
-    The rule looks at the lattice, not at the run, so a short run on a
-    large memo lattice builds states it never visits."""
+    A closed form of N and K: it builds nothing.  The rule looks at the
+    lattice, not at the run, so a short run on a large memo lattice builds
+    states it never visits."""
     n, k = params.n_sites, params.n_types
-    return (
-        (k + 1) ** n * (n + 2 * k - 1) <= _RECORD_CACHE_LIMIT
-        and _pick_table(params).nbytes <= _PICK_TABLE_LIMIT
-    )
+    return (k + 1) ** n * (n + 2 * k - 1) <= _RECORD_CACHE_LIMIT
 
 
 def _block_sums(params: ModelParams) -> list[tuple[float, ...]]:
@@ -372,38 +364,40 @@ def _thresholds(ends: np.ndarray, totals: np.ndarray) -> np.ndarray:
         u[high] = down[high]
 
 
-class _PickTable:
-    """The memo walk's event picks for one model, exact to the bit.
+class _MemoTable:
+    """The memo walk's table for one model, built for every state at once.
+
+    By canonical state index it holds each state's ``steps`` entry, the
+    pick row of its rate profile with its successors (:func:`_state_events`),
+    its total rate in ``totals``, and its site values, one column per state,
+    in ``values``.
 
     ``bisect_right(uppers, u2 * total)``, the bisection's pick, is the
     number of the state's upper ends whose threshold (:func:`_thresholds`)
-    is at most ``u2``.  The ``profiles`` are those of the model's states
-    (:func:`_state_events`): state ``s`` has the successors
-    ``successors[s]`` and the profile ``profiles[profile_of[s]]``.  The
-    sorted thresholds of every profile below 1 are the ``cuts``; they
-    split [0, 1) into cells, and a uniform's cell (:meth:`cells`) is the
-    number of cuts at or below it.  Within a cell no profile's pick
-    changes, so a profile's pick row, one byte per cell, gives the
-    bisection's pick for every uniform; :meth:`rows` builds every
-    profile's at once.  All the rows and the cell grid take ``nbytes``.
+    is at most ``u2``.  The sorted thresholds of every profile below 1 are
+    the ``cuts``; they split [0, 1) into cells, and a uniform's cell
+    (:meth:`cells`) is the number of cuts at or below it.  Within a cell no
+    profile's pick changes, so a profile's pick row, one byte per cell,
+    gives the bisection's pick for every uniform.  The last upper end, the
+    total, has threshold 1, above every uniform, so no pick passes the last
+    event, and a byte holds every pick: wherever the records fit the
+    record budget a state has fewer than 256 events.
     """
 
     def __init__(self, params: ModelParams) -> None:
         sums, delta = _block_sums(params), hop_rates(params)
-        self.successors, profiles = _state_events(params)
+        successors, profiles = _state_events(params)
         number: dict[tuple, int] = {}
-        self.profile_of = [number.setdefault(profile, len(number)) for profile in profiles]
-        self.profiles = list(number)
-        ends = [_profile_ends(profile, sums, delta) for profile in self.profiles]
+        profile_of = [number.setdefault(profile, len(number)) for profile in profiles]
+        del profiles  # as the upper ends below: dropped before the rows, to lower the build's peak
+        ends = [_profile_ends(profile, sums, delta) for profile in number]
         sizes = [len(uppers) for uppers, _ in ends]
-        thresholds = _thresholds(
-            np.array([e for uppers, _ in ends for e in uppers]),
-            np.repeat([total for _, total in ends], sizes),
-        )
+        totals = np.array([total for _, total in ends])
+        thresholds = _thresholds(np.array([e for uppers, _ in ends for e in uppers]), np.repeat(totals, sizes))
+        del ends
         # Sorted and deduplicated by hand: np.unique imports numpy.ma.
         cuts = np.sort(thresholds[thresholds < 1.0])
         self.cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
-        self.lowest = np.concatenate(([0.0], self.cuts))  # each cell's lowest uniform
         self.highest = np.append(self.cuts, 1.0)  # above each cell's uniforms
         # A grid of 2^b equal buckets, more than 8 per cut, and the cell of
         # each bucket's lowest uniform; u * 2^b is exact.
@@ -411,9 +405,15 @@ class _PickTable:
         self.first = np.searchsorted(
             self.cuts, np.arange(self.scale) / self.scale, side="right"
         )
-        self.thresholds = np.split(thresholds, np.cumsum(sizes)[:-1])
-        self.totals = np.array([total for _, total in ends])
-        self.nbytes = len(self.profiles) * len(self.lowest) + self.first.nbytes
+        lowest = np.concatenate(([0.0], self.cuts))  # each cell's lowest uniform
+        rows = [
+            np.searchsorted(own, lowest, side="right").astype(np.uint8).tobytes()
+            for own in np.split(thresholds, np.cumsum(sizes)[:-1])
+        ]
+        self.steps = [(rows[p], s) for p, s in zip(profile_of, successors)]
+        self.totals = totals[profile_of]
+        values = np.indices((params.n_types + 1,) * params.n_sites, dtype=np.min_scalar_type(params.n_types))
+        self.values = values.reshape(params.n_sites, -1)
 
     def cells(self, uniforms: np.ndarray) -> list[int]:
         """The cell of each uniform: its bucket's first cell, or for the
@@ -424,33 +424,10 @@ class _PickTable:
             cell[late] = np.searchsorted(self.cuts, uniforms[late], side="right")
         return cell.tolist()
 
-    def rows(self) -> list[bytes]:
-        """Each profile's pick for every cell.  The last upper end, the
-        total, has threshold 1, above every uniform, so no pick passes the
-        last event; a state has fewer than 256 events wherever the records
-        fit."""
-        return [
-            np.searchsorted(thresholds, self.lowest, side="right").astype(np.uint8).tobytes()
-            for thresholds in self.thresholds
-        ]
 
-
-# A process simulates one model at a time.  run_replicas builds both
-# tables before it forks its workers, so they inherit them.
-_pick_table = lru_cache(maxsize=1)(_PickTable)
-
-
-@lru_cache(maxsize=1)
-def _step_table(params: ModelParams) -> tuple[list[tuple[bytes, tuple]], np.ndarray, np.ndarray]:
-    """The memo walk's table for ``params``' lattice, built for every
-    state at once.  By canonical state index: the pick row of each state's
-    rate profile with its successors, its total rate, and its site values
-    (one column per state)."""
-    table = _pick_table(params)
-    rows = table.rows()
-    steps = [(rows[p], successors) for p, successors in zip(table.profile_of, table.successors)]
-    values = np.indices((params.n_types + 1,) * params.n_sites, dtype=np.min_scalar_type(params.n_types))
-    return steps, table.totals[table.profile_of], values.reshape(params.n_sites, -1)
+# A process simulates one model at a time.  run_replicas builds the table
+# before it forks its workers, so they inherit it.
+_memo_table = lru_cache(maxsize=1)(_MemoTable)
 
 
 class _Walk:
@@ -492,29 +469,27 @@ class _Walk:
 class _MemoWalk(_Walk):
     """The walk over a lattice all of whose states' steps fit the memo.
 
-    It walks on canonical state indices through the model's table
-    (:func:`_step_table`), built once per model and process: a block's
-    event-pick uniforms are turned into cells of the model's
-    :class:`_PickTable` in one numpy call, and each event is
-    ``successors[row[cell]]``, bitwise the pick of a bisection over the
-    state's upper ends.  The block's total rates and site changes are
-    gathered afterwards from the states it visited.
+    It walks on canonical state indices through the model's
+    :class:`_MemoTable`, built once per model and process: a block's
+    event-pick uniforms are turned into cells in one numpy call, and each
+    event is ``successors[row[cell]]``, bitwise the pick of a bisection
+    over the state's upper ends.  The block's total rates and site changes
+    are gathered afterwards from the states it visited.
     """
 
     def __init__(self, params: ModelParams, rng_random) -> None:
-        self.table = _pick_table(params)
-        self.steps, self.totals, self.values = _step_table(params)
+        self.table = _memo_table(params)
         self.rng_random = rng_random
         self.current = 0  # the current state
         self.ids = np.zeros(1, dtype=np.int64)  # the last block's states, led by the one before it
 
     def lattice(self) -> list[int]:
         """Each site's value now."""
-        return self.values[:, self.current].tolist()
+        return self.table.values[:, self.current].tolist()
 
     def _walk(self, picks: np.ndarray) -> np.ndarray:
         """Keeps the states visited in ``self.ids``, led by the one before."""
-        steps = self.steps
+        steps = self.table.steps
         c = self.current
         path = [c]
         append = path.append
@@ -524,12 +499,12 @@ class _MemoWalk(_Walk):
             append(c)
         self.current = c
         self.ids = np.fromiter(path, np.int64, len(path))
-        return self.totals[self.ids[:-1]]
+        return self.table.totals[self.ids[:-1]]
 
     def changes(self) -> tuple[np.ndarray, ...]:
         """The last block's site changes as :func:`_window_pass` takes them,
         read off the site values of the states it visited."""
-        occ = np.take(self.values, self.ids, axis=1)  # column j: the lattice before event j
+        occ = np.take(self.table.values, self.ids, axis=1)  # column j: the lattice before event j
         changed = np.flatnonzero(occ[:, 1:] != occ[:, :-1])  # site by site, each in time order
         site, event = np.divmod(changed, len(self.ids) - 1)
         before = changed + site  # the flat index in occ of the value before the event
@@ -790,11 +765,11 @@ def run_replica(
     what empirical joint-distribution checks consume.
 
     A walk picks the events and advances time; :func:`_memo_fits` chooses
-    it once per run.  :class:`_MemoWalk` walks on canonical state indices
-    through the model's table of every state's step (:func:`_step_table`),
-    built on the first replica of a model in a process and kept, and
-    picks each event from its rate profile's row of the model's
-    :class:`_PickTable`, bitwise the bisection over its upper ends;
+    it once per run from the record budget alone.  :class:`_MemoWalk`
+    walks on canonical state indices through the model's one table
+    (:class:`_MemoTable`), built on the first replica of a model in a
+    process and kept, and picks each event from its state's pick row,
+    bitwise the bisection over its upper ends;
     :class:`_LatticeWalk` keeps each type's active bonds as a sorted list,
     updates at most two of them per event, and picks the class by
     bisection over the K+2 class ends and the member by division.  Both
@@ -850,12 +825,13 @@ def run_replicas(
     in this process.
 
     Workers are forked, not spawned: a fork inherits the imported modules,
-    and the model's memo tables, which are built here before the fork,
-    while a spawned worker would import numpy and sepsim again before its
-    first event.  The sampler starts no threads and takes no locks, and
-    the pool is used only while the caller runs no other thread, so the
-    fork is safe; in a threaded caller, or on a platform without
-    ``fork``, the replicas run in process.  Serial against pooled on a
+    and the model's memo table where the lattice fits the record budget,
+    which is built here before the fork, while a spawned worker would
+    import numpy and sepsim again before its first event.  The sampler
+    starts no threads and takes no locks, and the pool is used only while
+    the caller runs no other thread, so the fork is safe; in a threaded
+    caller, or on a platform without ``fork``, the replicas run in
+    process.  Serial against pooled on a
     2-core machine, N=5/K=2 with state tracking, medians of 11 alternating
     calls in each of two sets: 2 x 2.5*10^4 events 26-28 -> 31-58 ms,
     4 x 2.5*10^4 38-51 -> 40-51 ms, 2 x 5*10^4 41-44 -> 41-48 ms,
@@ -873,7 +849,7 @@ def run_replicas(
             from concurrent.futures import ProcessPoolExecutor
 
             if _memo_fits(params):
-                _step_table(params)  # built once, here: the workers inherit it
+                _memo_table(params)  # built once, here: the workers inherit it
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
                 futures = [

@@ -276,7 +276,7 @@ PICK_TABLE_CASES = [
 ]
 PICK_TABLE_IDS = ["n5k2-jittered", "n4k3-zero-hop", "n2k2-no-boundary-hops", "n5k2-stiff"]
 # The widest lattice whose records fit, at rates spread over a decade: 2500
-# rate profiles of up to 99 events.
+# rate profiles of up to 98 events.
 WIDE = params(2, 49, alpha=tuple(10 ** (j / 49) for j in range(49)),
               beta=tuple(10 ** ((j * 7 % 49) / 49) for j in range(49)),
               delta=tuple(10 ** ((j * 3 % 49) / 49) for j in range(49)))
@@ -292,26 +292,46 @@ def reference_order(state, model):
     return boundary + sorted(hops, key=lambda event: event.ptype)
 
 
+def rate_profile(state, model):
+    """The rate profile of ``state`` read off its enabled events: the values
+    of site 1 and site N, then its number of hops of each type."""
+    hops = [event.ptype for event, _ in enabled_events(state, model)
+            if event.kind not in (EventKind.ARRIVAL, EventKind.DEPARTURE)]
+    return (state[0], state[-1], *(hops.count(k) for k in range(1, model.n_types + 1)))
+
+
+def worst_profiles(n, k):
+    """The rate profiles of the (K+1)^N states with every type mobile, one
+    column each, and their numbers of events, from the lattice alone."""
+    occ = np.indices((k + 1,) * n).reshape(n, -1)
+    near, far = occ[:-1], occ[1:]
+    hop = np.where(near == 0, far, np.where(far == 0, near, 0))  # each bond's hopping type, or 0
+    counts = [np.count_nonzero(hop == t, axis=0) for t in range(1, k + 1)]
+    events = sum(np.where(site == 0, k, 1) for site in (occ[0], occ[-1])) + np.count_nonzero(hop, axis=0)
+    profiles, first = np.unique(np.stack([occ[0], occ[-1], *counts]), axis=1, return_index=True)
+    return profiles, events, events[first]
+
+
 class TestPickTable:
     @pytest.mark.parametrize("model", [*PICK_TABLE_CASES, WIDE], ids=[*PICK_TABLE_IDS, "n2k49-wide"])
     def test_steps_follow_the_reference_rules(self, model):
         # Every state's step, as the memo walk reads it, against the
-        # reference stepper's rules: its successors in order, its pick row
-        # and its total rate, which is its profile's.
-        table = simulate._pick_table(model)
-        steps, totals, values = simulate._step_table(model)
-        rows = table.rows()
+        # reference stepper's rules: its successors in order, its total
+        # rate, which is its profile's, and its pick row, which every state
+        # of its profile shares.
+        table = simulate._MemoTable(model)
         sums, delta = simulate._block_sums(model), hop_rates(model)
-        assert len(steps) == len(totals) == values.shape[1] == state_space_size(model)
-        for s, (row, successors) in enumerate(steps):
+        rows = {}
+        assert len(table.steps) == len(table.totals) == table.values.shape[1] == state_space_size(model)
+        for s, (row, successors) in enumerate(table.steps):
             state = decode(s, model)
-            assert values[:, s].tolist() == list(state)
+            assert table.values[:, s].tolist() == list(state)
             expected = [encode(apply_event(state, event), model) for event in reference_order(state, model)]
             assert list(successors) == expected
-            profile = table.profiles[table.profile_of[s]]
-            assert row == rows[table.profile_of[s]]
+            profile = rate_profile(state, model)
+            assert rows.setdefault(profile, row) == row
             uppers, total = simulate._profile_ends(profile, sums, delta)
-            assert len(uppers) == len(successors) and totals[s] == total
+            assert len(uppers) == len(successors) and table.totals[s] == total
             rates = [rate for _, rate in enabled_events(state, model)]
             assert total == pytest.approx(math.fsum(rates), rel=1e-14, abs=0.0)
 
@@ -321,34 +341,58 @@ class TestPickTable:
         # of which are cuts, and the table's only from cell to cell, so the
         # two agree for every uniform once they agree on both sides of every
         # cut: at the cut and at the double below it.
-        table = simulate._PickTable(model)
+        table = simulate._MemoTable(model)
         cuts = table.cuts
         assert cuts[0] > 0.0 and cuts[-1] < 1.0
         u = np.concatenate(([0.0, 1.0 - 2.0**-53], cuts, np.nextafter(cuts, 0.0)))
         cells = table.cells(u)
         assert cells == np.searchsorted(cuts, u, side="right").tolist()
         sums, delta = simulate._block_sums(model), hop_rates(model)
-        for profile, row in zip(table.profiles, table.rows(), strict=True):
+        # Every state's row, once for each profile it is the row of.
+        rows = {(rate_profile(decode(s, model), model), row) for s, (row, _) in enumerate(table.steps)}
+        for profile, row in rows:
             uppers, total = simulate._profile_ends(profile, sums, delta)
             assert len(row) == len(cuts) + 1
             assert [row[c] for c in cells] == [bisect_right(uppers, x * total) for x in u.tolist()]
 
+    def test_record_budget_bounds_the_pick_table(self):
+        # Every lattice the record budget admits, with every type mobile
+        # (the most rate profiles) and every threshold distinct (the most
+        # cells, whatever the rates): no table's rows and cell grid pass
+        # 19,866,226 bytes, and no state has 256 events, so a byte holds
+        # each pick.  Enumerated from the lattice alone; no table is built.
+        worst = {}
+        k = 1
+        while (k + 1) ** 2 * (2 * k + 1) <= simulate._RECORD_CACHE_LIMIT:
+            n = 2
+            while (k + 1) ** n * (n + 2 * k - 1) <= simulate._RECORD_CACHE_LIMIT:
+                profiles, events, ends = worst_profiles(n, k)
+                assert events.max() < 256
+                cuts = int((ends - 1).sum())  # the last end's threshold is 1
+                worst[n, k] = profiles.shape[1] * (cuts + 1) + 8 * (1 << (8 * cuts).bit_length())
+                n += 1
+            k += 1
+        assert len(worst) == 97
+        assert max(worst, key=worst.get) == (3, 18) and worst[3, 18] == 19_866_226
+        # The enumeration gives the profiles of the table's own rules.
+        model = kmc_small_rates(1)
+        profiles, _, _ = worst_profiles(model.n_sites, model.n_types)
+        assert set(map(tuple, profiles.T.tolist())) == set(simulate._state_events(model)[1])
+
     @pytest.mark.parametrize("model", [params(9, 2), params(14, 1)], ids=["n9k2", "n14k1"])
     def test_step_table_build_peak_is_near_what_it_leaves(self, model):
         # The int32 successor tensor and its mask are dropped before the
-        # successors become lists, so the traced peak of building both
-        # tables is at most 1.5 times what the build leaves.
+        # successors become lists, so the traced peak of building the
+        # model's table is at most 1.5 times what the build leaves.
         def traced_build():
-            simulate._pick_table.cache_clear()
-            simulate._step_table.cache_clear()
+            simulate._memo_table.cache_clear()
             tracemalloc.start()
             try:
-                simulate._step_table(model)
+                simulate._memo_table(model)
                 return tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-                simulate._pick_table.cache_clear()
-                simulate._step_table.cache_clear()
+                simulate._memo_table.cache_clear()
 
         traced_build()  # the first traced build carries one-off allocations
         left, peak = traced_build()
@@ -382,9 +426,8 @@ class TestRunReplica:
         # Each walk forced in turn: the per-state memo and the per-type
         # sorted bond lists must pick bitwise the same events, and the one
         # window pass over either must replay through the reference stepper.
-        # N=30/K=3 is off the memo, by its records and by its pick table
-        # (37,037 rate profiles with 896,820 upper ends, so up to 0.9 MB a
-        # row), so it runs the lattice walk alone.
+        # N=30/K=3 is off the memo by its records, so it runs the lattice
+        # walk alone.
         track = state_space_size(model) <= simulate.STATE_TRACKING_LIMIT
         memo_fits = simulate._memo_fits(model)
         assert memo_fits == (model.n_sites < 30)
@@ -400,22 +443,16 @@ class TestRunReplica:
             assert (incremental_stats.state_occupancy_time is not None) == track
             assert incremental_stats == replay(model, cfg, 1, track)
 
-    def test_path_rule_keeps_the_memo_within_budget(self, monkeypatch):
-        # The memo holds every state's records at once only where they fit,
-        # and its pick table only where every rate profile's row fits.
+    def test_path_rule_keeps_the_memo_within_budget(self):
+        # The memo holds every state's records at once only where they fit.
+        # The rule is a closed form of N and K: it builds no table.
+        simulate._memo_table.cache_clear()
         assert simulate._memo_fits(params(9, 2))  # 3^9 states x 12 events
         assert not simulate._memo_fits(params(10, 2))
         assert simulate._memo_fits(params(14, 1))  # 2^14 states x 15 events
         assert not simulate._memo_fits(params(15, 1))
-        table = simulate._PickTable(WIDE)
-        assert 10 * 2**20 < table.nbytes <= simulate._PICK_TABLE_LIMIT
         assert simulate._memo_fits(WIDE)
-        monkeypatch.setattr(simulate, "_PICK_TABLE_LIMIT", table.nbytes - 1)
-        assert not simulate._memo_fits(WIDE)
-        # The rows and the cell grid take the table's bytes.
-        model = params(6, 3, alpha=(1.0, 0.5, 2.0), beta=(1.5, 1.0, 0.7), delta=(1.0, 0.4, 2.0))
-        table = simulate._PickTable(model)
-        assert sum(map(len, table.rows())) + table.first.nbytes == table.nbytes < 2**20
+        assert simulate._memo_table.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "model, cfg, expected, sums",
@@ -727,14 +764,14 @@ class TestRunReplicas:
         # in process reuses it, and a pooled run builds it in the parent
         # before the fork, so no worker builds its own.
         parent, built = os.getpid(), []
-        build = simulate._step_table.__wrapped__
+        build = simulate._MemoTable
 
         def counted(model):
-            assert os.getpid() == parent, "a pool worker built the step table"
+            assert os.getpid() == parent, "a pool worker built the memo table"
             built.append(model)
             return build(model)
 
-        monkeypatch.setattr(simulate, "_step_table", functools.lru_cache(maxsize=1)(counted))
+        monkeypatch.setattr(simulate, "_memo_table", functools.lru_cache(maxsize=1)(counted))
         cfg = SimConfig(seed=7, max_events=2000, replicas=2)
         for index in range(2):
             run_replica(self.N5K2, cfg, index)
