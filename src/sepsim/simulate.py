@@ -43,10 +43,12 @@ statistic are bitwise those of the bisection (the guide table of Chen and
 Asau, AIIE Trans. 6, 1974, made exact).
 
 :func:`run_replicas` runs all replicas of a run.  Long runs of two or
-more replicas go to a pool of forked worker processes, at most one per
-usable CPU; the rest run one after another in process.  Each replica is
-the same :func:`run_replica` call either way, so the results are bitwise
-those of a serial run.
+more replicas are shared among W workers, at most one per usable CPU: the
+calling process is worker 0 and runs its share while W - 1 forked children
+run theirs and send their results back over pipes; no child outlives the
+call.  The rest run one after another in process.  Each replica is the
+same :func:`run_replica` call either way, so the results are bitwise those
+of a serial run.
 
 Replica streams come from a counter-based generator: replica ``i`` of a
 run seeded with ``s`` uses ``numpy`` Philox keyed by
@@ -68,13 +70,15 @@ dropped, a bias that vanishes for long runs).
 from __future__ import annotations
 
 import os
+import pickle
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import accumulate
 from math import fsum, log1p
 from numbers import Real
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -123,12 +127,13 @@ STATE_TRACKING_LIMIT = 1 << 20
 # with blocks of 2^13 events and 9.5 MiB with 2^15, at the same speed.
 _EVENT_BLOCK = 1 << 13
 
-# Fewest events in all (replicas * max_events) for which run_replicas uses
-# a process pool.  Creating and tearing down the pool costs 15-20 ms, about
-# one replica of 2.5*10^4 events.  On a 2-core machine at N=5/K=2 the pool
-# is slower at 5*10^4 events and level at 10^5 (faster in 4-7 of 11 calls
-# with 2 or 4 replicas, two sets); from 2*10^5 on it is faster in at least
-# 10 of 11 (figures in run_replicas).
+# Fewest events in all (replicas * max_events) for which run_replicas forks.
+# Forking and reaping the children costs about 5 ms over a serial run (4 x
+# 10^3 events at N=5/K=2).  On a 2-vCPU virtual machine the crossover moves
+# with how free the second vCPU is: with 4 replicas the forks win from 10^5
+# events, but with 2 they lost every call at 5*10^4 and 10^5 in two sets of
+# four, and from 2*10^5 on they win in 5-11 of 11 calls (figures in
+# run_replicas).  Below this floor two-replica runs lose whole sets.
 _POOL_MIN_EVENTS = 200_000
 
 
@@ -332,16 +337,21 @@ def _state_events(params: ModelParams) -> tuple[list[tuple[int, ...]], list[tupl
     targets = targets.reshape(m, len(pairs))
     fires = targets >= 0
     successors = targets[fires]
-    ends = np.cumsum(fires.sum(axis=1))
+    ends = np.concatenate(([0], np.cumsum(fires.sum(axis=1))))  # each state's slice of successors
     counts = np.zeros((m, n_types), dtype=np.int64)
     counts[:, mobile] = fires[:, boundary:].reshape(m, len(mobile), n - 1).sum(axis=2)
     del targets, fires
+    # 4096 states at a time, so that no list of every state's successors is
+    # alive beside their tuples.
+    steps: list[tuple[int, ...]] = []
+    for a in range(0, m, 4096):
+        part = ends[a:a + 4097]
+        flat, bounds = successors[part[0]:part[-1]].tolist(), (part - part[0]).tolist()
+        steps += [tuple(flat[i:j]) for i, j in zip(bounds, bounds[1:])]
+    del successors, ends
     ids = ids.ravel()
     firsts, lasts = (ids // radix ** (n - 1)).tolist(), (ids % radix).tolist()
-    profiles = list(zip(firsts, lasts, *counts.T.tolist()))
-    successors, ends = successors.tolist(), ends.tolist()
-    steps = [tuple(successors[a:b]) for a, b in zip([0, *ends], ends)]
-    return steps, profiles
+    return steps, list(zip(firsts, lasts, *counts.T.tolist()))
 
 
 def _thresholds(ends: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -367,10 +377,10 @@ def _thresholds(ends: np.ndarray, totals: np.ndarray) -> np.ndarray:
 class _MemoTable:
     """The memo walk's table for one model, built for every state at once.
 
-    By canonical state index it holds each state's ``steps`` entry, the
-    pick row of its rate profile with its successors (:func:`_state_events`),
-    its total rate in ``totals``, and its site values, one column per state,
-    in ``values``.
+    By canonical state index it holds each state's pick row, that of its
+    rate profile, in ``rows``, its successors (:func:`_state_events`) in
+    ``successors``, its total rate in ``totals``, and its site values, one
+    column per state, in ``values``.
 
     ``bisect_right(uppers, u2 * total)``, the bisection's pick, is the
     number of the state's upper ends whose threshold (:func:`_thresholds`)
@@ -410,7 +420,8 @@ class _MemoTable:
             np.searchsorted(own, lowest, side="right").astype(np.uint8).tobytes()
             for own in np.split(thresholds, np.cumsum(sizes)[:-1])
         ]
-        self.steps = [(rows[p], s) for p, s in zip(profile_of, successors)]
+        self.rows = [rows[p] for p in profile_of]
+        self.successors = successors
         self.totals = totals[profile_of]
         values = np.indices((params.n_types + 1,) * params.n_sites, dtype=np.min_scalar_type(params.n_types))
         self.values = values.reshape(params.n_sites, -1)
@@ -426,7 +437,8 @@ class _MemoTable:
 
 
 # A process simulates one model at a time.  run_replicas builds the table
-# before it forks its workers, so they inherit it.
+# before it forks: the caller walks it for its own share of the replicas,
+# and each forked child walks the copy it inherits.
 _memo_table = lru_cache(maxsize=1)(_MemoTable)
 
 
@@ -472,8 +484,8 @@ class _MemoWalk(_Walk):
     It walks on canonical state indices through the model's
     :class:`_MemoTable`, built once per model and process: a block's
     event-pick uniforms are turned into cells in one numpy call, and each
-    event is ``successors[row[cell]]``, bitwise the pick of a bisection
-    over the state's upper ends.  The block's total rates and site changes
+    event is the state's ``successors[row[cell]]``, bitwise the pick of a
+    bisection over the state's upper ends.  The block's total rates and site changes
     are gathered afterwards from the states it visited.
     """
 
@@ -489,14 +501,9 @@ class _MemoWalk(_Walk):
 
     def _walk(self, picks: np.ndarray) -> np.ndarray:
         """Keeps the states visited in ``self.ids``, led by the one before."""
-        steps = self.table.steps
+        rows, successors = self.table.rows, self.table.successors
         c = self.current
-        path = [c]
-        append = path.append
-        for cell in self.table.cells(picks):
-            row, successors = steps[c]
-            c = successors[row[cell]]
-            append(c)
+        path = [c, *[c := successors[c][rows[c][cell]] for cell in self.table.cells(picks)]]
         self.current = c
         self.ids = np.fromiter(path, np.int64, len(path))
         return self.table.totals[self.ids[:-1]]
@@ -768,8 +775,9 @@ def run_replica(
     it once per run from the record budget alone.  :class:`_MemoWalk`
     walks on canonical state indices through the model's one table
     (:class:`_MemoTable`), built on the first replica of a model in a
-    process and kept, and picks each event from its state's pick row,
-    bitwise the bisection over its upper ends;
+    process and kept (a child forked by :func:`run_replicas` walks the
+    caller's, which it inherits), and picks each event from its state's
+    pick row, bitwise the bisection over its upper ends;
     :class:`_LatticeWalk` keeps each type's active bonds as a sorted list,
     updates at most two of them per event, and picks the class by
     bisection over the K+2 class ends and the member by division.  Both
@@ -819,51 +827,133 @@ def run_replicas(
 
     Each replica is one :func:`run_replica` call with its own stream, so
     the result does not depend on where or in what order they run.  They
-    run on a process pool of ``min(replicas, usable CPUs)`` workers, one
-    replica per task, when that is at least two workers and the run has at
-    least ``_POOL_MIN_EVENTS`` events in all; otherwise one after another
-    in this process.
+    run on ``W = min(replicas, usable CPUs)`` workers when that is at least
+    two and the run has at least ``_POOL_MIN_EVENTS`` events in all;
+    otherwise one after another in this process.  The calling process is
+    worker 0 and forks the other W - 1; worker ``w`` runs replicas ``w``,
+    ``w + W``, ``w + 2W``, ... (see :func:`_forked_replicas`).
 
     Workers are forked, not spawned: a fork inherits the imported modules,
     and the model's memo table where the lattice fits the record budget,
     which is built here before the fork, while a spawned worker would
     import numpy and sepsim again before its first event.  The sampler
-    starts no threads and takes no locks, and the pool is used only while
-    the caller runs no other thread, so the fork is safe; in a threaded
-    caller, or on a platform without ``fork``, the replicas run in
-    process.  Serial against pooled on a
-    2-core machine, N=5/K=2 with state tracking, medians of 11 alternating
-    calls in each of two sets: 2 x 2.5*10^4 events 26-28 -> 31-58 ms,
-    4 x 2.5*10^4 38-51 -> 40-51 ms, 2 x 5*10^4 41-44 -> 41-48 ms,
-    4 x 5*10^4 80-84 -> 63-64 ms, 4 x 10^5 144-152 -> 99-106 ms,
-    4 x 2*10^5 252-267 -> 165-167 ms.
+    starts no threads and takes no locks, and the children are forked only
+    while the caller runs no other thread, so the fork is safe; in a
+    threaded caller, or on a platform without ``fork``, the replicas run in
+    process.
+
+    Serial against pooled on a 2-vCPU virtual machine, N=5/K=2 with state
+    tracking: the range of the medians of four sets of 11 alternating
+    calls, and the calls of each set in which the forks were faster.
+
+    ==================  =========  =========  ==============
+    replicas x events   serial ms  pooled ms  forks faster
+    ==================  =========  =========  ==============
+    2 x 2.5*10^4        12-19      15-19      11, 0, 0, 10
+    2 x 5*10^4          21-34      24-46      6, 0, 0, 9
+    2 x 10^5            49-69      42-53      11, 7, 5, 11
+    2 x 2*10^5          92-127     72-77      11, 11, 10, 11
+    4 x 2.5*10^4        22-34      21-27      10, 11, 10, 11
+    4 x 5*10^4          43-67      36-43      10, 11, 10, 11
+    4 x 10^5            98-126     71-75      11 in each
+    4 x 2*10^5          212-269    136-145    11 in each
+    ==================  =========  =========  ==============
     """
     workers = _pool_workers(config, _usable_cpus())
-    if workers:
-        import multiprocessing
-        import threading
-
-        # A fork copies only the calling thread, so a lock another thread
-        # holds would stay locked in the worker.
-        if threading.active_count() == 1 and "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            if _memo_fits(params):
-                _memo_table(params)  # built once, here: the workers inherit it
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                futures = [
-                    pool.submit(run_replica, params, config, index,
-                                track_state_occupancy=track_state_occupancy)
-                    for index in range(config.replicas)
-                ]
-                return [future.result() for future in futures]
-            finally:
-                pool.shutdown(cancel_futures=True)
+    # A fork copies only the calling thread, so a lock another thread holds
+    # would stay locked in the child.
+    if workers and hasattr(os, "fork") and threading.active_count() == 1:
+        if _memo_fits(params):
+            _memo_table(params)  # built once, here: the children inherit it
+        return _forked_replicas(params, config, workers, track_state_occupancy)
     return [
         run_replica(params, config, index, track_state_occupancy=track_state_occupancy)
         for index in range(config.replicas)
     ]
+
+
+def _forked_replicas(
+    params: ModelParams, config: SimConfig, workers: int, track_state_occupancy: bool
+) -> list[SimStats]:
+    """The replicas of :func:`run_replicas` on ``workers`` workers: this
+    process and ``workers - 1`` forked children.
+
+    Each child sends its replicas, pickled, or the exception it raised,
+    through its own pipe.  The caller runs its share meanwhile, then reads
+    the children's pipes in worker order and reaps each child; whatever
+    happens, no child outlives the call.
+    """
+    import signal
+
+    def share(worker: int) -> list[SimStats]:
+        return [
+            run_replica(params, config, index, track_state_occupancy=track_state_occupancy)
+            for index in range(worker, config.replicas, workers)
+        ]
+
+    pids: list[int] = []  # the children, in worker order
+    pipes: list[int] = []  # the read end of each child's pipe
+    reaped = 0  # children waited for, in worker order
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(read)
+            try:
+                pid = os.fork()
+                if not pid:
+                    _child(write, share, worker)
+                pids.append(pid)
+            finally:
+                os.close(write)  # the child's end; a child never gets here
+        shares = [share(0)]
+        for worker, (pid, read) in enumerate(zip(pids, pipes), start=1):
+            with open(read, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if status:
+                raise RuntimeError(
+                    f"replica worker {worker} exited with status {status} before sending its replicas"
+                )
+            result = pickle.loads(sent)  # bytes written by a child of this process
+            if isinstance(result, BaseException):
+                raise result
+            shares.append(result)
+    finally:
+        for pid in pids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read in pipes:
+            os.close(read)
+    return [shares[index % workers][index // workers] for index in range(config.replicas)]
+
+
+def _child(write: int, share, worker: int) -> NoReturn:
+    """Run in a forked child: write ``share(worker)``, pickled, or the
+    exception it raised, to the pipe end ``write``, and exit.
+
+    An exception that does not survive pickling goes as a ``RuntimeError``
+    carrying its traceback.  The child leaves through ``os._exit``, so it
+    runs no atexit handler and flushes no stdio buffer it inherited; its
+    status is 0 only once the whole result is written.
+    """
+    status = 1
+    try:
+        try:
+            result = share(worker)
+        except Exception as error:
+            try:
+                result = pickle.loads(pickle.dumps(error))
+            except Exception:
+                import traceback
+
+                text = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+                result = RuntimeError(f"replica worker {worker} raised:\n{text}")
+        with open(write, "wb", closefd=False) as pipe:
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _fresh(value):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -322,8 +321,9 @@ class TestPickTable:
         table = simulate._MemoTable(model)
         sums, delta = simulate._block_sums(model), hop_rates(model)
         rows = {}
-        assert len(table.steps) == len(table.totals) == table.values.shape[1] == state_space_size(model)
-        for s, (row, successors) in enumerate(table.steps):
+        m = state_space_size(model)
+        assert len(table.rows) == len(table.successors) == len(table.totals) == table.values.shape[1] == m
+        for s, (row, successors) in enumerate(zip(table.rows, table.successors)):
             state = decode(s, model)
             assert table.values[:, s].tolist() == list(state)
             expected = [encode(apply_event(state, event), model) for event in reference_order(state, model)]
@@ -349,7 +349,7 @@ class TestPickTable:
         assert cells == np.searchsorted(cuts, u, side="right").tolist()
         sums, delta = simulate._block_sums(model), hop_rates(model)
         # Every state's row, once for each profile it is the row of.
-        rows = {(rate_profile(decode(s, model), model), row) for s, (row, _) in enumerate(table.steps)}
+        rows = {(rate_profile(decode(s, model), model), row) for s, row in enumerate(table.rows)}
         for profile, row in rows:
             uppers, total = simulate._profile_ends(profile, sums, delta)
             assert len(row) == len(cuts) + 1
@@ -704,25 +704,40 @@ class TestMergeReplicas:
             merge_replicas([])
 
 
+class NoRebuild(Exception):
+    """An exception that pickles but cannot be rebuilt from its pickle:
+    its constructor takes two arguments, and its args hold one."""
+
+    def __init__(self, what, how):
+        super().__init__(f"{what} {how}")
+
+
 class TestRunReplicas:
     N5K2 = params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
     N30K3 = params(30, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(1.0, 0.3, 2.0))
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Pool every run of two or more replicas, whatever its size and
-        the host's CPU count, and list the worker count of each pool started."""
-        started = []
+        """Pool every run of two or more replicas, whatever its size, on 2
+        usable CPUs, and list the pid of each child forked."""
+        forked = []
+        fork = os.fork
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(simulate, "_POOL_MIN_EVENTS", 0)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-        return started
+        return forked
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "model, cfg, track",
@@ -733,10 +748,22 @@ class TestRunReplicas:
         ids=["n5k2-tracked", "n30k3"],
     )
     def test_pooled_equals_serial(self, pools, model, cfg, track):
+        # On 2 CPUs the caller forks one child; with 3 replicas the caller
+        # runs replicas 0 and 2 and the child replica 1.
         pooled = run_replicas(model, cfg, track_state_occupancy=track)
-        assert pools == [2]
+        assert len(pools) == 1
         serial = [run_replica(model, cfg, i, track_state_occupancy=track) for i in range(cfg.replicas)]
         assert pooled == serial
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("replicas", [2, 3, 4, 5])
+    def test_pooled_equals_serial_for_each_share(self, pools, monkeypatch, replicas, cpus):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        cfg = SimConfig(seed=5, max_events=1000, replicas=replicas)
+        pooled = run_replicas(self.N5K2, cfg)
+        assert len(pools) == min(replicas, cpus) - 1
+        assert pooled == [run_replica(self.N5K2, cfg, i) for i in range(replicas)]
+        self.assert_no_child_left()
 
     def test_threaded_callers_stay_in_process(self, pools):
         cfg = SimConfig(seed=7, max_events=2000, replicas=2)
@@ -752,22 +779,23 @@ class TestRunReplicas:
         assert pools == []
         assert stats == [run_replica(self.N5K2, cfg, i) for i in range(2)]
 
-    def test_pool_threads_end_with_the_call(self, pools):
+    def test_no_thread_or_child_outlives_the_call(self, pools):
         cfg = SimConfig(seed=7, max_events=2000, replicas=2)
         run_replicas(self.N5K2, cfg)
         run_replicas(self.N5K2, cfg)
-        assert pools == [2, 2]
+        assert len(pools) == 2
         assert threading.active_count() == 1
+        self.assert_no_child_left()
 
     def test_step_table_is_built_once_per_model(self, monkeypatch, pools):
         # A model's memo table is built once per process: a second replica
-        # in process reuses it, and a pooled run builds it in the parent
-        # before the fork, so no worker builds its own.
+        # in process reuses it, and a pooled run builds it in the caller
+        # before the fork, so no child builds its own.
         parent, built = os.getpid(), []
         build = simulate._MemoTable
 
         def counted(model):
-            assert os.getpid() == parent, "a pool worker built the memo table"
+            assert os.getpid() == parent, "a forked child built the memo table"
             built.append(model)
             return build(model)
 
@@ -778,17 +806,54 @@ class TestRunReplicas:
         assert built == [self.N5K2]
         other = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(0.5, 1.0))
         pooled = run_replicas(other, cfg)
-        assert pools == [2] and built == [self.N5K2, other]
+        assert len(pools) == 1 and built == [self.N5K2, other]
         assert pooled == [run_replica(other, cfg, index) for index in range(2)]
         assert built == [self.N5K2, other]
 
-    def test_worker_exception_reaches_the_caller(self, pools):
+    def test_caller_exception_reaches_the_caller(self, pools):
         # N=30/K=3 has 4**30 states, too many to track: run_replica raises
-        # in each worker before its first event.
+        # in the caller's own share, and the child is ended with the call.
         cfg = SimConfig(seed=7, max_events=100, replicas=2)
         with pytest.raises(ValueError, match="state occupancy tracking"):
             run_replicas(self.N30K3, cfg, track_state_occupancy=True)
-        assert pools == [2]
+        assert len(pools) == 1
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError("replica 1 failed"), NoRebuild("replica 1", "failed")],
+                             ids=["picklable", "not-rebuilt"])
+    def test_child_exception_reaches_the_caller(self, pools, monkeypatch, error):
+        # Only replica 1, which the child runs, raises.  An exception that
+        # cannot be rebuilt from its pickle comes back as a RuntimeError
+        # carrying its traceback.
+        replica = simulate.run_replica
+
+        def failing(model, cfg, index, **kwargs):
+            if index == 1:
+                raise error
+            return replica(model, cfg, index, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_replica", failing)
+        cfg = SimConfig(seed=7, max_events=100, replicas=2)
+        expected = ValueError if isinstance(error, ValueError) else RuntimeError
+        with pytest.raises(expected, match="replica 1"):
+            run_replicas(self.N5K2, cfg)
+        assert len(pools) == 1
+        self.assert_no_child_left()
+
+    def test_child_that_dies_without_a_result(self, pools, monkeypatch):
+        replica = simulate.run_replica
+
+        def dying(model, cfg, index, **kwargs):
+            if index == 1:
+                os._exit(3)
+            return replica(model, cfg, index, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_replica", dying)
+        cfg = SimConfig(seed=7, max_events=100, replicas=2)
+        with pytest.raises(RuntimeError, match="status 3"):
+            run_replicas(self.N5K2, cfg)
+        assert len(pools) == 1
+        self.assert_no_child_left()
 
     # Explicit ids keep each case's name stable when this table's columns change.
     @pytest.mark.parametrize(
