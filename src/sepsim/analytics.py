@@ -81,7 +81,7 @@ def arrival_rate_boundary_form(params: ModelParams, k: int) -> float:
     so one vacancy probability stands for both boundary sites.
     """
     _check_type(params, k)
-    vacancy = site_marginal(params, 1)[0]
+    vacancy = site_marginal(params)[0]
     return params.alpha[k - 1] * (vacancy + vacancy)
 
 
@@ -102,7 +102,7 @@ def sojourn_littles_law(params: ModelParams, k: int) -> float:
     marginal read once; ``n_sites * p`` would round differently.
     """
     _check_type(params, k)
-    mean_on_lattice = sum(repeat(site_marginal(params, 1)[k], params.n_sites))
+    mean_on_lattice = sum(repeat(site_marginal(params)[k], params.n_sites))
     return mean_on_lattice / arrival_rate_closed_form(params, k)
 
 

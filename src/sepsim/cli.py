@@ -2,7 +2,7 @@
 
 Configuration lives in a flat JSON object whose keys are the fields of
 :class:`~sepsim.model.ModelParams` (``n_sites``, ``n_types``, ``alpha``,
-``beta``, ``delta``, ``boundary_hops``), the fields of
+``beta``, ``delta``), the fields of
 :class:`~sepsim.simulate.SimConfig` (``seed``, ``max_events``,
 ``warmup_fraction``, ``replicas``), and ``output``, ``format`` and
 ``tolerances`` (an object keyed by the names in
@@ -42,7 +42,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from numbers import Real
 from typing import Any, Callable
@@ -92,14 +92,12 @@ DEFAULT_TOLERANCES = {
     "detailed_balance": 1e-12,
     "reversed_rates": 1e-12,
     "delta_independence": 1e-10,
-    "boundary_hop_independence": 1e-10,
     "kolmogorov_cycles": 1e-10,
 }
 
 _MODEL_KEYS = tuple(f.name for f in fields(ModelParams))
 _SIM_KEYS = tuple(f.name for f in fields(SimConfig))
 _OTHER_KEYS = ("output", "format", "tolerances")
-_REQUIRED_KEYS = tuple(f.name for f in fields(ModelParams) if f.default is MISSING)
 
 # Joint-distribution comparison in `report` tracks per-state occupancy,
 # which needs a dense vector; skip it above this size.
@@ -140,7 +138,7 @@ class RunConfig:
         unknown = set(data).difference(_MODEL_KEYS, _SIM_KEYS, _OTHER_KEYS)
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-        for required in _REQUIRED_KEYS:
+        for required in _MODEL_KEYS:
             if required not in data:
                 raise ValueError(f"configuration is missing required key {required!r}")
 
@@ -296,7 +294,7 @@ def _json(value: Any) -> Any:
 
 
 def _closed_marginals(params: ModelParams) -> np.ndarray:
-    return np.tile(site_marginal(params, 1), (params.n_sites, 1))
+    return np.tile(site_marginal(params), (params.n_sites, 1))
 
 
 def _provenance(config: RunConfig) -> dict[str, Any]:
@@ -338,8 +336,6 @@ def cmd_exact(config: RunConfig) -> dict[str, Any]:
     return _json({
         **_provenance(config),
         "command": "exact",
-        # solve_stationary refuses reducible generators.
-        "irreducible": True,
         **_exact_section(config.model),
     })
 
@@ -413,10 +409,9 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
     solve from the product form and names the largest relative one in its
     note.
 
-    ``delta_independence`` and ``boundary_hop_independence`` are
-    certificates, not solves (:func:`~sepsim.exact.certify_stationary`):
-    each variant of the clean model (other hop rates, the flipped
-    ``boundary_hops``) must be irreducible by the rate lemma of
+    ``delta_independence`` is a certificate, not a solve
+    (:func:`~sepsim.exact.certify_stationary`): each variant of the clean
+    model with other hop rates must be irreducible by the rate lemma of
     :func:`~sepsim.exact.is_irreducible_model`, and the residual is the
     product form's largest global-balance residual under the variant's
     rates, in rate × probability units, taken on the probability tensor
@@ -456,10 +451,6 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
 
     delta_dev = max(certify_stationary(v, closed) for v in _delta_variants(params))
     checks.append(_check("delta_independence", delta_dev, tol["delta_independence"]))
-
-    flipped = replace(params, boundary_hops=not params.boundary_hops)
-    flipped_dev = certify_stationary(flipped, closed)
-    checks.append(_check("boundary_hop_independence", flipped_dev, tol["boundary_hop_independence"]))
 
     checks.append(
         _check(

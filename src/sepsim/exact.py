@@ -55,7 +55,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, hop_rates, state_space_size
+from .model import ModelParams, state_space_size
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -120,15 +120,18 @@ class SingularSystemError(SolveError):
     """The balance system is singular or too ill-conditioned to trust."""
 
 
-def resolve_state_cap(cap: int | None = None) -> int:
-    """Effective exact-engine state cap: explicit argument, else the
-    ``SEPSIM_STATE_CAP`` environment variable, else the built-in default."""
-    if cap is None:
-        raw = os.environ.get(STATE_CAP_ENV)
-        cap = int(raw) if raw is not None else DEFAULT_STATE_CAP
-    if cap < 1:
-        raise ValueError(f"state cap must be >= 1, got {cap}")
-    return cap
+def resolve_state_cap() -> int:
+    """Effective exact-engine state cap: the ``SEPSIM_STATE_CAP``
+    environment variable, else the built-in default."""
+    raw = os.environ.get(STATE_CAP_ENV)
+    if raw is None:
+        return DEFAULT_STATE_CAP
+    try:
+        if (cap := int(raw)) >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"{STATE_CAP_ENV} must be an integer >= 1, got {raw!r}")
 
 
 class TreePotential(NamedTuple):
@@ -326,7 +329,7 @@ def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, int
     order: a type-k arrival at a vacant site against its departure, for k =
     1..K, on axis 0 and then on axis N-1; then on each bond ``(i, i+1)`` a
     type-k right hop, ``(k, 0) -> (0, k)``, against its left hop, for each
-    k whose rate in :func:`~sepsim.model.hop_rates` is positive.
+    k whose hop rate ``delta[k-1]`` is positive.
     """
     full = (slice(None),) * params.n_sites
 
@@ -338,12 +341,12 @@ def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, int
         for k, (alpha, beta) in enumerate(zip(params.alpha, params.beta), 1):
             yield at(axis, 0), at(axis, k), alpha, EDGE_ARRIVAL, beta, EDGE_DEPARTURE
     for i in range(params.n_sites - 1):
-        for k, rate in enumerate(hop_rates(params), 1):
+        for k, rate in enumerate(params.delta, 1):
             if rate > 0.0:
                 yield at(i, k, 0), at(i, 0, k), rate, EDGE_HOP, rate, EDGE_HOP
 
 
-def build_generator(params: ModelParams, *, cap: int | None = None) -> Generator:
+def build_generator(params: ModelParams) -> Generator:
     """Assemble the generator from the event rules, one edge per enabled event.
 
     Refuses models whose state count exceeds :func:`resolve_state_cap`.
@@ -359,7 +362,7 @@ def build_generator(params: ModelParams, *, cap: int | None = None) -> Generator
     the reverse indices follow it, so :class:`Generator` only checks both.
     """
     m = state_space_size(params)
-    limit = resolve_state_cap(cap)
+    limit = resolve_state_cap()
     if m > limit:
         raise CapExceededError(m, limit)
 
@@ -736,7 +739,7 @@ def product_form(params: ModelParams) -> np.ndarray:
 
     The probability of a state is the normalization constant times the
     product of ``alpha_k / beta_k`` over its occupied sites.  Independent
-    of the hop rates and of ``boundary_hops``.
+    of the hop rates.
     """
     ratios = np.array([a / b for a, b in zip(params.alpha, params.beta)])
     weights = np.concatenate(([1.0], ratios))
@@ -746,15 +749,12 @@ def product_form(params: ModelParams) -> np.ndarray:
     return probs * normalization_constant(params)
 
 
-def site_marginal(params: ModelParams, site: int) -> np.ndarray:
-    """Stationary distribution of one site's occupancy.
+def site_marginal(params: ModelParams) -> np.ndarray:
+    """Stationary distribution of a site's occupancy, the same at every site.
 
     Entry 0 is the vacancy probability, entry k the probability of holding
-    a type-k particle.  Identical for every site; ``site`` is validated
-    but does not influence the value.
+    a type-k particle.
     """
-    if not 1 <= site <= params.n_sites:
-        raise ValueError(f"site {site} outside 1..{params.n_sites}")
     ratios = np.array([a / b for a, b in zip(params.alpha, params.beta)])
     denom = 1.0 + ratios.sum()
     return np.concatenate(([1.0 / denom], ratios / denom))
@@ -767,7 +767,7 @@ def joint_from_marginals(params: ModelParams) -> np.ndarray:
     normalized marginals instead of the global constant so the identity
     can be asserted numerically.
     """
-    marginal = site_marginal(params, 1)
+    marginal = site_marginal(params)
     probs = marginal
     for _ in range(params.n_sites - 1):
         probs = np.multiply.outer(probs, marginal).ravel()

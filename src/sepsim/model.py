@@ -6,14 +6,9 @@ a *vacant* boundary site (leftmost or rightmost) at rate ``alpha[k-1]``,
 leaves from an occupied boundary site at rate ``beta[k-1]``, and hops to an
 adjacent vacant site at rate ``delta[k-1]``.  Hop rates do not depend on
 the direction, and arrival/departure rates are the same at both ends, so
-the dynamics are symmetric.
-
-Hops involving an interior site always occur.  The only adjacent pair
-made of two boundary sites is 1-2 on a two-site lattice; whether
-particles hop across that pair is controlled by
-``ModelParams.boundary_hops`` (default: allowed).  Either choice keeps
-every hop in a symmetric pair, so the stationary results are unaffected;
-the flag exists so that this invariance can be tested instead of assumed.
+the dynamics are symmetric.  On a two-site lattice both sites are
+boundary sites and the one bond joins them; ``delta[k-1] == 0`` means no
+type-k hop across it.
 
 Sites and particle types are 1-based throughout the public API.  States
 are plain tuples, every operation here is a pure function, and all values
@@ -39,7 +34,6 @@ __all__ = [
     "encode",
     "decode",
     "enumerate_states",
-    "hop_rates",
     "enabled_events",
     "apply_event",
 ]
@@ -114,7 +108,6 @@ class ModelParams:
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
     delta: tuple[float, ...]
-    boundary_hops: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, int) or isinstance(self.n_sites, bool) or self.n_sites < 2:
@@ -124,8 +117,6 @@ class ModelParams:
         object.__setattr__(self, "alpha", _rate_vector("alpha", self.alpha, self.n_types, allow_zero=False))
         object.__setattr__(self, "beta", _rate_vector("beta", self.beta, self.n_types, allow_zero=False))
         object.__setattr__(self, "delta", _rate_vector("delta", self.delta, self.n_types, allow_zero=True))
-        if not isinstance(self.boundary_hops, bool):
-            raise ValueError(f"boundary_hops must be true or false, got {self.boundary_hops!r}")
 
 
 def _validate_state(state: LatticeState, params: ModelParams) -> None:
@@ -176,25 +167,13 @@ def enumerate_states(params: ModelParams) -> Iterator[LatticeState]:
         yield decode(index, params)
 
 
-def hop_rates(params: ModelParams) -> tuple[float, ...]:
-    """The hop rate of each type: ``delta``, or all zeros on a two-site
-    lattice without ``boundary_hops``, whose one bond joins the two
-    boundary sites."""
-    if params.boundary_hops or params.n_sites > 2:
-        return params.delta
-    return (0.0,) * params.n_types
-
-
 def enabled_events(state: LatticeState, params: ModelParams) -> list[tuple[Event, float]]:
     """All transitions with positive rate out of ``state``.
 
     Arrivals fire at a vacant boundary site (one event per type), a
     departure fires at an occupied boundary site, and a hop fires when a
-    mobile particle neighbours a vacant site -- unconditionally when
-    either endpoint is interior, and only when ``boundary_hops`` is set
-    for a hop between two boundary sites (possible only on a two-site
-    lattice).  Events whose rate is zero (``delta[k-1] == 0``) are
-    omitted, and no event is listed twice.
+    mobile particle neighbours a vacant site.  Events whose rate is zero
+    (``delta[k-1] == 0``) are omitted, and no event is listed twice.
 
     The returned order is deterministic: the site-1 block, then the
     site-N block, then hop events by ascending site with the left hop
@@ -211,8 +190,6 @@ def enabled_events(state: LatticeState, params: ModelParams) -> list[tuple[Event
                 events.append((Event(EventKind.ARRIVAL, site, k), params.alpha[k - 1]))
         else:
             events.append((Event(EventKind.DEPARTURE, site, v), params.beta[v - 1]))
-    if n == 2 and not params.boundary_hops:
-        return events  # the only adjacent pair joins the two boundary sites
     for i0 in range(n):
         v = state[i0]
         if v == VACANT:
@@ -233,8 +210,8 @@ def apply_event(state: LatticeState, event: Event) -> LatticeState:
     Checks the structural enabling conditions (site in range, boundary
     placement for arrivals/departures, matching occupant type, vacant hop
     target) and raises :class:`EventNotEnabledError` when they fail.
-    Rate-level conditions that need the model parameters (``boundary_hops``
-    on a two-site lattice, zero hop rates) are the caller's responsibility.
+    Rate-level conditions that need the model parameters (zero hop rates)
+    are the caller's responsibility.
     """
     n = len(state)
     site, ptype = event.site, event.ptype

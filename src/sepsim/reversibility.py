@@ -35,6 +35,10 @@ __all__ = [
     "perturb_hop_rate",
 ]
 
+# Largest global-balance residual for which reversed_generator accepts a
+# distribution as stationary.
+_STATIONARITY_TOL = 1e-8
+
 
 class NotStationaryError(ValueError):
     """The supplied distribution is not stationary for the generator."""
@@ -75,15 +79,13 @@ def detailed_balance_residual(gen: Generator, dist: np.ndarray) -> BalanceReport
     return BalanceReport(float(residuals.max()), pair, by_class)
 
 
-def reversed_generator(
-    gen: Generator, dist: np.ndarray, *, stationarity_tol: float = 1e-8
-) -> Generator:
+def reversed_generator(gen: Generator, dist: np.ndarray) -> Generator:
     """Rates of the time-reversed process under stationary ``dist``.
 
     The reversed rate of i -> j is ``dist[j] * rate(j -> i) / dist[i]``;
     the support mirrors the forward support.  ``dist`` must be strictly
     positive and stationary for ``gen`` (balance residual at most
-    ``stationarity_tol``); both are checked rather than assumed.
+    1e-8); both are checked rather than assumed.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (gen.dim,):
@@ -91,10 +93,10 @@ def reversed_generator(
     if np.any(dist <= 0.0):
         raise ValueError("distribution must be strictly positive everywhere")
     residual = float(np.abs(balance_residuals(gen, dist)).max())
-    if residual > stationarity_tol:
+    if residual > _STATIONARITY_TOL:
         raise NotStationaryError(
             f"distribution is not stationary: balance residual {residual:.3e} "
-            f"> {stationarity_tol:.1e}"
+            f"> {_STATIONARITY_TOL:.1e}"
         )
     return replace(gen, rates=dist[gen.cols] * reverse_rates(gen) / dist[gen.rows])
 
@@ -120,18 +122,16 @@ def kolmogorov_cycle_residual(gen: Generator) -> float:
     return potential.mismatch
 
 
-def perturb_hop_rate(gen: Generator, factor: float = 2.0) -> Generator:
-    """Copy of ``gen`` with one directed hop rate scaled by ``factor``.
+def perturb_hop_rate(gen: Generator) -> Generator:
+    """Copy of ``gen`` with its first directed hop rate doubled.
 
     Scaling a single direction breaks the hop-rate symmetry, producing a
     generator whose stationary distribution is no longer the product form;
     used as a negative control for the balance and cycle checks.
     """
-    if factor <= 0.0 or factor == 1.0:
-        raise ValueError(f"factor must be positive and different from 1, got {factor}")
     hop_edges = np.nonzero(gen.kinds == EDGE_HOP)[0]
     if hop_edges.size == 0:
         raise ValueError("generator has no hop transitions to perturb")
     rates = gen.rates.copy()
-    rates[hop_edges[0]] *= factor
+    rates[hop_edges[0]] *= 2.0
     return replace(gen, rates=rates)

@@ -89,7 +89,6 @@ from .model import (
     LatticeState,
     ModelParams,
     enabled_events,
-    hop_rates,
     state_space_size,
 )
 
@@ -325,7 +324,7 @@ def _state_events(params: ModelParams) -> tuple[list[tuple[int, ...]], list[tupl
     ids = np.arange(m, dtype=np.int32).reshape(shape)
     pairs = list(_event_pairs(params))
     boundary = 2 * n_types
-    mobile = [k0 for k0, rate in enumerate(hop_rates(params)) if rate > 0.0]
+    mobile = [k0 for k0, rate in enumerate(params.delta) if rate > 0.0]
     # Family boundary + bond * len(mobile) + t goes to column
     # boundary + t * (n - 1) + bond.
     columns = [*range(boundary), *(boundary + t * (n - 1) + bond
@@ -395,7 +394,7 @@ class _MemoTable:
     """
 
     def __init__(self, params: ModelParams) -> None:
-        sums, delta = _block_sums(params), hop_rates(params)
+        sums, delta = _block_sums(params), params.delta
         successors, profiles = _state_events(params)
         number: dict[tuple, int] = {}
         profile_of = [number.setdefault(profile, len(number)) for profile in profiles]
@@ -550,7 +549,7 @@ class _LatticeWalk(_Walk):
     def __init__(self, params: ModelParams, rng_random) -> None:
         self.sums = _block_sums(params)
         # Per type: its active bonds, ascending, and its hop rate.
-        self.classes = [([], rate) for rate in hop_rates(params)]
+        self.classes = [([], rate) for rate in params.delta]
         self.occ = [0] * params.n_sites
         self.rng_random = rng_random
         self.moves = np.zeros(0, dtype=np.int64)  # the last block's moves

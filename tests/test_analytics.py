@@ -17,14 +17,13 @@ from sepsim import (
 )
 
 
-def params(n=2, k=1, alpha=None, beta=None, delta=None, boundary_hops=True):
+def params(n=2, k=1, alpha=None, beta=None, delta=None):
     return ModelParams(
         n_sites=n,
         n_types=k,
         alpha=alpha or (1.0,) * k,
         beta=beta or (1.0,) * k,
         delta=delta if delta is not None else (1.0,) * k,
-        boundary_hops=boundary_hops,
     )
 
 

@@ -32,7 +32,6 @@ BASE_CONFIG = {
     "alpha": [1.0],
     "beta": [2.0],
     "delta": [1.0],
-    "boundary_hops": True,
     "seed": 11,
     "max_events": 20_000,
     "warmup_fraction": 0.2,
@@ -69,7 +68,6 @@ class TestRunConfig:
             {"n_sites": 3, "n_types": 1, "alpha": [1.0], "beta": [1.0], "delta": [1.0]}
         )
         assert config.sim == SimConfig(seed=0)
-        assert config.model.boundary_hops is True
         assert config.format == "json"
         assert config.tolerances == DEFAULT_TOLERANCES
 
@@ -181,7 +179,6 @@ class TestCmdVerify:
             "detailed_balance",
             "reversed_rates_general",
             "delta_independence",
-            "boundary_hop_independence",
             "kolmogorov_cycles",
         ]
 
@@ -193,23 +190,30 @@ class TestCmdVerify:
     )
     @pytest.mark.parametrize("negative_control", [False, True], ids=["clean", "negative-control"])
     def test_factors_once_and_certifies_the_variants(self, monkeypatch, overrides, negative_control):
-        # The hop-rate and boundary-flag variants are certified, not solved:
-        # only the model itself, or under the negative control only its
-        # perturbed copy, is solved.
-        solve = sepsim.cli.solve_stationary
-        calls = []
+        # The hop-rate variants are certified, not solved: only the model
+        # itself, or under the negative control only its perturbed copy, is
+        # solved, and each variant is certified once.
+        solve, certify = sepsim.cli.solve_stationary, sepsim.cli.certify_stationary
+        calls, certified = [], []
 
         def counting_solve(gen):
             calls.append(gen.dim)
             return solve(gen)
 
+        def counting_certify(params, dist):
+            certified.append(params)
+            return certify(params, dist)
+
         monkeypatch.setattr(sepsim.cli, "solve_stationary", counting_solve)
-        doc = cmd_verify(run_config(**overrides), negative_control=negative_control)
+        monkeypatch.setattr(sepsim.cli, "certify_stationary", counting_certify)
+        config = run_config(**overrides)
+        doc = cmd_verify(config, negative_control=negative_control)
         assert len(calls) == 1
+        # Four variants on two sites (two of them without hops), two on more.
+        assert certified == sepsim.cli._delta_variants(config.model)
+        assert len(certified) == (4 if config.model.n_sites == 2 else 2)
         assert doc["passed"] is not negative_control
-        by_name = {c["name"]: c for c in doc["checks"]}
-        for name in ("delta_independence", "boundary_hop_independence"):
-            assert by_name[name]["status"] == "pass"
+        assert {c["name"]: c for c in doc["checks"]}["delta_independence"]["status"] == "pass"
 
     @pytest.mark.parametrize("negative_control", [False, True], ids=["clean", "negative-control"])
     def test_builds_one_generator(self, monkeypatch, negative_control):
@@ -218,9 +222,9 @@ class TestCmdVerify:
         build = sepsim.cli.build_generator
         calls = []
 
-        def counting_build(params, **kwargs):
+        def counting_build(params):
             calls.append(params)
-            return build(params, **kwargs)
+            return build(params)
 
         monkeypatch.setattr(sepsim.cli, "build_generator", counting_build)
         config = run_config(n_sites=4, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0])
@@ -305,7 +309,7 @@ class TestCmdReport:
             max_events=5000, replicas=2,
         )
         report = cmd_report(config)
-        dropped = {"artifact", "model", "seed", "tolerances", "command", "irreducible"}
+        dropped = {"artifact", "model", "seed", "tolerances", "command"}
 
         def section(doc):
             return {key: value for key, value in doc.items() if key not in dropped}
@@ -340,7 +344,6 @@ class TestMainEntry:
             dict(BASE_CONFIG, warmup_fraction="x"),
             dict(BASE_CONFIG, tolerances=[1]),
             dict(BASE_CONFIG, tolerances={"detailed_balance": None}),
-            dict(BASE_CONFIG, boundary_hops="false"),
             dict(BASE_CONFIG, record_trajectory=False),
             dict(BASE_CONFIG, output=5),
             dict(BASE_CONFIG, max_events=True),
@@ -355,7 +358,7 @@ class TestMainEntry:
         ],
         ids=["negative-alpha", "number", "null", "scalar-alpha", "null-alpha",
              "string-warmup", "list-tolerances", "null-tolerance",
-             "string-boundary-hops", "removed-record-trajectory", "number-output",
+             "removed-record-trajectory", "number-output",
              "bool-max-events", "infinite-tolerance", "string-alpha", "bool-rate",
              "overflow-alpha", "overflow-beta", "overflow-delta"],
     )
@@ -364,6 +367,27 @@ class TestMainEntry:
         path.write_text(json.dumps(document))
         assert main(["exact", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+
+    def test_boundary_hops_is_an_unknown_key(self, tmp_path, capsys):
+        # A two-site lattice without hops is "delta": [0.0].
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, boundary_hops=False)))
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == "unknown configuration keys: ['boundary_hops']"
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_state_cap_names_the_variable(self, config_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SEPSIM_STATE_CAP", raw)
+        assert main(["exact", "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == f"SEPSIM_STATE_CAP must be an integer >= 1, got {raw!r}"
 
     @pytest.mark.parametrize("flags", [[], ["--negative-control"]], ids=["clean", "negative-control"])
     def test_verify_refuses_a_reducible_model(self, tmp_path, capsys, flags):

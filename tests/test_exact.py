@@ -39,14 +39,13 @@ from sepsim.model import EventKind, apply_event, encode, enabled_events, enumera
 from sepsim.reversibility import perturb_hop_rate, reversed_generator
 
 
-def params(n=2, k=1, alpha=None, beta=None, delta=None, boundary_hops=True):
+def params(n=2, k=1, alpha=None, beta=None, delta=None):
     return ModelParams(
         n_sites=n,
         n_types=k,
         alpha=alpha or (1.0,) * k,
         beta=beta or (1.0,) * k,
         delta=delta if delta is not None else (1.0,) * k,
-        boundary_hops=boundary_hops,
     )
 
 
@@ -55,18 +54,16 @@ def random_grid(seed=20240817, draws=3, lo=0.5, hi=2.5):
     grid = []
     for n in (2, 3, 4):
         for k in (1, 2):
-            for bh in (True, False):
-                for _ in range(draws):
-                    grid.append(
-                        ModelParams(
-                            n_sites=n,
-                            n_types=k,
-                            alpha=tuple(rng.uniform(lo, hi, k)),
-                            beta=tuple(rng.uniform(lo, hi, k)),
-                            delta=tuple(rng.uniform(lo, hi, k)),
-                            boundary_hops=bh,
-                        )
+            for _ in range(draws):
+                grid.append(
+                    ModelParams(
+                        n_sites=n,
+                        n_types=k,
+                        alpha=tuple(rng.uniform(lo, hi, k)),
+                        beta=tuple(rng.uniform(lo, hi, k)),
+                        delta=tuple(rng.uniform(lo, hi, k)),
                     )
+                )
     return grid
 
 
@@ -79,7 +76,7 @@ def edge_map(gen):
 
 TWO_SITE = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(1.0,))
 
-# Independent oracle for the two-site single-type model with boundary hops:
+# Independent oracle for the two-site single-type model with hops:
 # the generator written out by hand over states (0,0),(0,1),(1,0),(1,1).
 TWO_SITE_Q = np.array(
     [
@@ -101,19 +98,19 @@ def solve_by_hand(q):
 
 class TestBuildGenerator:
     def test_edge_counts_two_site_model(self):
-        assert build_generator(params(2, 1, boundary_hops=False)).n_edges == 8
-        assert build_generator(params(2, 1, boundary_hops=True)).n_edges == 10
+        assert build_generator(params(2, 1, delta=(0.0,))).n_edges == 8
+        assert build_generator(params(2, 1, delta=(1.0,))).n_edges == 10
 
     def test_rates_and_classes(self):
-        p = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(0.5,), boundary_hops=False)
+        p = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(0.0,))
         edges = edge_map(build_generator(p))
         # (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3
         assert edges[(0, 2)] == (1.0, EDGE_ARRIVAL)
         assert edges[(2, 0)] == (2.0, EDGE_DEPARTURE)
         assert (2, 1) not in edges and (1, 2) not in edges
 
-    def test_boundary_hops_add_one_symmetric_pair(self):
-        p = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(0.5,), boundary_hops=True)
+    def test_two_sites_hop_across_their_one_bond(self):
+        p = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(0.5,))
         edges = edge_map(build_generator(p))
         assert edges[(2, 1)] == (0.5, EDGE_HOP)
         assert edges[(1, 2)] == (0.5, EDGE_HOP)
@@ -146,9 +143,10 @@ class TestBuildGenerator:
         assert str(resolve_state_cap()) in str(err.value)
         assert err.value.requested == 2**30
 
-    def test_cap_argument_overrides_default(self):
+    def test_cap_env_overrides_default(self, monkeypatch):
+        monkeypatch.setenv(STATE_CAP_ENV, "10")
         with pytest.raises(CapExceededError):
-            build_generator(params(3, 2), cap=10)
+            build_generator(params(3, 2))
 
     def test_cap_env_variable(self, monkeypatch):
         monkeypatch.setenv(STATE_CAP_ENV, "10")
@@ -216,16 +214,14 @@ _CLASS_OF = {
 class TestGeneratorOrderAndReverse:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("bh", [True, False])
     @pytest.mark.parametrize("frozen", [False, True], ids=["all-hop", "one-delta-zero"])
-    def test_edges_are_the_event_rules(self, n, k, bh, frozen):
-        rng = np.random.default_rng(100 * n + 10 * k + 2 * bh + frozen)
+    def test_edges_are_the_event_rules(self, n, k, frozen):
+        rng = np.random.default_rng(100 * n + 10 * k + frozen)
         rates = rng.uniform(0.2, 5.0, size=(3, k))
         delta = tuple(rates[2])
         if frozen:
             delta = delta[:-1] + (0.0,)
-        p = params(n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]), delta=delta,
-                   boundary_hops=bh)
+        p = params(n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]), delta=delta)
         expected = {}
         for state in enumerate_states(p):
             source = encode(state, p)
@@ -246,7 +242,7 @@ class TestGeneratorOrderAndReverse:
     def test_more_types_than_a_signed_byte_holds(self):
         # Site values up to 130 on two sites without hops: 4 K (K + 1) edges.
         k = 130
-        p = params(2, k, alpha=tuple(np.linspace(0.5, 2.0, k)), boundary_hops=False)
+        p = params(2, k, alpha=tuple(np.linspace(0.5, 2.0, k)), delta=(0.0,) * k)
         gen = build_generator(p)
         assert gen.n_edges == 4 * k * (k + 1)
         assert np.abs(solve_stationary(gen) / product_form(p) - 1.0).max() <= 1e-12
@@ -358,12 +354,11 @@ class TestSolveStationary:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("bh", [True, False])
-    def test_reversible_route_agrees_with_the_lu(self, n, k, bh):
-        rng = np.random.default_rng(1000 * n + 10 * k + bh)
+    def test_reversible_route_agrees_with_the_lu(self, n, k):
+        rng = np.random.default_rng(1000 * n + 10 * k)
         rates = rng.uniform(0.2, 5.0, size=(3, k))
         gen = build_generator(params(n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]),
-                                     delta=tuple(rates[2]), boundary_hops=bh))
+                                     delta=tuple(rates[2])))
         weights = _solve_reversible(gen)
         assert weights is not None
         reversible, lu = _gated(gen, weights), _gated(gen, _solve_lu(gen))
@@ -444,12 +439,6 @@ class TestSolveStationary:
             solve_stationary(gen)
         assert np.abs(balance_residuals(gen, product_form(p))).max() <= 1e-12
 
-    def test_boundary_hop_independence(self):
-        for bh in (True, False):
-            p = params(3, 1, alpha=(1.3,), beta=(0.7,), boundary_hops=bh)
-            solved = solve_stationary(build_generator(p))
-            assert np.abs(solved - product_form(p)).max() <= 1e-10
-
     def test_balance_residuals_vanish_at_product_form(self):
         for p in random_grid(draws=1):
             gen = build_generator(p)
@@ -457,13 +446,12 @@ class TestSolveStationary:
 
 
 class TestCertifyStationary:
-    def test_product_form_certified_for_every_hop_rate_and_flag(self):
+    def test_product_form_certified_for_every_hop_rate(self):
         base = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
         closed = product_form(base)
         for delta in ((1.0, 1.0), (0.05, 7.0), (4.6, 0.35)):
-            for bh in (True, False):
-                variant = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta, boundary_hops=bh)
-                assert certify_stationary(variant, closed) <= 1e-12
+            variant = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta)
+            assert certify_stationary(variant, closed) <= 1e-12
 
     def test_wrong_distribution_reports_a_residual_above_tolerance(self):
         p = params(3, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
@@ -484,10 +472,11 @@ class TestCertifyStationary:
         # event family, hop pair and boundary term shows in the residual.
         rng = np.random.default_rng(7)
         for n, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (5, 1), (5, 2), (6, 1)):
-            for bh in (True, False):
+            for draw in range(2):
                 rates = rng.uniform(0.1, 5.0, size=(3, k))
-                p = params(n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]), delta=tuple(rates[2]),
-                           boundary_hops=bh)
+                # The second draw on two sites has no hops.
+                delta = (0.0,) * k if draw and n == 2 else tuple(rates[2])
+                p = params(n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]), delta=delta)
                 d = rng.uniform(0.05, 1.0, size=(k + 1) ** n)
                 d /= d.sum()
                 yield p, d
@@ -521,23 +510,22 @@ class TestCertifyStationary:
 class TestIrreducibilityLemma:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("delta", [(1.0, 0.5), (0.0, 0.5), (1.0, 0.0), (0.0, 0.0)])
-    @pytest.mark.parametrize("bh", [True, False])
-    def test_lemma_agrees_with_the_graph_search(self, n, delta, bh):
-        p = params(n, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta, boundary_hops=bh)
+    def test_lemma_agrees_with_the_graph_search(self, n, delta):
+        p = params(n, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta)
         assert is_irreducible_model(p) == is_irreducible(build_generator(p))
         assert is_irreducible_model(p) == (n <= 2 or min(delta) > 0.0)
 
 
 LEMMA_MODELS = [
     params(3, 1, alpha=(1.3,), beta=(0.7,)),
-    params(2, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(0.0, 0.5), boundary_hops=False),
+    params(2, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(0.0, 0.0)),
     params(2, 1, alpha=(1.0,), beta=(2.0,)),
     params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
     params(8, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
     params(4, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(1.0, 0.3, 2.0)),
     params(5, 2, alpha=(1e-6, 1e3), beta=(1e3, 1e-3)),
 ]
-LEMMA_IDS = ["n3k1", "n2k2-no-boundary-hops", "n2k1", "n5k2", "n8k2", "n4k3", "stiff5"]
+LEMMA_IDS = ["n3k1", "n2k2-no-hops", "n2k1", "n5k2", "n8k2", "n4k3", "stiff5"]
 
 
 class TestLemmaTree:
@@ -557,8 +545,9 @@ class TestLemmaTree:
 
     @pytest.mark.parametrize("p", LEMMA_MODELS, ids=LEMMA_IDS)
     def test_perturbed_copy_keeps_its_mismatch(self, p):
-        # The two-site model without boundary hops has no hop to perturb.
-        p = dataclasses.replace(p, boundary_hops=True)
+        # The two-site model without hops has none to perturb; its second type gets one.
+        if max(p.delta) == 0.0:
+            p = dataclasses.replace(p, delta=(0.0, 0.5))
         perturbed = perturb_hop_rate(build_generator(p))
         assert _lemma_tree(perturbed) is not None
         assert perturbed.tree_potential.mismatch == pytest.approx(1.0, rel=1e-12)
@@ -620,23 +609,16 @@ class TestClosedForms:
             assert probs.min() > 0.0
 
     def test_site_marginal_examples(self):
-        assert np.allclose(site_marginal(TWO_SITE, 1), [2 / 3, 1 / 3], atol=1e-15)
+        assert np.allclose(site_marginal(TWO_SITE), [2 / 3, 1 / 3], atol=1e-15)
         p = params(3, 2, alpha=(1.0, 2.0), beta=(1.0, 1.0))
-        assert np.allclose(site_marginal(p, 2), [1 / 4, 1 / 4, 1 / 2], atol=1e-15)
+        assert np.allclose(site_marginal(p), [1 / 4, 1 / 4, 1 / 2], atol=1e-15)
         balanced = params(4, 3)
-        assert np.allclose(site_marginal(balanced, 4), [0.25] * 4, atol=1e-15)
+        assert np.allclose(site_marginal(balanced), [0.25] * 4, atol=1e-15)
 
     def test_site_marginal_identical_for_every_site(self):
         p = params(4, 2, alpha=(0.7, 1.9), beta=(1.1, 0.6))
-        rows = [site_marginal(p, s) for s in range(1, 5)]
-        for row in rows[1:]:
-            assert np.array_equal(row, rows[0])
-
-    def test_site_marginal_site_out_of_range(self):
-        with pytest.raises(ValueError):
-            site_marginal(TWO_SITE, 0)
-        with pytest.raises(ValueError):
-            site_marginal(TWO_SITE, 3)
+        for row in marginals_from_distribution(product_form(p), p):
+            assert np.allclose(row, site_marginal(p), rtol=0.0, atol=1e-15)
 
     def test_joint_from_marginals_matches_product_form(self):
         for p in random_grid(draws=1):
@@ -653,7 +635,7 @@ class TestClosedForms:
         rng = np.random.default_rng(100 * n + k)
         p = params(n, k, alpha=tuple(rng.uniform(0.3, 3.0, k)), beta=tuple(rng.uniform(0.3, 3.0, k)))
         weights = np.concatenate(([1.0], [a / b for a, b in zip(p.alpha, p.beta)]))
-        marginal = site_marginal(p, 1)
+        marginal = site_marginal(p)
         kron_weights, kron_marginal = weights, marginal
         for _ in range(n - 1):
             kron_weights = np.kron(kron_weights, weights)
@@ -664,7 +646,7 @@ class TestClosedForms:
     def test_marginals_from_distribution_consistency(self):
         for p in random_grid(draws=1):
             marginals = marginals_from_distribution(product_form(p), p)
-            expected = site_marginal(p, 1)
+            expected = site_marginal(p)
             for row in marginals:
                 assert np.abs(row - expected).max() <= 1e-12
 

@@ -11,34 +11,31 @@ from sepsim import (
     enabled_events,
     encode,
     enumerate_states,
-    hop_rates,
     state_space_size,
 )
 
 
-def params(n=2, k=1, alpha=None, beta=None, delta=None, boundary_hops=True):
+def params(n=2, k=1, alpha=None, beta=None, delta=None):
     return ModelParams(
         n_sites=n,
         n_types=k,
         alpha=alpha or (1.0,) * k,
         beta=beta or (1.0,) * k,
         delta=delta if delta is not None else (1.0,) * k,
-        boundary_hops=boundary_hops,
     )
 
 
-SMALL_MODELS = [
-    params(n, k, boundary_hops=bh)
-    for n in (2, 3, 4)
-    for k in (1, 2)
-    for bh in (True, False)
+# Each shape, plus the two-site lattices without hops.
+SMALL_MODELS = [params(n, k) for n in (2, 3, 4) for k in (1, 2)] + [
+    params(2, k, delta=(0.0,) * k) for k in (1, 2)
 ]
 
 
 class TestModelParams:
-    def test_boundary_hops_defaults_to_true(self):
-        p = ModelParams(n_sites=3, n_types=1, alpha=(1.0,), beta=(1.0,), delta=(0.5,))
-        assert p.boundary_hops is True
+    def test_boundary_hops_is_not_a_parameter(self):
+        # A two-site lattice without hops is delta == 0.
+        with pytest.raises(TypeError):
+            ModelParams(n_sites=2, n_types=1, alpha=(1.0,), beta=(1.0,), delta=(0.5,), boundary_hops=True)
 
     def test_rate_vectors_are_normalized_to_float_tuples(self):
         p = ModelParams(n_sites=2, n_types=2, alpha=[1, 2], beta=[3, 4], delta=[0, 1])
@@ -116,20 +113,6 @@ class TestStateSpace:
             assert decode(index, p) == state
 
 
-class TestHopRates:
-    def test_two_sites_follow_the_boundary_hops_flag(self):
-        assert hop_rates(params(2, 2, delta=(0.5, 3.0))) == (0.5, 3.0)
-        assert hop_rates(params(2, 2, delta=(0.5, 3.0), boundary_hops=False)) == (0.0, 0.0)
-
-    def test_longer_lattices_hop_without_boundary_hops(self):
-        # Every bond of three or more sites has an interior end.
-        assert hop_rates(params(3, 2, delta=(0.5, 3.0), boundary_hops=False)) == (0.5, 3.0)
-
-    def test_a_zero_hop_rate_stays_zero(self):
-        for n, bh in ((2, True), (2, False), (3, True), (3, False)):
-            assert hop_rates(params(n, 2, delta=(0.0, 3.0), boundary_hops=bh))[0] == 0.0
-
-
 class TestEnabledEvents:
     def test_single_particle_interior(self):
         p = params(3, 1, alpha=(1.5,), beta=(2.5,), delta=(0.5,))
@@ -141,12 +124,6 @@ class TestEnabledEvents:
             Event(EventKind.HOP_RIGHT, 2, 1): 0.5,
         }
 
-    def test_interior_hops_do_not_depend_on_boundary_flag(self):
-        p = params(3, 1, alpha=(1.5,), beta=(2.5,), delta=(0.5,), boundary_hops=False)
-        got = dict(enabled_events((0, 1, 0), p))
-        assert Event(EventKind.HOP_LEFT, 2, 1) in got
-        assert Event(EventKind.HOP_RIGHT, 2, 1) in got
-
     def test_boundary_particle_two_site_lattice(self):
         p = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(0.5,))
         got = dict(enabled_events((1, 0), p))
@@ -155,7 +132,7 @@ class TestEnabledEvents:
             Event(EventKind.HOP_RIGHT, 1, 1): 0.5,
             Event(EventKind.ARRIVAL, 2, 1): 1.0,
         }
-        p_no_hop = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(0.5,), boundary_hops=False)
+        p_no_hop = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(0.0,))
         got = dict(enabled_events((1, 0), p_no_hop))
         assert got == {
             Event(EventKind.DEPARTURE, 1, 1): 2.0,

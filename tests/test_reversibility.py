@@ -15,28 +15,27 @@ from sepsim import (
 from sepsim.exact import EDGE_HOP, _forest_potential, reverse_rates
 
 
-def params(n=2, k=1, alpha=None, beta=None, delta=None, boundary_hops=True):
+def params(n=2, k=1, alpha=None, beta=None, delta=None):
     return ModelParams(
         n_sites=n,
         n_types=k,
         alpha=alpha or (1.0,) * k,
         beta=beta or (1.0,) * k,
         delta=delta if delta is not None else (1.0,) * k,
-        boundary_hops=boundary_hops,
     )
 
 
 TWO_SITE = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(1.0,))
 
 GRID = [
-    params(n, k, alpha=tuple(a), beta=tuple(b), boundary_hops=bh)
-    for (n, k, a, b, bh) in [
-        (2, 1, (1.0,), (2.0,), True),
-        (2, 1, (1.0,), (2.0,), False),
-        (2, 2, (1.0, 0.4), (0.6, 1.1), True),
-        (3, 1, (1.7,), (0.9,), True),
-        (3, 2, (1.0, 2.0), (2.0, 1.0), False),
-        (4, 2, (0.8, 1.6), (1.2, 0.5), True),
+    params(n, k, alpha=tuple(a), beta=tuple(b), delta=d)
+    for (n, k, a, b, d) in [
+        (2, 1, (1.0,), (2.0,), None),
+        (2, 1, (1.0,), (2.0,), (0.0,)),
+        (2, 2, (1.0, 0.4), (0.6, 1.1), None),
+        (3, 1, (1.7,), (0.9,), None),
+        (3, 2, (1.0, 2.0), (2.0, 1.0), None),
+        (4, 2, (0.8, 1.6), (1.2, 0.5), None),
     ]
 ]
 
@@ -86,7 +85,7 @@ class TestDetailedBalance:
 
     def test_perturbed_generator_detected(self):
         p = params(3, 1, alpha=(1.0,), beta=(2.0,), delta=(1.0,))
-        perturbed = perturb_hop_rate(build_generator(p), 2.0)
+        perturbed = perturb_hop_rate(build_generator(p))
         report = detailed_balance_residual(perturbed, product_form(p))
         assert report.max_abs_residual > 1e-3
         assert report.by_class["hop"] > 1e-3
@@ -129,10 +128,6 @@ class TestReversedGenerator:
         with pytest.raises(NotStationaryError):
             reversed_generator(gen, np.full(4, 0.25))
 
-    def test_stationarity_tolerance_is_configurable(self):
-        gen = build_generator(TWO_SITE)
-        reversed_generator(gen, np.full(4, 0.25), stationarity_tol=10.0)
-
 
 class TestKolmogorovCycles:
     @pytest.mark.parametrize(
@@ -152,7 +147,7 @@ class TestKolmogorovCycles:
 
     def test_perturbed_generator_yields_positive_residual(self):
         for p in [params(3, 1, alpha=(1.0,), beta=(2.0,), delta=(1.0,))] + LARGE:
-            perturbed = perturb_hop_rate(build_generator(p), 2.0)
+            perturbed = perturb_hop_rate(build_generator(p))
             residual = kolmogorov_cycle_residual(perturbed)
             assert residual > 0.4, f"n{p.n_sites}k{p.n_types}"
 
@@ -188,20 +183,16 @@ class TestUniformity:
 class TestPerturbHopRate:
     def test_exactly_one_edge_scaled(self):
         gen = build_generator(TWO_SITE)
-        perturbed = perturb_hop_rate(gen, 2.0)
+        perturbed = perturb_hop_rate(gen)
         changed = np.nonzero(perturbed.rates != gen.rates)[0]
         assert changed.size == 1
         assert gen.kinds[changed[0]] == EDGE_HOP
         assert perturbed.rates[changed[0]] == pytest.approx(2.0 * gen.rates[changed[0]])
 
     def test_no_hops_to_perturb(self):
-        gen = build_generator(params(2, 1, boundary_hops=False))
+        gen = build_generator(params(2, 1, delta=(0.0,)))
         with pytest.raises(ValueError):
             perturb_hop_rate(gen)
         gen = build_generator(params(3, 1, delta=(0.0,)))
         with pytest.raises(ValueError):
             perturb_hop_rate(gen)
-
-    def test_identity_factor_rejected(self):
-        with pytest.raises(ValueError):
-            perturb_hop_rate(build_generator(TWO_SITE), 1.0)

@@ -21,7 +21,6 @@ from sepsim import (
     decode,
     enabled_events,
     encode,
-    hop_rates,
     merge_replicas,
     product_form,
     replica_rng,
@@ -33,14 +32,13 @@ from sepsim import (
 import sepsim.simulate as simulate
 
 
-def params(n=2, k=1, alpha=None, beta=None, delta=None, boundary_hops=True):
+def params(n=2, k=1, alpha=None, beta=None, delta=None):
     return ModelParams(
         n_sites=n,
         n_types=k,
         alpha=alpha or (1.0,) * k,
         beta=beta or (1.0,) * k,
         delta=delta if delta is not None else (1.0,) * k,
-        boundary_hops=boundary_hops,
     )
 
 
@@ -50,12 +48,12 @@ TWO_SITE = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(1.0,))
 DIRECT_METHOD_CASES = [
     (TWO_SITE, 0.0),
     (params(6, 3, alpha=(1.0, 0.5, 2.0), beta=(1.5, 1.0, 0.7), delta=(1.0, 0.0, 2.0)), 0.0),
-    (params(2, 2, alpha=(1.0, 0.5), beta=(2.0, 1.0), delta=(1.0, 3.0), boundary_hops=False), 0.0),
+    (params(2, 2, alpha=(1.0, 0.5), beta=(2.0, 1.0), delta=(0.0, 0.0)), 0.0),
     (params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)), 0.3),
     (params(3, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)), 0.1),
 ]
 DIRECT_METHOD_IDS = [
-    "two-site", "n6k3-immobile-type", "n2k2-no-boundary-hops", "n5k2-warmup", "n3k2-warmup",
+    "two-site", "n6k3-immobile-type", "n2k2-no-hops", "n5k2-warmup", "n3k2-warmup",
 ]
 # A K=3 memo lattice with an immobile type and rates over two decades.
 N4K3_ZERO_HOP = params(4, 3, alpha=(0.2, 3.0, 1.0), beta=(1.5, 0.1, 8.0), delta=(2.0, 0.0, 0.5))
@@ -270,10 +268,10 @@ def kmc_small_rates(seed):
 PICK_TABLE_CASES = [
     kmc_small_rates(1),
     N4K3_ZERO_HOP,
-    params(2, 2, alpha=(1.0, 0.5), beta=(2.0, 1.0), delta=(1.0, 3.0), boundary_hops=False),
+    params(2, 2, alpha=(1.0, 0.5), beta=(2.0, 1.0), delta=(0.0, 0.0)),
     params(5, 2, alpha=(1e-6, 1e3), beta=(1e3, 1e-3)),
 ]
-PICK_TABLE_IDS = ["n5k2-jittered", "n4k3-zero-hop", "n2k2-no-boundary-hops", "n5k2-stiff"]
+PICK_TABLE_IDS = ["n5k2-jittered", "n4k3-zero-hop", "n2k2-no-hops", "n5k2-stiff"]
 # The widest lattice whose records fit, at rates spread over a decade: 2500
 # rate profiles of up to 98 events.
 WIDE = params(2, 49, alpha=tuple(10 ** (j / 49) for j in range(49)),
@@ -319,7 +317,7 @@ class TestPickTable:
         # rate, which is its profile's, and its pick row, which every state
         # of its profile shares.
         table = simulate._MemoTable(model)
-        sums, delta = simulate._block_sums(model), hop_rates(model)
+        sums, delta = simulate._block_sums(model), model.delta
         rows = {}
         m = state_space_size(model)
         assert len(table.rows) == len(table.successors) == len(table.totals) == table.values.shape[1] == m
@@ -347,7 +345,7 @@ class TestPickTable:
         u = np.concatenate(([0.0, 1.0 - 2.0**-53], cuts, np.nextafter(cuts, 0.0)))
         cells = table.cells(u)
         assert cells == np.searchsorted(cuts, u, side="right").tolist()
-        sums, delta = simulate._block_sums(model), hop_rates(model)
+        sums, delta = simulate._block_sums(model), model.delta
         # Every state's row, once for each profile it is the row of.
         rows = {(rate_profile(decode(s, model), model), row) for s, row in enumerate(table.rows)}
         for profile, row in rows:
