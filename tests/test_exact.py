@@ -214,9 +214,10 @@ _CLASS_OF = {
 class TestGeneratorOrderAndReverse:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("draw", [0, 1])
     @pytest.mark.parametrize("frozen", [False, True], ids=["all-hop", "one-delta-zero"])
-    def test_edges_are_the_event_rules(self, n, k, frozen):
-        rng = np.random.default_rng(100 * n + 10 * k + frozen)
+    def test_edges_are_the_event_rules(self, n, k, draw, frozen):
+        rng = np.random.default_rng(100 * n + 10 * k + 2 * draw + frozen)
         rates = rng.uniform(0.2, 5.0, size=(3, k))
         delta = tuple(rates[2])
         if frozen:
@@ -354,8 +355,9 @@ class TestSolveStationary:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_reversible_route_agrees_with_the_lu(self, n, k):
-        rng = np.random.default_rng(1000 * n + 10 * k)
+    @pytest.mark.parametrize("draw", [0, 1])
+    def test_reversible_route_agrees_with_the_lu(self, n, k, draw):
+        rng = np.random.default_rng(1000 * n + 10 * k + draw)
         rates = rng.uniform(0.2, 5.0, size=(3, k))
         gen = build_generator(params(n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]),
                                      delta=tuple(rates[2])))
@@ -508,7 +510,7 @@ class TestCertifyStationary:
 
 
 class TestIrreducibilityLemma:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
     @pytest.mark.parametrize("delta", [(1.0, 0.5), (0.0, 0.5), (1.0, 0.0), (0.0, 0.0)])
     def test_lemma_agrees_with_the_graph_search(self, n, delta):
         p = params(n, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=delta)

@@ -25,10 +25,22 @@ def params(n=2, k=1, alpha=None, beta=None, delta=None):
     )
 
 
-# Each shape, plus the two-site lattices without hops.
-SMALL_MODELS = [params(n, k) for n in (2, 3, 4) for k in (1, 2)] + [
-    params(2, k, delta=(0.0,) * k) for k in (1, 2)
-]
+# Each shape with unit rates and with a rate of its own per type and event
+# family, plus the two-site lattices without hops.
+SMALL = {}
+for n in (2, 3, 4):
+    for k in (1, 2):
+        SMALL[f"n{n}k{k}-unit"] = params(n, k)
+        SMALL[f"n{n}k{k}-rates"] = params(
+            n,
+            k,
+            alpha=tuple(1.0 + 0.5 * i for i in range(k)),
+            beta=tuple(2.0 - 0.5 * i for i in range(k)),
+            delta=tuple(0.3 + 0.9 * i for i in range(k)),
+        )
+for k in (1, 2):
+    SMALL[f"n2k{k}-no-hops"] = params(2, k, delta=(0.0,) * k)
+SMALL_MODELS, SMALL_IDS = list(SMALL.values()), list(SMALL)
 
 
 class TestModelParams:
@@ -106,7 +118,7 @@ class TestStateSpace:
         with pytest.raises(ValueError):
             decode(4, params(2, 1))
 
-    @pytest.mark.parametrize("p", SMALL_MODELS, ids=lambda p: f"n{p.n_sites}k{p.n_types}")
+    @pytest.mark.parametrize("p", SMALL_MODELS, ids=SMALL_IDS)
     def test_round_trip_over_full_state_space(self, p):
         for index, state in enumerate(enumerate_states(p)):
             assert encode(state, p) == index
@@ -154,7 +166,7 @@ class TestEnabledEvents:
         kinds2 = {e.kind for e, _ in enabled_events((1, 0, 2), p) if e.ptype == 2}
         assert EventKind.HOP_LEFT in kinds2
 
-    @pytest.mark.parametrize("p", SMALL_MODELS, ids=lambda p: f"n{p.n_sites}k{p.n_types}")
+    @pytest.mark.parametrize("p", SMALL_MODELS, ids=SMALL_IDS)
     def test_no_event_targets_an_occupied_site(self, p):
         for state in enumerate_states(p):
             for event, rate in enabled_events(state, p):
@@ -166,7 +178,7 @@ class TestEnabledEvents:
                 elif event.kind is EventKind.HOP_RIGHT:
                     assert state[event.site] == 0
 
-    @pytest.mark.parametrize("p", SMALL_MODELS, ids=lambda p: f"n{p.n_sites}k{p.n_types}")
+    @pytest.mark.parametrize("p", SMALL_MODELS, ids=SMALL_IDS)
     def test_no_event_listed_twice(self, p):
         for state in enumerate_states(p):
             events = [e for e, _ in enabled_events(state, p)]
@@ -205,7 +217,7 @@ class TestEventAlgebra:
         with pytest.raises(EventNotEnabledError):
             apply_event(state, event)
 
-    @pytest.mark.parametrize("p", SMALL_MODELS, ids=lambda p: f"n{p.n_sites}k{p.n_types}")
+    @pytest.mark.parametrize("p", SMALL_MODELS, ids=SMALL_IDS)
     def test_every_event_has_exactly_one_inverse(self, p):
         for state in enumerate_states(p):
             for event, _ in enabled_events(state, p):
@@ -218,7 +230,7 @@ class TestEventAlgebra:
                 assert inverse.kind is PAIRED_KIND[event.kind]
                 assert inverse.ptype == event.ptype
 
-    @pytest.mark.parametrize("p", SMALL_MODELS, ids=lambda p: f"n{p.n_sites}k{p.n_types}")
+    @pytest.mark.parametrize("p", SMALL_MODELS, ids=SMALL_IDS)
     def test_hop_pairs_share_one_rate(self, p):
         for state in enumerate_states(p):
             for event, rate in enabled_events(state, p):
@@ -233,7 +245,7 @@ class TestEventAlgebra:
                 (back_event, back_rate), = back
                 assert back_rate == rate
 
-    @pytest.mark.parametrize("p", SMALL_MODELS, ids=lambda p: f"n{p.n_sites}k{p.n_types}")
+    @pytest.mark.parametrize("p", SMALL_MODELS, ids=SMALL_IDS)
     def test_events_change_particle_count_correctly(self, p):
         for state in enumerate_states(p):
             occupied = sum(1 for v in state if v)
