@@ -27,8 +27,12 @@ by lattice size:
   division, so its cost per event does not grow with N.
 
 The warm-up is the bare walk.  One *window pass* then takes every
-statistic from what the walk gives for each block of the window: its
-event times, its holding times and its site changes, in numpy.
+statistic from what the walk gives for each block of the window, in
+numpy: its event times, its holding times, its site changes sorted by
+site with the N+1 cut points between the sites, and, where state
+occupancy is tracked, the state before each event.  Arrivals and
+departures are the changes at site 1 and site N whose event changes no
+neighbouring site.
 
 A state's upper ends depend only on its *rate profile*: the values of
 site 1 and site N and its number of active bonds of each type.  The memo
@@ -447,8 +451,10 @@ class _Walk:
 
     :meth:`blocks` walks ``_EVENT_BLOCK`` events at a time; ``_walk(picks)``
     takes one event for each event-pick uniform of the array ``picks`` and
-    returns their total rates.  :meth:`changes` gives the last block's site
-    changes, :meth:`lattice` each site's value now and ``t`` the time now.
+    returns their total rates.  ``changes()`` gives the last block's site
+    changes and their cut points by site, ``states()`` the canonical state
+    index before each of its events, :meth:`lattice` each site's value now
+    and ``t`` the time now.
     """
 
     t = 0.0
@@ -484,8 +490,9 @@ class _MemoWalk(_Walk):
     :class:`_MemoTable`, built once per model and process: a block's
     event-pick uniforms are turned into cells in one numpy call, and each
     event is the state's ``successors[row[cell]]``, bitwise the pick of a
-    bisection over the state's upper ends.  The block's total rates and site changes
-    are gathered afterwards from the states it visited.
+    bisection over the state's upper ends.  The block's total rates and
+    site changes are gathered afterwards from the states it visited, and
+    its path of states is what tracked state occupancy reads.
     """
 
     def __init__(self, params: ModelParams, rng_random) -> None:
@@ -509,13 +516,24 @@ class _MemoWalk(_Walk):
 
     def changes(self) -> tuple[np.ndarray, ...]:
         """The last block's site changes as :func:`_window_pass` takes them,
-        read off the site values of the states it visited."""
+        read off the site values of the states it visited, and their N+1
+        cut points: site ``i0``'s changes are entries ``cuts[i0]`` to
+        ``cuts[i0 + 1] - 1``.  The change of site ``i0`` at event ``j`` is
+        entry ``i0 * events + j`` of the site-by-site change mask, so the
+        cuts are where the changes pass the multiples of the block length."""
+        n, events = len(self.table.values), len(self.ids) - 1
         occ = np.take(self.table.values, self.ids, axis=1)  # column j: the lattice before event j
         changed = np.flatnonzero(occ[:, 1:] != occ[:, :-1])  # site by site, each in time order
-        site, event = np.divmod(changed, len(self.ids) - 1)
+        cuts = np.searchsorted(changed, np.arange(n + 1) * events)
+        site = np.repeat(np.arange(n), np.diff(cuts))
         before = changed + site  # the flat index in occ of the value before the event
         occ = occ.ravel()
-        return event, site, occ[before], occ[before + 1]
+        return changed - site * events, site, occ[before], occ[before + 1], cuts
+
+    def states(self) -> np.ndarray:
+        """The canonical state index before each event of the last block:
+        the walk's own path."""
+        return self.ids[:-1]
 
 
 def _flip_bond(classes: list[tuple[list[int], float]], i0: int, k0: int, far: int) -> None:
@@ -617,7 +635,9 @@ class _LatticeWalk(_Walk):
 
     def changes(self) -> tuple[np.ndarray, ...]:
         """The last block's site changes as :func:`_window_pass` takes them,
-        decoded from its moves."""
+        decoded from its moves, and their N+1 cut points: site ``i0``'s
+        changes are entries ``cuts[i0]`` to ``cuts[i0 + 1] - 1``, found in
+        the changes once sorted by site."""
         radix, n, moves = len(self.sums), len(self.occ), self.moves
         v = moves % radix
         # Two entries per event, the site left then the site entered, and
@@ -627,8 +647,21 @@ class _LatticeWalk(_Walk):
         kept = np.flatnonzero(sites >= 0)
         # A stable sort of integers of 16 bits or fewer is a radix sort.
         kept = kept[np.argsort(sites[kept].astype(np.min_scalar_type(n)), kind="stable")]
-        event = kept // 2
-        return event, sites[kept], old[kept], v[event] - old[kept]
+        event, site = kept // 2, sites[kept]
+        return event, site, old[kept], v[event] - old[kept], np.searchsorted(site, np.arange(n + 1))
+
+    def states(self) -> np.ndarray:
+        """The canonical state index before each event of the last block,
+        rebuilt from its moves back from the lattice now.  The index has
+        site 1 as its most significant digit; only a tracked run asks for
+        it, whose at most ``STATE_TRACKING_LIMIT`` states keep the weights
+        within int64."""
+        radix, n, moves = len(self.sums), len(self.occ), self.moves
+        # The weight of site i0 at i0 + 1, and 0 at 0 for outside.
+        weight = np.concatenate(([0], radix ** np.arange(n - 1, -1, -1, dtype=np.int64)))
+        source, target = np.divmod(moves // radix, n + 1)  # each move's sites, plus one
+        step = (weight[target] - weight[source]) * (moves % radix)  # each event's change of index
+        return int(np.dot(self.occ, weight[1:])) - np.cumsum(step[::-1])[::-1]
 
 
 def _add_in_order(totals: np.ndarray, index: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -646,8 +679,12 @@ def _window_pass(walk: _Walk, params: ModelParams, config: SimConfig, m: int) ->
 
     Each block of the window gives its event times, its holding times and
     its site changes: arrays (event, site, old value, new value), site by
-    site and each site's in time order.  The statistics come from them in
-    one numpy pass per block, bitwise as one event at a time: each running
+    site and each site's in time order, and the N+1 cut points of those
+    arrays, site ``i0``'s changes being entries ``cuts[i0]`` to
+    ``cuts[i0 + 1] - 1``.  Tracked state occupancy reads the state before
+    each event off the walk (:meth:`_MemoWalk.states`,
+    :meth:`_LatticeWalk.states`).  The statistics come from them in one
+    numpy pass per block, bitwise as one event at a time: each running
     sum takes its additions in time order.
     """
     n, n_types = params.n_sites, params.n_types
@@ -668,42 +705,40 @@ def _window_pass(walk: _Walk, params: ModelParams, config: SimConfig, m: int) ->
     # times, NaN for those present when the window opened.
     lo, hi = 0, int(start_counts.sum())
     arrived = np.full(hi, np.nan)
-    state_occ = None
-    if m:
-        state_occ = np.zeros(m)
-        weight = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)  # (K+1)^N <= m
-        s = int(np.dot(start, weight))  # the state index
+    state_occ = np.zeros(m) if m else None
+    hit = np.zeros(_EVENT_BLOCK, dtype=bool)  # the events that change a boundary site's neighbour
 
     for times, dt in walk.blocks(config.max_events - config.warmup_events):
-        event, site, old, new = walk.changes()
+        event, site, old, new, cuts = walk.changes()
         when = times[event + 1]
 
         if state_occ is not None:
-            moved = (new.astype(np.int64) - old) * weight[site]
-            step = np.bincount(event, moved, minlength=len(dt))
-            index = s + np.cumsum(step.astype(np.int64))  # the state after each event
-            state_occ = _add_in_order(state_occ, np.concatenate(([s], index[:-1])), dt)
-            s = int(index[-1])
+            state_occ = _add_in_order(state_occ, walk.states(), dt)
 
         # Each site's time in each value, added when the site changes.
-        first = np.flatnonzero(np.diff(site, prepend=-1))  # each changed site's first change
-        last = np.append(first[1:], len(site)) - 1
+        moved = np.flatnonzero(cuts[1:] != cuts[:-1])  # the sites that changed
         since = np.concatenate(([0.0], when[:-1]))
-        since[first] = last_change[site[first]]
+        since[cuts[moved]] = last_change[moved]
         occupancy = _add_in_order(occupancy, site * radix + old, when - since)
-        last_change[site[last]] = when[last]
+        last_change[moved] = when[cuts[moved + 1] - 1]
 
-        # Arrivals and departures: the events that change one site only (a
-        # hop changes two), those at site 1 first, then those at site N.
-        per_event = np.bincount(event, minlength=len(dt))  # changes per event
-        io = np.flatnonzero(per_event[event] == 1)
+        # Arrivals and departures: the changes at site 1, then at site N,
+        # whose event changes no neighbouring site (a hop changes two).  On
+        # two sites each boundary site is the other's neighbour.
+        io = []
+        for a, b in ((0, 1), (n - 1, n - 2)):
+            near = event[cuts[b]:cuts[b + 1]]
+            hit[near] = True
+            io.append(cuts[a] + np.flatnonzero(~hit[event[cuts[a]:cuts[a + 1]]]))
+            hit[near] = False
+        at_left = len(io[0])
+        io = np.concatenate(io)
         pop = old[io] != 0
         value = old[io] + new[io]  # one of the two is 0
         counts = np.bincount(value + radix * pop, minlength=2 * radix)
         arrivals += counts[:radix]
         departures += counts[radix:]
         sign = 1 - 2 * pop.astype(np.int64)  # +1 for an arrival, -1 for a departure
-        at_left = np.count_nonzero(site[io] == 0)
         lo_after = lo - np.cumsum(sign[:at_left])
         hi_after = hi + np.cumsum(sign[at_left:])
         slot = np.concatenate((lo_after - pop[:at_left], hi_after - 1 + pop[at_left:]))
@@ -715,23 +750,23 @@ def _window_pass(walk: _Walk, params: ModelParams, config: SimConfig, m: int) ->
         # particle it removes.
         slots = np.concatenate((np.arange(lo, hi), slot))
         at = np.concatenate((arrived, when[io]))
-        gone = np.concatenate((np.zeros(hi - lo, dtype=bool), pop))
         # slots is never empty: on an empty lattice the next event is an arrival.
-        span = slots - slots.min()
+        low = slots.min()
+        span = slots - low
         order = np.argsort(span.astype(np.min_scalar_type(span.max())), kind="stable")
-        popped = gone[order]
-        p = np.flatnonzero(popped)
-        stays = np.empty(len(at))
-        stays[order[p]] = at[order[p]] - at[order[p - 1]]
-        stays, kinds = stays[gone], value[pop]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        leaving = np.flatnonzero(pop)  # the departures, in time order
+        gone = len(arrived) + leaving  # their places in slots and at
+        stays, kinds = at[gone] - at[order[rank[gone] - 1]], value[leaving]
         done = ~np.isnan(stays)  # NaN: a particle present when the window opened
         stay_blocks.append(stays[done])
         kind_blocks.append(kinds[done])
-        sorted_slots = slots[order]
-        ends = np.flatnonzero(np.append(sorted_slots[1:] != sorted_slots[:-1], True))
-        arrived = at[order[ends[~popped[ends]]]]
         lo = int(lo_after[-1]) if at_left else lo
         hi = int(hi_after[-1]) if len(hi_after) else hi
+        # Each occupied slot's last entry, in slot order, is its particle's arrival.
+        last = np.cumsum(np.bincount(span)) - 1
+        arrived = at[order[last[lo - low:hi - low]]]
 
     t = walk.t
     end = walk.lattice()

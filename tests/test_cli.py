@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -493,6 +494,50 @@ class TestMainEntry:
             assert main([args[0], "--config", str(config), "--output", str(here / f"{i}.json"),
                          *args[1:]]) == codes[i]
             assert (fresh / f"{i}.json").read_bytes() == (here / f"{i}.json").read_bytes()
+
+# Whole documents pinned by their sha256, JSON and CSV: a change of any
+# byte of a simulate or report document shows here, the sampled figures
+# included.  n5k2-report runs the memo walk over several blocks of
+# uniforms with state occupancy tracked; n30k3-simulate runs the lattice
+# walk; n2k2-simulate has one immobile type on two sites, where a hop
+# changes both boundary sites.
+PINNED_DOCUMENTS = [
+    (
+        "report",
+        dict(n_sites=5, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0],
+             seed=1, max_events=30_000, replicas=2),
+        "2769821beed3ab612d961bf92c731a3a419ff3d6a9aaceedbf62553506072243",
+        "3a92f6fb4a09a8f11cc082fdf2d042ee18844fc6023c9ede62feb0ec212be5bc",
+    ),
+    (
+        "simulate",
+        dict(n_sites=30, n_types=3, alpha=[1.0, 2.0, 0.5], beta=[2.0, 1.0, 0.4], delta=[1.0, 0.3, 2.0],
+             seed=2, max_events=3000, replicas=2),
+        "8009f4c12856414bcfa96cbe67b03ff5f652684170722bdd0327c1fbffc82275",
+        "9e138ee0cbc860467b67b67be21a8f950f77d2fa23a30f6ef3d72cee2ff61327",
+    ),
+    (
+        "simulate",
+        dict(n_sites=2, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 0.0],
+             seed=3, max_events=20_000, replicas=2),
+        "c23bd5738468aa489eb80e8d6e814e1a52413b5be843cbc94e3d3a9381828b1c",
+        "340cbd95b2996b087092dc74723e6b157631ff95d440b4c6c8c71a7e7f4d93d5",
+    ),
+]
+
+
+class TestPinnedDocuments:
+    @pytest.mark.parametrize("command, config, json_sha256, csv_sha256", PINNED_DOCUMENTS,
+                             ids=["n5k2-report", "n30k3-simulate", "n2k2-simulate"])
+    def test_documents_are_pinned(self, tmp_path, capsys, command, config, json_sha256, csv_sha256):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        digests = []
+        for fmt in ("json", "csv"):
+            assert main([command, "--config", str(path), "--format", fmt]) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
+        assert digests == [json_sha256, csv_sha256]
+
 
 class TestCsvOutput:
     def test_exact_tables(self, config_path, tmp_path):

@@ -453,44 +453,49 @@ class TestRunReplica:
         assert simulate._memo_table.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
-        "model, cfg, expected, sums",
+        "model, cfg, expected, sojourn_sums, state_sum",
         [
             (
                 params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
                 SimConfig(seed=1, max_events=20_000, warmup_fraction=0.2),
                 ("0x1.8fcf4c9b6a050p+11", [1802, 3573], [1802, 3573], "0x1.f3c31fc244864p+13"),
+                ["0x1.18833a297a6b4p+11", "0x1.1e31032e39abbp+13"],
                 None,
             ),
             (
                 params(30, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(1.0, 0.3, 2.0)),
                 SimConfig(seed=2, max_events=3000, warmup_fraction=0.2),
                 ("0x1.7578e1e88274ap+7", [77, 153, 36], [77, 151, 35], "0x1.5e2153c9fa4d5p+12"),
+                ["0x1.fea35922a0158p+5", "0x1.80b9f154e56e4p+8", "0x1.0d81f317918fep+8"],
                 None,
             ),
             (
                 params(5, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
                 SimConfig(seed=3, max_events=100_003, warmup_fraction=0.25),
                 ("0x1.ccf25dcfa9dafp+13", [8607, 16836], [8605, 16838], "0x1.20177aa1ca28ep+16"),
-                (["0x1.4ea1161fe367cp+13", "0x1.4706116b4b342p+15"], "0x1.ccf25dcfa9db6p+13"),
+                ["0x1.4ea1161fe367cp+13", "0x1.4706116b4b342p+15"],
+                "0x1.ccf25dcfa9db6p+13",
             ),
             (
                 params(10, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
                 SimConfig(seed=4, max_events=50_000, warmup_fraction=0.2),
                 ("0x1.6129687166b0cp+12", [3120, 6546], [3120, 6548], "0x1.b973c28dc05cep+15"),
-                (["0x1.8f18ab6a1ba52p+12", "0x1.003e1d84934e6p+15"], "0x1.6129687166b25p+12"),
+                ["0x1.8f18ab6a1ba52p+12", "0x1.003e1d84934e6p+15"],
+                "0x1.6129687166b25p+12",
             ),
         ],
         ids=["n5k2", "n30k3", "n5k2-blocks", "n10k2-incremental"],
     )
-    def test_stream_and_event_order_are_pinned(self, model, cfg, expected, sums):
+    def test_stream_and_event_order_are_pinned(self, model, cfg, expected, sojourn_sums, state_sum):
         # Fixed-seed figures recorded under RNG_SCHEME's event order (n5k2
         # runs the memo walk, n30k3 the lattice walk): any change to the
-        # uniform stream, the event order or the upper-end sums shows here.
-        # n5k2-blocks runs the memo walk over several blocks of uniforms,
-        # with state occupancy tracked; it also pins each type's sojourn sum
-        # and the state-occupancy sum.  n10k2-incremental pins the same sums
-        # on the lattice walk (3^10 states, off the memo).
-        stats = run_replica(model, cfg, 1, track_state_occupancy=sums is not None)
+        # uniform stream, the event order or the upper-end sums shows here,
+        # as does any change to the sojourn matching in each type's sojourn
+        # sum.  n5k2-blocks runs the memo walk over several blocks of
+        # uniforms, with state occupancy tracked, and also pins the
+        # state-occupancy sum; n10k2-incremental pins the same sums on the
+        # lattice walk (3^10 states, off the memo).
+        stats = run_replica(model, cfg, 1, track_state_occupancy=state_sum is not None)
         observed = (
             stats.total_time.hex(),
             stats.arrivals_by_type.tolist(),
@@ -498,9 +503,9 @@ class TestRunReplica:
             float(stats.site_occupancy_time.sum()).hex(),
         )
         assert observed == expected
-        if sums is not None:
-            sojourn_sums = [math.fsum(times).hex() for times in stats.completed_sojourns]
-            assert (sojourn_sums, float(stats.state_occupancy_time.sum()).hex()) == sums
+        assert [math.fsum(times).hex() for times in stats.completed_sojourns] == sojourn_sums
+        if state_sum is not None:
+            assert float(stats.state_occupancy_time.sum()).hex() == state_sum
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("memo", [True, False], ids=["memo", "incremental"])
@@ -522,6 +527,31 @@ class TestRunReplica:
         split = run_replica(model, cfg, 2, track_state_occupancy=True)
         assert split == whole
         assert split == replay(model, cfg, 2, track=True)
+
+    def test_random_models_replay_on_each_walk(self, monkeypatch):
+        # Fifteen seeded models, one of each N = 2..6 and K = 1..3, with
+        # rates drawn log-uniformly over a decade and each hop rate zero
+        # one time in three.  Each walk is forced in turn, with blocks of 1
+        # and 7 events, and every replica must replay through the reference
+        # stepper: the window pass finds arrivals and departures at the
+        # boundary sites alone, and each walk gives the state before each
+        # event.
+        rng = random.Random(29)
+
+        def rates(k):
+            return tuple(10 ** rng.uniform(-0.5, 0.5) for _ in range(k))
+
+        for i in range(15):
+            n, k = 2 + i % 5, 1 + i % 3
+            delta = tuple(0.0 if rng.random() < 1 / 3 else rate for rate in rates(k))
+            model = params(n, k, alpha=rates(k), beta=rates(k), delta=delta)
+            cfg = SimConfig(seed=i, max_events=150, warmup_fraction=0.3 if i % 2 else 0.0)
+            expected = replay(model, cfg, i % 3, track=True)
+            for memo in (True, False):
+                monkeypatch.setattr(simulate, "_memo_fits", lambda _params, memo=memo: memo)
+                for block in (1, 7):
+                    monkeypatch.setattr(simulate, "_EVENT_BLOCK", block)
+                    assert run_replica(model, cfg, i % 3, track_state_occupancy=True) == expected, (i, memo, block)
 
     def test_record_cache_memory_is_bounded(self, monkeypatch):
         # On 4^30 states nearly every event reaches a new state; the path
