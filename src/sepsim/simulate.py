@@ -22,9 +22,11 @@ by lattice size:
   table, one budget: the record budget alone bounds the pick rows too,
   whatever the rates (see ``_RECORD_CACHE_LIMIT``);
 - the lattice walk keeps the lattice as a list and one sorted list of
-  active bonds per type, updates at most two of them per event, and picks
-  the class by bisection over the K+2 class ends and the bond by
-  division, so its cost per event does not grow with N.
+  active bonds per type, toggles at most two bonds in place per event,
+  and picks the class (the n-fold way of Bortz, Kalos and Lebowitz, J.
+  Comput. Phys. 17, 1975) by one running scan of the K+2 class widths,
+  summed as the total was, and the bond by division, so no step of an
+  event scans the lattice or a bond list.
 
 The warm-up is the bare walk.  One *window pass* then takes every
 statistic from what the walk gives for each block of the window, in
@@ -76,7 +78,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import accumulate
@@ -536,37 +538,24 @@ class _MemoWalk(_Walk):
         return self.ids[:-1]
 
 
-def _flip_bond(classes: list[tuple[list[int], float]], i0: int, k0: int, far: int) -> None:
-    """Bond ``i0``'s near end switches between vacant and type ``k0 + 1``
-    while its far end holds ``far``, so the bond turns active or inactive:
-    insert it into, or delete it from, its type's sorted list of members
-    in ``classes``, the (members, rate) of each type."""
-    if far:
-        k0 = far - 1
-    members, rate = classes[k0]
-    if rate > 0.0:
-        j = bisect_left(members, i0)
-        if j < len(members) and members[j] == i0:
-            del members[j]
-        else:
-            members.insert(j, i0)
-
-
 class _LatticeWalk(_Walk):
     """The walk over any other lattice: the lattice as a list, and one
     sorted list of active bonds per type.
 
-    Each event updates at most two of the bond lists and is picked by
-    bisection over the K+2 class ends, then by division within a hop
-    class, so its cost does not grow with N.  A block logs each event's
-    total rate and its move, one integer
+    Each event toggles at most two bonds in place, each inserted or
+    removed as its move dictates.  The total rate is summed first; an
+    event past the two boundary blocks finds its hop class by one running
+    scan of the same sums in the same order, then its bond by division, so
+    no step scans the lattice or a bond list.  A block logs each event's total rate
+    and its move, one integer
     ``((a + 1) * (N + 1) + b + 1) * (K + 1) + v`` for a particle of value
     ``v`` going from site ``a`` to site ``b``, with -1 for outside.
     """
 
     def __init__(self, params: ModelParams, rng_random) -> None:
         self.sums = _block_sums(params)
-        # Per type: its active bonds, ascending, and its hop rate.
+        # Per type: its active bonds, ascending, and its hop rate.  A type
+        # of rate 0.0 keeps its list too; its class has no width.
         self.classes = [([], rate) for rate in params.delta]
         self.occ = [0] * params.n_sites
         self.rng_random = rng_random
@@ -579,57 +568,89 @@ class _LatticeWalk(_Walk):
     def _walk(self, picks: np.ndarray) -> np.ndarray:
         """Keeps the events' moves in ``self.moves``."""
         occ, classes, sums = self.occ, self.classes, self.sums
+        bonds = [None, *(members for members, _ in classes)]  # each value's bond list
         block_total = [block[-1] for block in sums]
         n, radix = len(occ), len(sums)
         source = (n + 1) * radix  # the move's weight of a + 1
         totals: list[float] = []
         moves: list[int] = []
-        # u2 <= 1 - 2**-53, so u2 * total rounds below total, the last class
-        # end: the bisection always finds a class.
+        add_total, add_move = totals.append, moves.append
+        # A near site that turns vacant makes its bond active for the far
+        # site's particle, or, with the far site vacant, inactive for its
+        # own; a near site that fills does the reverse.  Except next to the
+        # hopped bond, a bond is found in its list by bisection: the scan of
+        # list.remove would grow with N.
         for u2 in picks.tolist():
             start = block_total[occ[0]]  # the site-1 block's end, 0.0 + its sum
-            total = start + block_total[occ[-1]]
-            ends = [start, total]
+            lower = total = start + block_total[occ[-1]]
             for members, rate in classes:
                 total = total + len(members) * rate
-                ends.append(total)
             x = u2 * total
-            c = bisect_right(ends, x)
-            if c < 2:
-                a = 0 if c == 0 else n - 1
+            if x < lower:  # site a's block; its one bond i0 flips
+                a, i0, far = (0, 0, occ[1]) if x < start else (n - 1, n - 2, occ[-2])
                 v = occ[a]
                 if v:  # a departure
                     occ[a] = 0
-                    moves.append((a + 1) * source + v)
+                    add_move((a + 1) * source + v)
+                    if far:
+                        insort(bonds[far], i0)
+                    else:
+                        del bonds[v][bisect_left(bonds[v], i0)]
                 else:  # an arrival
-                    lower = 0.0 if c == 0 else start
+                    lower = 0.0 if a == 0 else start
                     while lower + sums[0][v] <= x:
                         v += 1
                     occ[a] = v = v + 1
-                    moves.append((a + 1) * radix + v)
-                # The boundary site's one bond flips.
-                if a:
-                    _flip_bond(classes, a - 1, v - 1, occ[a - 1])
-                else:
-                    _flip_bond(classes, 0, v - 1, occ[1])
+                    add_move((a + 1) * radix + v)
+                    if far:
+                        del bonds[far][bisect_left(bonds[far], i0)]
+                    else:
+                        insort(bonds[v], i0)
             else:
-                k0 = c - 2
-                (members, rate), lower = classes[k0], ends[c - 1]
+                # u2 <= 1 - 2**-53, so x rounds below total, the last class
+                # end: the scan always finds a class, and never one of rate
+                # 0.0, which has no width.
+                for k0, (members, rate) in enumerate(classes):
+                    upper = lower + len(members) * rate
+                    if x < upper:
+                        break
+                    lower = upper
                 j = min(int((x - lower) / rate), len(members) - 1)
                 while lower + j * rate > x:
                     j -= 1
                 while lower + (j + 1) * rate <= x:
                     j += 1
                 i0 = members[j]
-                a, b = (i0, i0 + 1) if occ[i0] else (i0 + 1, i0)
-                # The hopped bond stays active; the bonds beyond its two ends flip.
-                if i0:
-                    _flip_bond(classes, i0 - 1, k0, occ[i0 - 1])
-                if i0 < n - 2:
-                    _flip_bond(classes, i0 + 1, k0, occ[i0 + 2])
+                # The hopped bond stays active; the bonds beyond its two ends
+                # flip, the right one first, which keeps i0 at index j.  In
+                # the mover's own list they sit right next to it.
+                if occ[i0]:  # site i0 turns vacant and site i0 + 1 fills
+                    a, b = i0, i0 + 1
+                    if i0 < n - 2:
+                        if far := occ[i0 + 2]:
+                            del bonds[far][bisect_left(bonds[far], i0 + 1)]
+                        else:
+                            members.insert(j + 1, i0 + 1)
+                    if i0:
+                        if far := occ[i0 - 1]:
+                            insort(bonds[far], i0 - 1)
+                        else:
+                            del members[j - 1]
+                else:  # site i0 + 1 turns vacant and site i0 fills
+                    a, b = i0 + 1, i0
+                    if i0 < n - 2:
+                        if far := occ[i0 + 2]:
+                            insort(bonds[far], i0 + 1)
+                        else:
+                            del members[j + 1]
+                    if i0:
+                        if far := occ[i0 - 1]:
+                            del bonds[far][bisect_left(bonds[far], i0 - 1)]
+                        else:
+                            members.insert(j, i0 - 1)
                 occ[a], occ[b] = 0, k0 + 1
-                moves.append((a + 1) * source + (b + 1) * radix + k0 + 1)
-            totals.append(total)
+                add_move((a + 1) * source + (b + 1) * radix + k0 + 1)
+            add_total(total)
         self.moves = np.array(moves, dtype=np.int64)
         return np.array(totals)
 
@@ -813,8 +834,8 @@ def run_replica(
     caller's, which it inherits), and picks each event from its state's
     pick row, bitwise the bisection over its upper ends;
     :class:`_LatticeWalk` keeps each type's active bonds as a sorted list,
-    updates at most two of them per event, and picks the class by
-    bisection over the K+2 class ends and the member by division.  Both
+    toggles at most two bonds in place per event, and picks the class by
+    one running scan of the class ends and the member by division.  Both
     use the same upper-end expressions, so they pick the same events.  The
     warm-up is the bare walk; :func:`_window_pass` then takes the
     statistics from what the walk gives for each block of the window.

@@ -483,8 +483,15 @@ class TestRunReplica:
                 ["0x1.8f18ab6a1ba52p+12", "0x1.003e1d84934e6p+15"],
                 "0x1.6129687166b25p+12",
             ),
+            (
+                params(12, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(1.3, 0.0)),
+                SimConfig(seed=6, max_events=4000, warmup_fraction=0.2),
+                ("0x1.67517c57f7feep+8", [190, 405], [188, 404], "0x1.0d7d1d41f9ff3p+12"),
+                ["0x1.0997e5a14b324p+10", "0x1.b3adcca58d9bep+8"],
+                "0x1.67517c57f7ff0p+8",
+            ),
         ],
-        ids=["n5k2", "n30k3", "n5k2-blocks", "n10k2-incremental"],
+        ids=["n5k2", "n30k3", "n5k2-blocks", "n10k2-incremental", "n12k2-immobile-incremental"],
     )
     def test_stream_and_event_order_are_pinned(self, model, cfg, expected, sojourn_sums, state_sum):
         # Fixed-seed figures recorded under RNG_SCHEME's event order (n5k2
@@ -494,7 +501,9 @@ class TestRunReplica:
         # sum.  n5k2-blocks runs the memo walk over several blocks of
         # uniforms, with state occupancy tracked, and also pins the
         # state-occupancy sum; n10k2-incremental pins the same sums on the
-        # lattice walk (3^10 states, off the memo).
+        # lattice walk (3^10 states, off the memo), and
+        # n12k2-immobile-incremental on a lattice walk whose type 2 never
+        # hops.
         stats = run_replica(model, cfg, 1, track_state_occupancy=state_sum is not None)
         observed = (
             stats.total_time.hex(),
@@ -552,6 +561,28 @@ class TestRunReplica:
                 for block in (1, 7):
                     monkeypatch.setattr(simulate, "_EVENT_BLOCK", block)
                     assert run_replica(model, cfg, i % 3, track_state_occupancy=True) == expected, (i, memo, block)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_lattice_walk_bond_lists_follow_the_lattice(self, block):
+        # After every block each mobile type's bond list is the sorted list
+        # of the bonds it can hop, recounted from the lattice: one end holds
+        # the type and the other is vacant.  A replay sees a wrong list only
+        # when a pick lands on it.
+        rng = random.Random(30)
+        for n in (2, 3, 7, 40):
+            for k in (1, 2, 3):
+                rates = [10 ** rng.uniform(-0.5, 0.5) for _ in range(3 * k)]
+                delta = [0.0 if rng.random() < 1 / 3 else rate for rate in rates[2 * k:]]
+                model = params(n, k, alpha=tuple(rates[:k]), beta=tuple(rates[k:2 * k]), delta=tuple(delta))
+                walk = simulate._LatticeWalk(model, None)
+                uniforms = np.random.default_rng(n * 3 + k).random
+                for _ in range(1400 // block):
+                    walk._walk(uniforms(block))
+                    occ = walk.occ
+                    for k0, (members, rate) in enumerate(walk.classes):
+                        if rate > 0.0:
+                            active = [i0 for i0 in range(n - 1) if {occ[i0], occ[i0 + 1]} == {0, k0 + 1}]
+                            assert members == active, (n, k, k0)
 
     def test_record_cache_memory_is_bounded(self, monkeypatch):
         # On 4^30 states nearly every event reaches a new state; the path
