@@ -12,17 +12,9 @@ and checks flux, sojourn-time, and reversibility identities.
 __version__ = "0.1.0"
 
 from .model import (
-    VACANT,
-    Event,
-    EventKind,
-    EventNotEnabledError,
     LatticeState,
     ModelParams,
-    apply_event,
     decode,
-    enabled_events,
-    encode,
-    enumerate_states,
     state_space_size,
 )
 from .exact import (
@@ -35,7 +27,6 @@ from .exact import (
     certify_stationary,
     is_irreducible,
     is_irreducible_model,
-    joint_from_marginals,
     marginals_from_distribution,
     normalization_constant,
     product_form,
@@ -52,7 +43,6 @@ from .simulate import (
     replica_rng,
     run_replica,
     run_replicas,
-    sample_next_event,
 )
 from .analytics import (
     FluxReport,
@@ -74,17 +64,9 @@ from .reversibility import (
 
 __all__ = [
     "__version__",
-    "VACANT",
-    "Event",
-    "EventKind",
-    "EventNotEnabledError",
     "LatticeState",
     "ModelParams",
-    "apply_event",
     "decode",
-    "enabled_events",
-    "encode",
-    "enumerate_states",
     "state_space_size",
     "CapExceededError",
     "Generator",
@@ -95,7 +77,6 @@ __all__ = [
     "certify_stationary",
     "is_irreducible",
     "is_irreducible_model",
-    "joint_from_marginals",
     "marginals_from_distribution",
     "normalization_constant",
     "product_form",
@@ -110,7 +91,6 @@ __all__ = [
     "replica_rng",
     "run_replica",
     "run_replicas",
-    "sample_next_event",
     "FluxReport",
     "SojournReport",
     "arrival_rate_boundary_form",

@@ -80,7 +80,6 @@ __all__ = [
     "product_form",
     "normalization_constant",
     "site_marginal",
-    "joint_from_marginals",
     "marginals_from_distribution",
 ]
 
@@ -253,13 +252,6 @@ class Generator:
         """Total rate out of each state (magnitude of the implied diagonal)."""
         return np.bincount(self.rows, weights=self.rates, minlength=self.dim)
 
-    def to_dense(self) -> np.ndarray:
-        """Full dense generator including the implied diagonal."""
-        q = np.zeros((self.dim, self.dim))
-        q[self.rows, self.cols] = self.rates
-        q[np.arange(self.dim), np.arange(self.dim)] = -self.exit_rates()
-        return q
-
     @cached_property
     def tree_potential(self) -> TreePotential | None:
         """The :class:`TreePotential` of these rates, computed on first use
@@ -326,10 +318,11 @@ def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, int
     and ``b`` index the ``(K+1,)*N`` state tensor: the family's events take
     each state of ``a`` to the state in the same place of ``b`` at rate
     ``rate_ab``, and the reverse family takes it back at ``rate_ba``.  In
-    order: a type-k arrival at a vacant site against its departure, for k =
-    1..K, on axis 0 and then on axis N-1; then on each bond ``(i, i+1)`` a
-    type-k right hop, ``(k, 0) -> (0, k)``, against its left hop, for each
-    k whose hop rate ``delta[k-1]`` is positive.
+    the sampler's order (``sepsim.simulate.RNG_SCHEME["event_order"]``): a
+    type-k arrival at a vacant site against its departure, for k = 1..K,
+    on axis 0 and then on axis N-1; then, for each k whose hop rate
+    ``delta[k-1]`` is positive, on each bond ``(i, i+1)`` in ascending
+    ``i`` a type-k right hop, ``(k, 0) -> (0, k)``, against its left hop.
     """
     full = (slice(None),) * params.n_sites
 
@@ -340,9 +333,9 @@ def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, int
     for axis in (0, params.n_sites - 1):
         for k, (alpha, beta) in enumerate(zip(params.alpha, params.beta), 1):
             yield at(axis, 0), at(axis, k), alpha, EDGE_ARRIVAL, beta, EDGE_DEPARTURE
-    for i in range(params.n_sites - 1):
-        for k, rate in enumerate(params.delta, 1):
-            if rate > 0.0:
+    for k, rate in enumerate(params.delta, 1):
+        if rate > 0.0:
+            for i in range(params.n_sites - 1):
                 yield at(i, k, 0), at(i, 0, k), rate, EDGE_HOP, rate, EDGE_HOP
 
 
@@ -758,20 +751,6 @@ def site_marginal(params: ModelParams) -> np.ndarray:
     ratios = np.array([a / b for a, b in zip(params.alpha, params.beta)])
     denom = 1.0 + ratios.sum()
     return np.concatenate(([1.0 / denom], ratios / denom))
-
-
-def joint_from_marginals(params: ModelParams) -> np.ndarray:
-    """Joint distribution assembled as the product of the site marginals.
-
-    Algebraically identical to :func:`product_form`; computed through the
-    normalized marginals instead of the global constant so the identity
-    can be asserted numerically.
-    """
-    marginal = site_marginal(params)
-    probs = marginal
-    for _ in range(params.n_sites - 1):
-        probs = np.multiply.outer(probs, marginal).ravel()
-    return probs
 
 
 def marginals_from_distribution(dist: np.ndarray, params: ModelParams) -> np.ndarray:

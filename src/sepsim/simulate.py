@@ -4,8 +4,8 @@ The sampler is the direct method: draw an exponential holding time from
 the total enabled rate, then pick one event with probability proportional
 to its rate.  Both draws are plain uniform doubles consumed in a fixed
 order (holding time first), which makes replicas bit-reproducible and lets
-:func:`run_replica` pick exactly the same events as repeated calls to
-:func:`sample_next_event`.
+:func:`run_replica` pick exactly the same events as the tests' reference
+stepper, which takes one event at a time.
 
 :func:`run_replica` draws the uniforms in blocks.  The order of events
 depends only on the state (see ``RNG_SCHEME["event_order"]``): the site-1
@@ -60,7 +60,7 @@ Replica streams come from a counter-based generator: replica ``i`` of a
 run seeded with ``s`` uses ``numpy`` Philox keyed by
 ``SeedSequence(entropy=s, spawn_key=(i,))``.  Exponentials are drawn by
 inversion (``-log1p(-u) / rate``), never by ziggurat, so the uniform
-stream alone determines the run.  The reference stepper takes
+stream alone determines the run.  The tests' reference stepper takes
 :func:`math.log1p` and a walk the same C library ``log1p`` through one
 numpy call per block (see :meth:`_Walk.blocks`), so both give the same
 bits.
@@ -78,25 +78,18 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import accumulate
-from math import fsum, log1p
+from math import fsum
 from numbers import Real
 from typing import NoReturn, Sequence
 
 import numpy as np
 
 from .exact import _event_pairs
-from .model import (
-    Event,
-    EventKind,
-    LatticeState,
-    ModelParams,
-    enabled_events,
-    state_space_size,
-)
+from .model import ModelParams, state_space_size
 
 __all__ = [
     "RNG_SCHEME",
@@ -104,7 +97,6 @@ __all__ = [
     "SimConfig",
     "SimStats",
     "replica_rng",
-    "sample_next_event",
     "run_replica",
     "run_replicas",
     "merge_replicas",
@@ -221,45 +213,6 @@ def replica_rng(seed: int, replica_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def sample_next_event(
-    state: LatticeState, params: ModelParams, rng: np.random.Generator
-) -> tuple[float, Event]:
-    """One step of the direct method from ``state``: the reference stepper.
-
-    Consumes exactly two uniform doubles from ``rng``: the holding time is
-    ``-log1p(-u1) / total_rate`` and the event is the first, in the order
-    of ``RNG_SCHEME["event_order"]``, whose upper end exceeds
-    ``u2 * total_rate``.  Deterministic given the stream position, and
-    :func:`run_replica` picks bitwise the same event from the same state.
-    """
-    events = enabled_events(state, params)
-    boundary = [item for item in events if item[0].kind in _BOUNDARY_KINDS]
-    hops = sorted(
-        (item for item in events if item[0].kind not in _BOUNDARY_KINDS),
-        key=lambda item: item[0].ptype,
-    )
-    uppers: list[float] = []
-    base = 0.0
-    for site in (1, params.n_sites):
-        running = 0.0
-        for event, rate in boundary:
-            if event.site == site:
-                running += rate
-                uppers.append(base + running)
-        base = base + running
-    for k, rate in enumerate(params.delta, start=1):
-        count = sum(event.ptype == k for event, _ in hops)
-        uppers.extend(base + (j + 1) * rate for j in range(count))
-        base = base + count * rate
-    u1 = float(rng.random())
-    u2 = float(rng.random())
-    dt = -log1p(-u1) / base
-    pick = min(bisect_right(uppers, u2 * base), len(uppers) - 1)
-    return dt, (boundary + hops)[pick][0]
-
-
-_BOUNDARY_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE)
-
 # Record budget of the memo walk's table, which holds every state's
 # successors, at most N+2K-1 records each, built at once per model.  At
 # the README rates the table keeps 29 bytes per budget record at N=9/K=2
@@ -318,9 +271,8 @@ def _state_events(params: ModelParams) -> tuple[list[tuple[int, ...]], list[tupl
     A family and its reverse fill one column of a ``(K+1,)*N + (pairs,)``
     int32 tensor of successors, -1 where neither fires: each state of ``a``
     goes to the state in the same place of ``b``, and each state of ``b``
-    back.  The families come as the site-1 block, the site-N block, then
-    the hops by bond and type; each hop family fills the column of its
-    type and bond, so a state's row lists its events in the sampler's
+    back.  The families come in the sampler's order, each filling the
+    column of its own index, so a state's row lists its events in that
     order, which the row-major order of boolean indexing keeps.  The
     tensor and its mask are dropped before the successors become lists.
     """
@@ -331,12 +283,8 @@ def _state_events(params: ModelParams) -> tuple[list[tuple[int, ...]], list[tupl
     pairs = list(_event_pairs(params))
     boundary = 2 * n_types
     mobile = [k0 for k0, rate in enumerate(params.delta) if rate > 0.0]
-    # Family boundary + bond * len(mobile) + t goes to column
-    # boundary + t * (n - 1) + bond.
-    columns = [*range(boundary), *(boundary + t * (n - 1) + bond
-                                   for bond in range(n - 1) for t in range(len(mobile)))]
     targets = np.full(shape + (len(pairs),), -1, dtype=np.int32)
-    for column, (a, b, *_) in zip(columns, pairs, strict=True):
+    for column, (a, b, *_) in enumerate(pairs):
         targets[a + (column,)] = ids[b]
         targets[b + (column,)] = ids[a]
     targets = targets.reshape(m, len(pairs))
@@ -471,7 +419,7 @@ class _Walk:
         positive-stride arrays, rounds differently from the C library's
         ``log1p`` on some inputs; over a negative stride it runs its
         scalar loop, which calls the C library's ``log1p`` as
-        :func:`math.log1p` (and :func:`sample_next_event`) does.
+        :func:`math.log1p` (and so the tests' reference stepper) does.
         """
         while events:
             block = min(events, _EVENT_BLOCK)
@@ -546,8 +494,8 @@ class _LatticeWalk(_Walk):
     removed as its move dictates.  The total rate is summed first; an
     event past the two boundary blocks finds its hop class by one running
     scan of the same sums in the same order, then its bond by division, so
-    no step scans the lattice or a bond list.  A block logs each event's total rate
-    and its move, one integer
+    no step scans the lattice or a bond list.  A block logs each event's
+    total rate and its move, one integer
     ``((a + 1) * (N + 1) + b + 1) * (K + 1) + v`` for a particle of value
     ``v`` going from site ``a`` to site ``b``, with -1 for outside.
     """

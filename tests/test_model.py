@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from sepsim import (
+from reference import (
     Event,
     EventKind,
     EventNotEnabledError,
-    ModelParams,
     apply_event,
-    decode,
     enabled_events,
     encode,
     enumerate_states,
-    state_space_size,
 )
+import sepsim
+from sepsim import ModelParams, decode, state_space_size
 
 
 def params(n=2, k=1, alpha=None, beta=None, delta=None):
@@ -260,3 +259,65 @@ class TestEventAlgebra:
                     assert after == occupied
                 changed = sum(1 for a, b in zip(state, successor) if a != b)
                 assert changed in (1, 2)
+
+
+PUBLIC_API = [
+    "__version__",
+    "LatticeState",
+    "ModelParams",
+    "decode",
+    "state_space_size",
+    "CapExceededError",
+    "Generator",
+    "SingularSystemError",
+    "SolveError",
+    "balance_residuals",
+    "build_generator",
+    "certify_stationary",
+    "is_irreducible",
+    "is_irreducible_model",
+    "marginals_from_distribution",
+    "normalization_constant",
+    "product_form",
+    "resolve_state_cap",
+    "reverse_rates",
+    "site_marginal",
+    "solve_stationary",
+    "RNG_SCHEME",
+    "SimConfig",
+    "SimStats",
+    "merge_replicas",
+    "replica_rng",
+    "run_replica",
+    "run_replicas",
+    "FluxReport",
+    "SojournReport",
+    "arrival_rate_boundary_form",
+    "arrival_rate_closed_form",
+    "estimate_from_stats",
+    "sojourn_closed_form",
+    "sojourn_littles_law",
+    "BalanceReport",
+    "NotStationaryError",
+    "detailed_balance_residual",
+    "kolmogorov_cycle_residual",
+    "perturb_hop_rate",
+    "reversed_generator",
+]
+
+# The reference model and stepper live in tests/reference.py: no command runs them.
+REFERENCE_ONLY = [
+    "VACANT", "Event", "EventKind", "EventNotEnabledError", "enabled_events", "apply_event",
+    "enumerate_states", "encode", "_validate_state", "sample_next_event", "_BOUNDARY_KINDS",
+    "joint_from_marginals", "to_dense",
+]
+
+
+def test_public_api_is_pinned():
+    assert sepsim.__all__ == PUBLIC_API
+    modules = (sepsim, sepsim.model, sepsim.simulate, sepsim.exact)
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    for owner in modules + (sepsim.exact.Generator,):
+        assert [name for name in REFERENCE_ONLY if hasattr(owner, name)] == [], owner

