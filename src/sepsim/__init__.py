@@ -25,7 +25,6 @@ from .exact import (
     balance_residuals,
     build_generator,
     certify_stationary,
-    is_irreducible,
     is_irreducible_model,
     marginals_from_distribution,
     normalization_constant,
@@ -75,7 +74,6 @@ __all__ = [
     "balance_residuals",
     "build_generator",
     "certify_stationary",
-    "is_irreducible",
     "is_irreducible_model",
     "marginals_from_distribution",
     "normalization_constant",

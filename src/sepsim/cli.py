@@ -53,6 +53,7 @@ from . import __version__
 from .model import ModelParams, state_space_size
 from .exact import (
     CapExceededError,
+    Generator,
     SolveError,
     _REDUCIBLE_MESSAGE,
     build_generator,
@@ -306,9 +307,19 @@ def _provenance(config: RunConfig) -> dict[str, Any]:
     }
 
 
+def _model_generator(params: ModelParams) -> Generator:
+    """The model's generator (``exact``, ``report`` and ``verify``).  The
+    irreducibility lemma refuses a reducible model before anything is
+    built, so no command has an irreducibility entry, which could never
+    fail."""
+    if not is_irreducible_model(params):
+        raise ValueError(_REDUCIBLE_MESSAGE)
+    return build_generator(params)
+
+
 def _exact_section(params: ModelParams) -> dict[str, Any]:
     """The numerical solve against the closed form (``exact`` and ``report``)."""
-    gen = build_generator(params)
+    gen = _model_generator(params)
     solved = solve_stationary(gen)
     closed = product_form(params)
     # Site 1 is the most significant digit of the canonical index, so the
@@ -423,14 +434,8 @@ def cmd_verify(config: RunConfig, *, negative_control: bool = False) -> dict[str
     params = config.model
     tol = config.tolerances
 
-    # No irreducibility entry: a reducible model exits 2.  solve_stationary
-    # refuses its generator; under the negative control the lemma refuses
-    # it first, since it may have no hop edge to perturb, and the perturbed
-    # copy keeps the model's transition graph.
-    gen = build_generator(params)
+    gen = _model_generator(params)
     if negative_control:
-        if not is_irreducible_model(params):
-            raise ValueError(_REDUCIBLE_MESSAGE)
         gen = perturb_hop_rate(gen)
     solved = solve_stationary(gen)
     closed = product_form(params)

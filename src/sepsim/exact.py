@@ -2,21 +2,23 @@
 
 The generator of the lattice process is stored as off-diagonal COO arrays
 in a canonical (row, col) order; the diagonal is implied (negative exit
-rate), so row sums are zero by construction.  :func:`build_generator` adds
-each event family next to its reverse family, so it knows each edge's
-reverse without a search, and puts the edges in order with one stable
-sort of a single integer key; the generator keeps the reverse of each
-edge (:attr:`Generator.reverse`) as derived data, checked in O(edges)
-whenever a generator or a copy of one is made.  A model is solved one of
-two ways, chosen by one rule on the generator itself:
+rate), so row sums are zero by construction.  Every generator comes from
+:func:`build_generator`, which adds each event family next to its reverse
+family, so it knows each edge's reverse without a search, and puts the
+edges in order with one stable sort of a single integer key; the
+generator keeps the reverse of each edge (:attr:`Generator.reverse`).  A
+copy changes only the rates (the negative control's perturbed generator,
+the time-reversed one) and shares the rest.  So a generator is
+irreducible exactly when its model is (:func:`is_irreducible_model`), and
+it is spanned by that lemma's tree.  A model is solved one of two ways,
+chosen by one rule on the generator itself:
 
-- reversible generators (structurally symmetric support whose rate ratios
-  close every cycle, Kolmogorov's criterion) take their stationary law
-  straight from Kelly's spanning-tree potential of those ratios, which is
-  computed once per generator (:attr:`Generator.tree_potential`) and
-  shared with the cycle check of :mod:`sepsim.reversibility`.  A
-  generator built from a model is spanned by the tree of the
-  irreducibility lemma (:func:`is_irreducible_model`), in numpy alone;
+- reversible generators (rate ratios that close every cycle,
+  Kolmogorov's criterion) take their stationary law straight from Kelly's
+  spanning-tree potential of those ratios along the lemma's tree, which
+  is computed once per generator (:attr:`Generator.tree_potential`), in
+  numpy alone, and shared with the cycle check of
+  :mod:`sepsim.reversibility`;
 - every other generator pins the weight of its last state to one and
   factors the remaining balance equations by a sparse LU without
   pivoting, which is stable because the reduced system is a column
@@ -26,13 +28,10 @@ two ways, chosen by one rule on the generator itself:
 
 Both routes end in the same global-balance gate and positivity check.
 
-scipy is imported only where it is needed, so importing this module, and
-solving or checking a model's own generator, loads numpy alone.  The LU
-(and with it every non-reversible generator, such as the negative
-control's perturbed copy), the directed search of :func:`is_irreducible`,
-and the breadth-first forest that spans a generator without an
-irreducible model, or whose support lacks an edge of the lemma's tree,
-import it on first use.
+scipy is imported only by the LU, on first use, so importing this module,
+and solving or checking a model's own generator, loads numpy alone; only
+a non-reversible generator, such as the negative control's perturbed
+copy, loads it.
 
 A claimed stationary law can also be certified without a solve and
 without a generator (:func:`certify_stationary`): its global-balance
@@ -49,7 +48,7 @@ the other.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -73,7 +72,6 @@ __all__ = [
     "build_generator",
     "reverse_rates",
     "balance_residuals",
-    "is_irreducible",
     "is_irreducible_model",
     "certify_stationary",
     "solve_stationary",
@@ -85,6 +83,9 @@ __all__ = [
 
 DEFAULT_STATE_CAP = 1 << 24
 STATE_CAP_ENV = "SEPSIM_STATE_CAP"
+# Caps must stay below it, so that build_generator's sort key
+# rows * dim + cols fits in int64 and a state index in int32.
+_CAP_BOUND = 1 << 31
 RESIDUAL_TOL = 1e-10
 # Largest cycle mismatch for which the stationary law is read off the tree
 # potential.  Reversible generators built here stay below 1e-14; a broken
@@ -94,9 +95,6 @@ _REVERSIBLE_TOL = 1e-12
 # Transition classes: an edge adds a particle, removes one, or moves one.
 EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_HOP = 1, 2, 3
 EDGE_CLASS_NAMES = {EDGE_ARRIVAL: "arrival", EDGE_DEPARTURE: "departure", EDGE_HOP: "hop"}
-# Largest state count plus one: below it the key rows * dim + cols of an
-# edge fits in int64.
-_MAX_DIM = 1 << 31
 
 
 class CapExceededError(RuntimeError):
@@ -121,37 +119,39 @@ class SingularSystemError(SolveError):
 
 def resolve_state_cap() -> int:
     """Effective exact-engine state cap: the ``SEPSIM_STATE_CAP``
-    environment variable, else the built-in default."""
+    environment variable, else the built-in default.  A cap of 2**31 or
+    more is refused, because state counts that large overflow the keys and
+    tables that index the edges."""
     raw = os.environ.get(STATE_CAP_ENV)
     if raw is None:
         return DEFAULT_STATE_CAP
     try:
-        if (cap := int(raw)) >= 1:
-            return cap
+        cap = int(raw)
     except ValueError:
-        pass
-    raise ValueError(f"{STATE_CAP_ENV} must be an integer >= 1, got {raw!r}")
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{STATE_CAP_ENV} must be an integer >= 1, got {raw!r}")
+    if cap >= _CAP_BOUND:
+        raise ValueError(f"{STATE_CAP_ENV} must be below 2**31, got {raw!r}")
+    return cap
 
 
 class TreePotential(NamedTuple):
-    """Kelly's spanning-tree potential of a structurally symmetric generator.
+    """Kelly's spanning-tree potential of a generator.
 
     With ``L_ij = log(rate(i->j) / rate(j->i))`` on each edge, ``phi``
-    satisfies ``phi_j = phi_i + L_ij`` along a spanning tree of each
-    connected component of the support and is zero at each root.
-    ``mismatch`` is ``max |expm1(L_ij - (phi_j - phi_i))|`` over every
-    edge: the worst relative mismatch of forward and reverse rate products
-    over the fundamental cycles, which span all cycles, so it vanishes up
-    to rounding exactly when the chain is reversible (Kelly, Reversibility
-    and Stochastic Networks, 1979, section 1.5).  Then ``exp(phi)`` is the
-    stationary law up to one constant per component.  ``n_components``
-    counts the components; a symmetric support is strongly connected iff
-    there is one.
+    satisfies ``phi_j = phi_i + L_ij`` along a spanning tree of the
+    support and is zero at its root.  ``mismatch`` is
+    ``max |expm1(L_ij - (phi_j - phi_i))|`` over every edge: the worst
+    relative mismatch of forward and reverse rate products over the
+    fundamental cycles, which span all cycles, so it vanishes up to
+    rounding exactly when the chain is reversible (Kelly, Reversibility and
+    Stochastic Networks, 1979, section 1.5).  Then ``exp(phi)`` is the
+    stationary law up to a constant.
     """
 
     phi: np.ndarray
     mismatch: float
-    n_components: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,21 +161,16 @@ class Generator:
     ``rows``, ``cols``, ``rates`` and ``kinds`` are parallel arrays holding
     one directed edge each, sorted by (row, col).  The diagonal entry of
     state ``i`` is implied as minus its exit rate, so every row of the full
-    matrix sums to zero exactly.  ``params`` records the model the support
-    was built from (perturbed copies keep it for state decoding even
-    though their rates no longer follow the model).  The arrays are
-    read-only; build a changed copy with :func:`dataclasses.replace`.
+    matrix sums to zero exactly.  ``reverse[e]`` is the index of the edge
+    ``cols[e] -> rows[e]``.  The arrays are read-only.
 
-    ``reverse`` is derived data, not an option: ``reverse[e]`` is the index
-    of the edge ``cols[e] -> rows[e]``, and it is ``None`` when the support
-    is not structurally symmetric (an edge without its reverse).  One that
-    is given is checked in O(edges) and a wrong one raises
-    :class:`ValueError`; otherwise it is found once by a sort.  Edges given
-    out of order are sorted, with one stable sort of the key
-    ``rows * dim + cols``, and ``reverse`` follows them; edges already in
-    order are only checked.  So a copy made with
-    :func:`dataclasses.replace`, which passes the sorted arrays and their
-    ``reverse`` on, costs O(edges) checks and no sort.
+    The support fields, ``dim``, ``rows``, ``cols``, ``kinds``, ``reverse``
+    and ``params`` (the model), are :func:`build_generator`'s.  A changed
+    copy, made with ``dataclasses.replace(gen, rates=...)``, changes only
+    the rates and shares the other arrays; perturbed copies keep ``params``
+    for state decoding and for the spanning tree even though their rates
+    no longer follow the model.  So only the rates are checked here: one
+    per edge, each positive and finite.
     """
 
     dim: int
@@ -183,66 +178,20 @@ class Generator:
     cols: np.ndarray
     rates: np.ndarray
     kinds: np.ndarray
-    params: ModelParams | None = field(default=None)
-    reverse: np.ndarray | None = field(default=None)
+    params: ModelParams
+    reverse: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = self.dim
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-            raise ValueError(f"dimension must be an integer, got {dim!r}")
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        if dim >= _MAX_DIM:
-            # Keeps the key rows * dim + cols inside int64.
-            raise ValueError(f"dimension must be below 2**31, got {dim}")
-        rows = _exact_cast(self.rows, np.int64, "rows")
-        cols = _exact_cast(self.cols, np.int64, "cols")
         rates = np.asarray(self.rates, dtype=np.float64)
-        kinds = _exact_cast(self.kinds, np.int8, "kinds")
-        reverse = None if self.reverse is None else _exact_cast(self.reverse, np.int64, "reverse")
-        if not (rows.shape == cols.shape == rates.shape == kinds.shape) or rows.ndim != 1:
-            raise ValueError("edge arrays must be one-dimensional with identical shapes")
-        if reverse is not None and reverse.shape != rows.shape:
-            raise ValueError("reverse must hold one edge index per edge")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim:
-                raise ValueError("edge endpoints outside the state space")
-            if np.any(rows == cols):
-                raise ValueError("diagonal entries are implied and must not be stored")
-            if np.any(rates <= 0.0) or not np.all(np.isfinite(rates)):
-                raise ValueError("stored rates must be positive and finite")
-            if kinds.min() < EDGE_ARRIVAL or kinds.max() > EDGE_HOP:
-                raise ValueError("unknown edge class code")
-            if reverse is not None and (reverse.min() < 0 or reverse.max() >= rows.size):
-                raise ValueError("reverse holds an index outside the edges")
-        key = rows * dim + cols
-        # Strictly increasing keys are sorted and free of duplicates.
-        if not np.all(key[1:] > key[:-1]):
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            if np.any(key[1:] == key[:-1]):
-                raise ValueError("duplicate transition between the same state pair")
-            rows, cols, rates, kinds = rows[order], cols[order], rates[order], kinds[order]
-            if reverse is not None:
-                reverse = _follow(reverse, order)
-        del key
-        if reverse is None:
-            reverse = np.argsort(cols * dim + rows)
-            if not _reverses(rows, cols, reverse):
-                reverse = None
-        elif not _reverses(rows, cols, reverse):
-            raise ValueError("reverse does not give each edge's reverse edge")
-        object.__setattr__(self, "dim", dim)
-        for name, array in (
-            ("rows", rows), ("cols", cols), ("rates", rates), ("kinds", kinds), ("reverse", reverse)
-        ):
-            if array is not None:
-                if array is getattr(self, name) and array.flags.writeable:
-                    array = array.copy()  # the caller's own array stays theirs
-                # Read-only, so the memoised tree potential cannot go stale.
-                array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        if rates.shape != self.rows.shape:
+            raise ValueError(f"rates must have the edges' shape {self.rows.shape}, got {rates.shape}")
+        if np.any(rates <= 0.0) or not np.all(np.isfinite(rates)):
+            raise ValueError("stored rates must be positive and finite")
+        if rates is self.rates and rates.flags.writeable:
+            rates = rates.copy()  # the caller's own array stays theirs
+        # Read-only, so the memoised tree potential cannot go stale.
+        rates.flags.writeable = False
+        object.__setattr__(self, "rates", rates)
 
     @property
     def n_edges(self) -> int:
@@ -253,53 +202,27 @@ class Generator:
         return np.bincount(self.rows, weights=self.rates, minlength=self.dim)
 
     @cached_property
-    def tree_potential(self) -> TreePotential | None:
-        """The :class:`TreePotential` of these rates, computed on first use
-        and kept; ``None`` when the support is not structurally symmetric.
+    def tree_potential(self) -> TreePotential:
+        """The :class:`TreePotential` of these rates along the tree of
+        :func:`_lemma_potential`, computed on first use and kept.  Raises
+        :class:`ValueError` when the model is reducible, so that no tree
+        spans its states.
 
-        When ``params`` is an irreducible model of this state space and the
-        support holds every edge of the irreducibility lemma's tree (each
-        state's leftmost particle leaves, or hops one site left; rooted at
-        the empty lattice), that tree is used, in numpy alone.  Otherwise
-        the tree is a breadth-first forest of the support from scipy's
-        graph searches, rooted at the lowest state of each component.  The
-        tree depends on the support only, so the mismatch is taken over
-        every edge whatever the rates: a perturbed copy, which keeps
-        ``params``, still shows its break.
-
-        Copies made with :func:`dataclasses.replace` are new instances, so
-        a perturbed or reversed generator computes its own.
+        The tree depends on the support only, so the mismatch is taken over
+        every edge whatever the rates: a perturbed copy still shows its
+        break.  Copies made with :func:`dataclasses.replace` are new
+        instances, so a perturbed or reversed generator computes its own.
         """
-        if self.reverse is None:
-            return None
         # In place where the result does not change, to hold fewer
         # edge-sized temporaries at once.
         log_ratio = np.log(self.rates)
         log_ratio -= np.log(reverse_rates(self))
-        phi, n_components = _forest_potential(self, log_ratio)
+        phi = _lemma_potential(self, log_ratio)
         mismatch = phi[self.cols]
         mismatch -= phi[self.rows]
         np.subtract(log_ratio, mismatch, out=mismatch)
         np.abs(np.expm1(mismatch, out=mismatch), out=mismatch)
-        return TreePotential(phi, float(mismatch.max(initial=0.0)), n_components)
-
-
-def _exact_cast(values, dtype, name: str) -> np.ndarray:
-    """``values`` as an array of ``dtype``, refusing any value the cast
-    would change (a wrapped integer, a truncated float).  An empty list,
-    which numpy reads as float64, is accepted."""
-    raw = np.asarray(values)
-    with np.errstate(invalid="ignore"):
-        array = raw.astype(dtype, copy=False)
-    if array is not raw and raw.size and not np.array_equal(array, raw):
-        raise ValueError(f"{name} holds values that are not {np.dtype(dtype).name}")
-    return array
-
-
-def _reverses(rows: np.ndarray, cols: np.ndarray, reverse: np.ndarray) -> bool:
-    """True when edge ``reverse[e]`` runs ``cols[e] -> rows[e]`` for every
-    ``e``.  With no duplicate edges that pins ``reverse`` down."""
-    return np.array_equal(rows[reverse], cols) and np.array_equal(cols[reverse], rows)
+        return TreePotential(phi, float(mismatch.max()))
 
 
 def _follow(reverse: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -352,7 +275,7 @@ def build_generator(params: ModelParams) -> Generator:
     in the same order: edge ``t`` of one block is the reverse of edge ``t``
     of the other.  One stable sort of the key ``rows * dim + cols``, whose
     blocks are already sorted runs, puts the edges in (row, col) order, and
-    the reverse indices follow it, so :class:`Generator` only checks both.
+    the reverse indices follow it.
     """
     m = state_space_size(params)
     limit = resolve_state_cap()
@@ -400,65 +323,17 @@ def reverse_rates(gen: Generator) -> np.ndarray:
     """Rate of the opposite-direction transition, aligned with each edge.
 
     Entry ``e`` holds the rate of ``cols[e] -> rows[e]``, read through
-    :attr:`Generator.reverse`.  Requires the transition support to be
-    structurally symmetric (an edge exists iff its reverse does), which
-    holds for every generator built here.
+    :attr:`Generator.reverse`.
     """
-    if gen.reverse is None:
-        raise ValueError("transition support is not structurally symmetric")
     return gen.rates[gen.reverse]
 
 
-def _forest_potential(gen: Generator, log_ratio: np.ndarray) -> tuple[np.ndarray, int]:
-    """Potential with ``phi_j = phi_i + log_ratio[i->j]`` along a spanning
-    tree of each connected component, zero at each component's root, and
-    the number of components.  For a reversible chain it is
-    ``log(stationary)`` up to one constant per component.
-
-    The tree is the irreducibility lemma's (:func:`_lemma_tree`) when the
-    generator carries its model and holds every edge of that tree, and a
-    breadth-first forest of the support otherwise (:func:`_search_forest`).
-    """
-    if gen.n_edges == 0:
-        return np.zeros(gen.dim), gen.dim
-    forest = _lemma_tree(gen)
-    parent, child, edge = forest if forest is not None else _search_forest(gen)
-    potential = np.zeros(gen.dim)
-    potential[child] = log_ratio[edge]
-    # Pointer doubling: potential[v] sums the log ratios from up[v] down
-    # to v, and up[v] climbs until it reaches the root.
-    up = parent
-    while np.any(up[up] != up):
-        potential = potential + potential[up]
-        up = up[up]
-    # A forest on dim states with one tree edge per non-root state.
-    return potential, gen.dim - child.size
-
-
-def _find_edges(gen: Generator, src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
-    """Index of the edge ``src[i] -> dst[i]`` for each ``i``, or ``None``
-    when one of them is not stored; no state is in ``dst`` twice, as no
-    tree has two edges into one state.
-
-    One pass over the edges marks those that go from ``src[i]`` into
-    ``dst[i]``, through an int32 table of each state's wanted source.
-    """
-    wanted = np.full(gen.dim, -1, dtype=np.int32)  # dim < 2**31
-    wanted[dst] = src
-    edge = np.flatnonzero(wanted[gen.cols] == gen.rows)
-    if edge.size != dst.size:
-        return None
-    into = np.empty(gen.dim, dtype=np.int64)  # the found edge into each state of dst
-    into[gen.cols[edge]] = edge
-    return into[dst]
-
-
-def _lemma_tree(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The spanning tree of :func:`is_irreducible_model`'s proof, rooted at
-    the empty lattice (index 0), as ``(parent, child, edge)``: ``parent[v]``
-    (the root is its own parent), the non-root states, and the edge
-    ``parent[c] -> c`` of each.  ``None`` when the generator does not carry
-    an irreducible model or lacks one of the tree's edges.
+def _lemma_potential(gen: Generator, log_ratio: np.ndarray) -> np.ndarray:
+    """Potential with ``phi_j = phi_i + log_ratio[i->j]`` along the spanning
+    tree of :func:`is_irreducible_model`'s proof, zero at its root, the
+    empty lattice (index 0).  For a reversible chain it is
+    ``log(stationary)`` up to a constant.  Raises :class:`ValueError` when
+    the model is reducible.
 
     In a non-empty state take the leftmost particle, of type k at site i.
     On site 1 or site N its parent is the state without it, so the tree
@@ -469,8 +344,8 @@ def _lemma_tree(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     sits on site i are one contiguous index block per site: no search.
     """
     params = gen.params
-    if params is None or gen.dim != state_space_size(params) or not is_irreducible_model(params):
-        return None
+    if not is_irreducible_model(params):
+        raise ValueError(_REDUCIBLE_MESSAGE)
     n, base = params.n_sites, params.n_types + 1
     state = np.arange(gen.dim, dtype=np.int64)
     parent = state.copy()
@@ -479,39 +354,20 @@ def _lemma_tree(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
         w = base ** (n - 1 - i)
         kind, rest = np.divmod(state[w:base * w], w)
         parent[w:base * w] = rest if i in (0, n - 1) else rest + kind * (base * w)
-    edge = _find_edges(gen, parent[1:], state[1:])
-    return None if edge is None else (parent, state[1:], edge)
-
-
-def _search_forest(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A breadth-first spanning forest of the support, from the lowest
-    state of each connected component, as ``(parent, child, edge)`` like
-    :func:`_lemma_tree`.  Imports scipy's graph searches."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
-
-    graph = sp.csr_matrix(
-        (np.ones(gen.n_edges, dtype=np.int8), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
-    )
-    n_components, labels = connected_components(graph, directed=False)
-    roots = np.unique(labels, return_index=True)[1]
-    source = 0
-    if n_components > 1:
-        # One search from an extra state joined to every component's root
-        # spans them all, and within a component it visits the states in
-        # the order a search from that root would.
-        source = gen.dim
-        graph = sp.csr_matrix(
-            (
-                np.ones(gen.n_edges + roots.size, dtype=np.int8),
-                (np.append(gen.rows, np.full(roots.size, source)), np.append(gen.cols, roots)),
-            ),
-            shape=(source + 1, source + 1),
-        )
-    parent = breadth_first_order(graph, source, directed=False, return_predecessors=True)[1][: gen.dim]
-    parent[roots] = roots
-    child = np.nonzero(parent != np.arange(gen.dim))[0]
-    return parent, child, _find_edges(gen, parent[child], child)
+    # One pass over the edges finds the tree edge into each non-root state,
+    # through an int32 table of its parent (the cap keeps dim below 2**31).
+    wanted = np.full(gen.dim, -1, dtype=np.int32)
+    wanted[1:] = parent[1:]
+    edge = np.flatnonzero(wanted[gen.cols] == gen.rows)
+    potential = np.zeros(gen.dim)
+    potential[gen.cols[edge]] = log_ratio[edge]
+    # Pointer doubling: potential[v] sums the log ratios from up[v] down
+    # to v, and up[v] climbs until it reaches the root.
+    up = parent
+    while np.any(up[up] != up):
+        potential = potential + potential[up]
+        up = up[up]
+    return potential
 
 
 def balance_residuals(gen: Generator, dist: np.ndarray) -> np.ndarray:
@@ -533,21 +389,6 @@ def balance_residuals(gen: Generator, dist: np.ndarray) -> np.ndarray:
     rates *= dist[gen.rows]  # the flow along each edge, in place
     np.subtract.at(residual, gen.cols, rates)
     return residual.astype(np.float64)
-
-
-def is_irreducible(gen: Generator) -> bool:
-    """True when the transition graph is strongly connected, by scipy's
-    graph search."""
-    if gen.n_edges == 0:
-        return gen.dim == 1
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    adjacency = sp.csr_matrix(
-        (np.ones(gen.n_edges, dtype=np.int8), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
-    )
-    n_components, _ = connected_components(adjacency, directed=True, connection="strong")
-    return n_components == 1
 
 
 _REDUCIBLE_MESSAGE = (
@@ -613,14 +454,13 @@ def certify_stationary(params: ModelParams, dist: np.ndarray) -> float:
 def solve_stationary(gen: Generator) -> np.ndarray:
     """Stationary distribution of an irreducible generator.
 
-    One rule picks the route.  A generator whose support is structurally
-    symmetric and whose cycle mismatch (:class:`TreePotential`) is at most
-    ``1e-12`` is reversible, and its law is read off the tree potential,
-    ``p ∝ exp(phi - max phi)``, in O(edges) (:func:`_solve_reversible`).
-    Every other generator is solved by a sparse LU (:func:`_solve_lu`).
-    Irreducibility of a symmetric support is the potential's component
-    count; only an asymmetric one needs the directed search of
-    :func:`is_irreducible`.
+    One rule picks the route.  A generator whose cycle mismatch
+    (:class:`TreePotential`) is at most ``1e-12`` is reversible, and its
+    law is read off the tree potential, ``p ∝ exp(phi - max phi)``, in
+    O(edges) (:func:`_solve_reversible`).  Every other generator is solved
+    by a sparse LU (:func:`_solve_lu`).  A generator of a reducible model
+    (:func:`is_irreducible_model`) raises :class:`ValueError` from its tree
+    potential, before either route runs.
 
     The returned vector sums to one, is strictly positive, and satisfies
     the balance equations with infinity-norm residual at most
@@ -628,10 +468,6 @@ def solve_stationary(gen: Generator) -> np.ndarray:
     the rates) whichever route produced it; otherwise
     :class:`SingularSystemError` is raised.
     """
-    potential = gen.tree_potential
-    irreducible = is_irreducible(gen) if potential is None else potential.n_components == 1
-    if not irreducible:
-        raise ValueError(_REDUCIBLE_MESSAGE)
     weights = _solve_reversible(gen)
     return _gated(gen, _solve_lu(gen) if weights is None else weights)
 
@@ -639,13 +475,13 @@ def solve_stationary(gen: Generator) -> np.ndarray:
 def _solve_reversible(gen: Generator) -> np.ndarray | None:
     """Unnormalized stationary weights ``exp(phi - max phi)`` from the tree
     potential, or ``None`` when the generator is not reversible within
-    ``_REVERSIBLE_TOL`` (or its support is not structurally symmetric).
+    ``_REVERSIBLE_TOL``.
 
     Detailed balance makes ``log p_j - log p_i`` the edge's log rate ratio,
     so on one component the potential is ``log p`` up to a constant.
     """
     potential = gen.tree_potential
-    if potential is None or potential.mismatch > _REVERSIBLE_TOL:
+    if potential.mismatch > _REVERSIBLE_TOL:
         return None
     return np.exp(potential.phi - potential.phi.max())
 

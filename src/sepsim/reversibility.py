@@ -48,13 +48,12 @@ class NotStationaryError(ValueError):
 class BalanceReport:
     """Pairwise-balance residuals |p_i * rate(i->j) - p_j * rate(j->i)|.
 
-    ``worst_pair`` holds the ordered state pair attaining the maximum
-    (decoded when the generator knows its model, state indices otherwise);
-    ``by_class`` breaks the maximum down per transition class.
+    ``worst_pair`` holds the decoded ordered state pair attaining the
+    maximum; ``by_class`` breaks the maximum down per transition class.
     """
 
     max_abs_residual: float
-    worst_pair: tuple[LatticeState, LatticeState] | tuple[int, int] | None
+    worst_pair: tuple[LatticeState, LatticeState]
     by_class: dict[str, float]
 
 
@@ -63,15 +62,9 @@ def detailed_balance_residual(gen: Generator, dist: np.ndarray) -> BalanceReport
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (gen.dim,):
         raise ValueError(f"distribution has shape {dist.shape}, expected ({gen.dim},)")
-    if gen.n_edges == 0:
-        return BalanceReport(0.0, None, {name: 0.0 for name in EDGE_CLASS_NAMES.values()})
     residuals = np.abs(dist[gen.rows] * gen.rates - dist[gen.cols] * reverse_rates(gen))
     worst = int(residuals.argmax())
-    i, j = int(gen.rows[worst]), int(gen.cols[worst])
-    if gen.params is not None:
-        pair: tuple = (decode(i, gen.params), decode(j, gen.params))
-    else:
-        pair = (i, j)
+    pair = (decode(int(gen.rows[worst]), gen.params), decode(int(gen.cols[worst]), gen.params))
     by_class = {}
     for code, name in EDGE_CLASS_NAMES.items():
         mask = gen.kinds == code
@@ -114,12 +107,9 @@ def kolmogorov_cycle_residual(gen: Generator) -> float:
     stationary distribution.  The potential and this mismatch are computed
     once per generator (:attr:`~sepsim.exact.Generator.tree_potential`),
     and :func:`~sepsim.exact.solve_stationary` reads the same ones.  Raises
-    when the transition support is not structurally symmetric.
+    :class:`ValueError` when the model is reducible.
     """
-    potential = gen.tree_potential
-    if potential is None:
-        raise ValueError("transition support is not structurally symmetric")
-    return potential.mismatch
+    return gen.tree_potential.mismatch
 
 
 def perturb_hop_rate(gen: Generator) -> Generator:

@@ -14,7 +14,11 @@ the lattice walk:
 - the reference stepper, :func:`sample_next_event`, one step of the direct
   method in the sampler's event order and on its stream;
 - :func:`joint_from_marginals`, the product form built from the site
-  marginals, and :func:`to_dense`, a generator as a dense matrix.
+  marginals, and :func:`to_dense`, a generator as a dense matrix;
+- graph searches of a generator's support, the references for the
+  irreducibility lemma and its spanning tree: :func:`is_irreducible`, a
+  directed strong-component search, and :func:`search_potential`, Kelly's
+  potential along a breadth-first tree.
 """
 
 from __future__ import annotations
@@ -238,3 +242,38 @@ def to_dense(gen: Generator) -> np.ndarray:
     q[gen.rows, gen.cols] = gen.rates
     q[np.arange(gen.dim), np.arange(gen.dim)] = -gen.exit_rates()
     return q
+
+
+def is_irreducible(gen: Generator) -> bool:
+    """True when the transition graph is strongly connected, by scipy's
+    graph search."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = sp.csr_matrix(
+        (np.ones(gen.n_edges, dtype=np.int8), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
+    )
+    n_components, _ = connected_components(adjacency, directed=True, connection="strong")
+    return n_components == 1
+
+
+def search_potential(gen: Generator) -> np.ndarray:
+    """Kelly's potential along a breadth-first spanning tree of the support
+    from the empty lattice (index 0): ``phi_j = phi_i + log(rate(i->j) /
+    rate(j->i))`` on each tree edge, zero at the root and NaN at a state
+    the search does not reach."""
+    log_ratio = (np.log(gen.rates) - np.log(gen.rates[gen.reverse])).tolist()
+    cols = gen.cols.tolist()
+    starts = np.searchsorted(gen.rows, np.arange(gen.dim + 1)).tolist()
+    phi = [None] * gen.dim
+    phi[0] = 0.0
+    frontier = [0]
+    while frontier:
+        reached = []
+        for i in frontier:
+            for e in range(starts[i], starts[i + 1]):
+                if phi[cols[e]] is None:
+                    phi[cols[e]] = phi[i] + log_ratio[e]
+                    reached.append(cols[e])
+        frontier = reached
+    return np.array([np.nan if v is None else v for v in phi])

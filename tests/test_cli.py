@@ -12,6 +12,7 @@ import pytest
 import sepsim.cli
 import sepsim.exact
 from sepsim import SimConfig, decode
+from sepsim.exact import _REDUCIBLE_MESSAGE
 from sepsim.cli import (
     DEFAULT_TOLERANCES,
     RunConfig,
@@ -236,14 +237,14 @@ class TestCmdVerify:
     def test_builds_the_tree_potential_once_per_generator(self, monkeypatch, negative_control):
         # The solve and the cycle check read the same memoised potential: the
         # model's own, or under the negative control its perturbed copy's.
-        forest = sepsim.exact._forest_potential
+        potential = sepsim.exact._lemma_potential
         calls = []
 
-        def counting_forest(gen, log_ratio):
+        def counting_potential(gen, log_ratio):
             calls.append(gen)
-            return forest(gen, log_ratio)
+            return potential(gen, log_ratio)
 
-        monkeypatch.setattr(sepsim.exact, "_forest_potential", counting_forest)
+        monkeypatch.setattr(sepsim.exact, "_lemma_potential", counting_potential)
         config = run_config(n_sites=4, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0])
         doc = cmd_verify(config, negative_control=negative_control)
         assert doc["passed"] is not negative_control
@@ -392,15 +393,41 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("flags", [[], ["--negative-control"]], ids=["clean", "negative-control"])
     def test_verify_refuses_a_reducible_model(self, tmp_path, capsys, flags):
-        # verify has no irreducibility entry: the solve refuses a reducible
-        # generator, so the command exits 2 without a report.  An immobile
-        # type freezes the interior site of three.
+        # verify has no irreducibility entry: the lemma refuses a reducible
+        # model, so the command exits 2 without a report.  An immobile type
+        # freezes the interior site of three.
         path = tmp_path / "reducible.json"
         path.write_text(json.dumps(dict(BASE_CONFIG, n_sites=3, delta=[0.0])))
         assert main(["verify", "--config", str(path), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "irreducible" in json.loads(captured.err)["error"]["message"]
+
+    @pytest.mark.parametrize("args", [["exact"], ["report"], ["verify"], ["verify", "--negative-control"]],
+                             ids=["exact", "report", "verify", "negative-control"])
+    def test_a_reducible_model_is_refused_before_its_generator_is_built(self, tmp_path, capsys,
+                                                                        monkeypatch, args):
+        calls = []
+        monkeypatch.setattr(sepsim.cli, "build_generator", calls.append)
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps(dict(BASE_CONFIG, n_sites=3, n_types=2, alpha=[1.0, 2.0],
+                                        beta=[2.0, 1.0], delta=[1.0, 0.0])))
+        assert main([args[0], "--config", str(path), *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError" and error["message"] == _REDUCIBLE_MESSAGE
+        assert calls == []
+
+    def test_a_state_cap_past_the_edge_keys_is_refused(self, config_path, capsys, monkeypatch):
+        # Caps from 2**31 on would overflow build_generator's int64 sort key.
+        monkeypatch.setenv("SEPSIM_STATE_CAP", str(2**31))
+        assert main(["exact", "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == "SEPSIM_STATE_CAP must be below 2**31, got '2147483648'"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["exact", "--config", str(tmp_path / "nope.json")]) == 2

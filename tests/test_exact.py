@@ -9,18 +9,17 @@ from reference import (
     enabled_events,
     encode,
     enumerate_states,
+    is_irreducible,
     joint_from_marginals,
+    search_potential,
     to_dense,
 )
 from sepsim import (
     CapExceededError,
-    Generator,
     ModelParams,
     balance_residuals,
     build_generator,
     certify_stationary,
-    decode,
-    is_irreducible,
     is_irreducible_model,
     marginals_from_distribution,
     normalization_constant,
@@ -38,8 +37,8 @@ from sepsim.exact import (
     STATE_CAP_ENV,
     _REDUCIBLE_MESSAGE,
     _REVERSIBLE_TOL,
+    _follow,
     _gated,
-    _lemma_tree,
     _solve_lu,
     _solve_reversible,
 )
@@ -170,44 +169,27 @@ class TestBuildGenerator:
             gen.rates[0] = 5.0
 
     def test_generator_keeps_its_own_copy_of_a_callers_arrays(self):
-        rows, cols, rates = np.array([0, 1]), np.array([1, 0]), np.array([1.0, 2.0])
-        gen = Generator(dim=2, rows=rows, cols=cols, rates=rates, kinds=[EDGE_HOP] * 2)
-        rows[0], cols[0], rates[0] = 1, 1, 5.0
-        assert gen.rows.tolist() == [0, 1] and gen.cols.tolist() == [1, 0]
-        assert gen.rates.tolist() == [1.0, 2.0]
+        gen = build_generator(TWO_SITE)
+        rates = 2.0 * gen.rates
+        copy = dataclasses.replace(gen, rates=rates)
+        rates[0] = 5.0
+        assert copy.rates.tolist() == (2.0 * gen.rates).tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            copy.rates[0] = 5.0
 
     def test_generator_validation(self):
-        with pytest.raises(ValueError):
-            Generator(dim=2, rows=[0], cols=[0], rates=[1.0], kinds=[EDGE_HOP])
-        with pytest.raises(ValueError):
-            Generator(dim=2, rows=[0], cols=[1], rates=[-1.0], kinds=[EDGE_HOP])
-        with pytest.raises(ValueError):
-            Generator(
-                dim=2, rows=[0, 0], cols=[1, 1], rates=[1.0, 2.0], kinds=[EDGE_HOP, EDGE_HOP]
-            )
-        for dim in (2.0, True):
-            with pytest.raises(ValueError, match="dimension must be an integer"):
-                Generator(dim=dim, rows=[0, 1], cols=[1, 0], rates=[1.0, 1.0], kinds=[EDGE_HOP] * 2)
-        gen = Generator(dim=np.int64(2), rows=[0], cols=[1], rates=[1.0], kinds=[EDGE_HOP])
-        assert gen.dim == 2 and type(gen.dim) is int
-        # Values are checked before the cast: int8 would wrap kinds 259 and
-        # 257 to EDGE_HOP and EDGE_ARRIVAL, and int64 would truncate rows
-        # [0.7, 1.2] to [0, 1].
-        for edges in (
-            dict(rows=np.array([0, 1]), cols=np.array([1, 0]), kinds=np.array([259, 257])),
-            dict(rows=np.array([0, 1]), cols=np.array([1, 0]), kinds=np.array([0, 1])),
-            dict(rows=np.array([0, 1]), cols=np.array([1, 0]), kinds=np.array([3.5, 3.0])),
-            dict(rows=np.array([0.7, 1.2]), cols=np.array([1, 0]), kinds=np.array([3, 3])),
-            dict(rows=np.array([0, 1]), cols=np.array([1.0, np.nan]), kinds=np.array([3, 3])),
-        ):
+        # Only the rates of a copy reach a generator from outside
+        # build_generator: the wrong shape, or a rate that is not positive
+        # and finite, is refused.
+        gen = build_generator(TWO_SITE)
+        bad = [gen.rates[:-1], np.append(gen.rates, 1.0), gen.rates.reshape(2, -1)]
+        for value in (0.0, -1.0, np.nan, np.inf):
+            rates = gen.rates.copy()
+            rates[3] = value
+            bad.append(rates)
+        for rates in bad:
             with pytest.raises(ValueError):
-                Generator(dim=2, rates=[1.0, 1.0], **edges)
-
-    def test_generator_accepts_exact_casts(self):
-        gen = Generator(dim=2, rows=[0.0, 1.0], cols=np.array([1, 0], dtype=np.uint8),
-                        rates=[1, 2], kinds=[3.0, 3.0])
-        assert gen.rows.dtype == np.int64 and gen.cols.dtype == np.int64
-        assert gen.kinds.dtype == np.int8 and gen.kinds.tolist() == [EDGE_HOP, EDGE_HOP]
+                dataclasses.replace(gen, rates=rates)
 
 
 _CLASS_OF = {
@@ -242,7 +224,6 @@ class TestGeneratorOrderAndReverse:
         assert gen.n_edges == len(expected)
         keys = gen.rows * gen.dim + gen.cols
         assert np.all(np.diff(keys) > 0)
-        assert gen.reverse is not None
         opposite = [expected[(j, i)][0] for i, j in zip(gen.rows.tolist(), gen.cols.tolist())]
         assert gen.rates[gen.reverse].tolist() == opposite
         assert reverse_rates(gen).tolist() == opposite
@@ -256,60 +237,31 @@ class TestGeneratorOrderAndReverse:
         assert np.abs(solve_stationary(gen) / product_form(p) - 1.0).max() <= 1e-12
 
     def test_copies_keep_the_reverse(self):
+        # A copy changes only the rates and shares the model's support.
         p = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
         gen = build_generator(p)
-        for copy in (perturb_hop_rate(gen), reversed_generator(gen, product_form(p)),
-                     dataclasses.replace(gen, params=None)):
-            assert copy.reverse is gen.reverse
-            assert copy.rows is gen.rows and copy.cols is gen.cols
-
-    def test_hand_built_edges_are_sorted(self):
-        # 0 <-> 1 <-> 2, given out of order with matching rates and classes.
-        gen = Generator(dim=3, rows=[2, 0, 1, 1], cols=[1, 1, 2, 0], rates=[4.0, 1.0, 3.0, 2.0],
-                        kinds=[EDGE_HOP, EDGE_ARRIVAL, EDGE_HOP, EDGE_DEPARTURE])
-        assert gen.rows.tolist() == [0, 1, 1, 2]
-        assert gen.cols.tolist() == [1, 0, 2, 1]
-        assert gen.rates.tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert gen.kinds.tolist() == [EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_HOP, EDGE_HOP]
-        assert gen.reverse.tolist() == [1, 0, 3, 2]
-        assert reverse_rates(gen).tolist() == [2.0, 1.0, 4.0, 3.0]
+        for copy in (perturb_hop_rate(gen), reversed_generator(gen, product_form(p))):
+            for name in ("rows", "cols", "kinds", "reverse", "params"):
+                assert getattr(copy, name) is getattr(gen, name), name
+            assert copy.dim == gen.dim
 
     def test_a_given_reverse_follows_the_sort(self):
-        gen = Generator(dim=3, rows=[2, 0, 1, 1], cols=[1, 1, 2, 0], rates=[4.0, 1.0, 3.0, 2.0],
-                        kinds=[EDGE_HOP] * 4, reverse=[2, 3, 0, 1])
-        assert gen.reverse.tolist() == [1, 0, 3, 2]
+        # build_generator's sort: edge e's reverse moves with both edges.
+        # 0 <-> 1 <-> 2, given out of order with each edge's reverse.
+        rows, cols = np.array([2, 0, 1, 1]), np.array([1, 1, 2, 0])
+        order = np.argsort(rows * 3 + cols, kind="stable")
+        assert rows[order].tolist() == [0, 1, 1, 2] and cols[order].tolist() == [1, 0, 2, 1]
+        assert _follow(np.array([2, 3, 0, 1]), order).tolist() == [1, 0, 3, 2]
 
-    def test_asymmetric_support_has_no_reverse(self):
-        gen = Generator(dim=3, rows=[0, 1, 2, 1], cols=[1, 2, 0, 0], rates=[1.0, 2.0, 3.0, 4.0],
-                        kinds=[EDGE_HOP] * 4)
-        assert gen.reverse is None
-        assert gen.tree_potential is None
-        with pytest.raises(ValueError, match="transition support is not structurally symmetric"):
-            reverse_rates(gen)
-
-    @pytest.mark.parametrize(
-        "reverse",
-        [[0, 1, 2, 3], [1, 0, 2, 3], [1, 0, 3, 3], [1, 0, 3, 4], [1, 0, 3, -2], [1, 0, 3]],
-        ids=["identity", "half", "not-a-permutation", "past-the-end", "negative", "short"],
-    )
-    def test_a_wrong_reverse_raises(self, reverse):
-        with pytest.raises(ValueError):
-            Generator(dim=3, rows=[0, 1, 1, 2], cols=[1, 0, 2, 1], rates=[1.0, 2.0, 3.0, 4.0],
-                      kinds=[EDGE_HOP] * 4, reverse=reverse)
-
-    def test_a_copy_with_a_changed_support_keeps_no_stale_reverse(self):
-        gen = Generator(dim=3, rows=[0, 1, 1, 2], cols=[1, 0, 2, 1], rates=[1.0, 2.0, 3.0, 4.0],
-                        kinds=[EDGE_HOP] * 4)
-        with pytest.raises(ValueError, match="reverse"):
-            dataclasses.replace(gen, cols=[2, 0, 2, 1])
-
-    def test_dimension_must_fit_the_key(self):
-        with pytest.raises(ValueError, match="2\\*\\*31"):
-            Generator(dim=2**31, rows=[0], cols=[1], rates=[1.0], kinds=[EDGE_HOP])
-        gen = Generator(dim=2**31 - 1, rows=[2**31 - 2, 0], cols=[0, 2**31 - 2], rates=[1.0, 2.0],
-                        kinds=[EDGE_HOP] * 2)
-        assert gen.rows.tolist() == [0, 2**31 - 2]
-        assert gen.reverse.tolist() == [1, 0]
+    def test_dimension_must_fit_the_key(self, monkeypatch):
+        # The cap bounds every generator's dim, so that the sort key
+        # rows * dim + cols fits in int64.
+        monkeypatch.setenv(STATE_CAP_ENV, str(2**31 - 1))
+        assert resolve_state_cap() == 2**31 - 1
+        for raw in (str(2**31), str(2**62)):
+            monkeypatch.setenv(STATE_CAP_ENV, raw)
+            with pytest.raises(ValueError, match="below 2\\*\\*31"):
+                resolve_state_cap()
 
 
 class TestSolveStationary:
@@ -380,14 +332,18 @@ class TestSolveStationary:
         assert np.abs(balance_residuals(gen, solved)).max() <= RESIDUAL_TOL
         assert np.array_equal(solved, _gated(gen, _solve_lu(gen)))
 
-    def test_asymmetric_three_cycle(self):
-        # 0 -> 1 -> 2 -> 0 at rates 1, 2, 3 and no reverse edges: the flow
-        # p_i * rate is the same on every edge.
-        gen = Generator(dim=3, rows=[0, 1, 2], cols=[1, 2, 0], rates=[1.0, 2.0, 3.0],
-                        kinds=[EDGE_HOP] * 3)
-        assert gen.tree_potential is None
-        expected = np.array([1.0, 1 / 2, 1 / 3]) / (11 / 6)
-        assert np.abs(solve_stationary(gen) / expected - 1.0).max() <= 1e-14
+    def test_lu_matches_the_dense_null_vector(self):
+        # Perturbed copies are not reversible, so their law has no closed
+        # form; the dense solve of the same generator is the reference.
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 4):
+            for k in (1, 2):
+                rates = rng.uniform(0.2, 5.0, size=(3, k))
+                gen = perturb_hop_rate(build_generator(params(
+                    n, k, alpha=tuple(rates[0]), beta=tuple(rates[1]), delta=tuple(rates[2]))))
+                dense = solve_by_hand(to_dense(gen))
+                lu = _gated(gen, _solve_lu(gen))
+                assert np.abs(lu / dense - 1.0).max() <= 1e-12, (n, k)
 
     def test_ten_sites_two_types(self):
         # 59049 states: the sparse LU's fill-in took about 40 s and 1 GiB here.
@@ -397,22 +353,14 @@ class TestSolveStationary:
         assert np.abs(solved - closed).max() <= 1e-10
         assert np.abs(solved / closed - 1.0).max() <= 1e-10
 
-    def test_single_state_generator(self):
-        gen = Generator(dim=1, rows=[], cols=[], rates=[], kinds=[])
-        assert solve_stationary(gen).tolist() == [1.0]
-
     def test_reducible_generator_rejected(self):
-        # two disconnected 2-cycles
-        gen = Generator(
-            dim=4,
-            rows=[0, 1, 2, 3],
-            cols=[1, 0, 3, 2],
-            rates=[1.0, 1.0, 1.0, 1.0],
-            kinds=[EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_ARRIVAL, EDGE_DEPARTURE],
-        )
+        # A copy keeps its model's support, so a perturbed copy of a
+        # reducible model's generator is refused like the generator itself.
+        gen = perturb_hop_rate(build_generator(params(3, 2, delta=(1.0, 0.0))))
         assert not is_irreducible(gen)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             solve_stationary(gen)
+        assert str(raised.value) == _REDUCIBLE_MESSAGE
 
     def test_result_is_positive_and_normalized(self):
         for p in random_grid(draws=1):
@@ -538,19 +486,17 @@ LEMMA_IDS = ["n3k1", "n2k2-no-hops", "n2k1", "n5k2", "n8k2", "n4k3", "stiff5"]
 
 
 class TestLemmaTree:
-    """The irreducibility lemma's spanning tree against the breadth-first
-    forest of the support, which a generator without ``params`` takes."""
+    """The irreducibility lemma's spanning tree against a breadth-first
+    tree of the support (``reference.search_potential``)."""
 
     @pytest.mark.parametrize("p", LEMMA_MODELS, ids=LEMMA_IDS)
     def test_agrees_with_the_graph_search(self, p):
         gen = build_generator(p)
-        searched = dataclasses.replace(gen, params=None)
-        assert _lemma_tree(gen) is not None and _lemma_tree(searched) is None
-        lemma, search = gen.tree_potential, searched.tree_potential
-        assert lemma.n_components == search.n_components == 1
-        # Both trees are rooted at the empty lattice, where phi is 0.
-        np.testing.assert_allclose(lemma.phi, search.phi, rtol=1e-12, atol=1e-12)
-        assert max(lemma.mismatch, search.mismatch) < _REVERSIBLE_TOL
+        lemma = gen.tree_potential
+        # Both trees are rooted at the empty lattice, where phi is 0, and
+        # the search reaches every state.
+        np.testing.assert_allclose(lemma.phi, search_potential(gen), rtol=1e-12, atol=1e-12)
+        assert lemma.mismatch < _REVERSIBLE_TOL
 
     @pytest.mark.parametrize("p", LEMMA_MODELS, ids=LEMMA_IDS)
     def test_perturbed_copy_keeps_its_mismatch(self, p):
@@ -558,40 +504,14 @@ class TestLemmaTree:
         if max(p.delta) == 0.0:
             p = dataclasses.replace(p, delta=(0.0, 0.5))
         perturbed = perturb_hop_rate(build_generator(p))
-        assert _lemma_tree(perturbed) is not None
         assert perturbed.tree_potential.mismatch == pytest.approx(1.0, rel=1e-12)
-        searched = dataclasses.replace(perturbed, params=None)
-        assert searched.tree_potential.mismatch == pytest.approx(1.0, rel=1e-12)
 
     def test_reducible_model_raises_the_same_message(self):
         gen = build_generator(params(3, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0), delta=(1.0, 0.0)))
-        assert _lemma_tree(gen) is None
-        assert gen.tree_potential.n_components > 1
-        with pytest.raises(ValueError) as raised:
-            solve_stationary(gen)
-        assert str(raised.value) == _REDUCIBLE_MESSAGE
-
-    def test_support_without_a_tree_edge_falls_back_to_the_search(self):
-        # The hops between sites 1 and 2 are dropped, both ways, but the
-        # generator still claims the full model.  The lemma's tree needs
-        # them; the rest is still irreducible and reversible, with the same
-        # product-form law.
-        p = params(3, 1, alpha=(1.3,), beta=(0.7,), delta=(0.9,))
-        full = build_generator(p)
-        site3 = np.array([decode(s, p)[2] for s in range(full.dim)])
-        first_bond = (full.kinds == EDGE_HOP) & (site3[full.rows] == site3[full.cols])
-        keep = ~first_bond
-        gen = Generator(dim=full.dim, rows=full.rows[keep], cols=full.cols[keep],
-                        rates=full.rates[keep], kinds=full.kinds[keep], params=p)
-        assert first_bond.sum() == 4 and _lemma_tree(gen) is None
-        assert gen.tree_potential.n_components == 1
-        assert gen.tree_potential.mismatch < _REVERSIBLE_TOL
-        assert np.abs(solve_stationary(gen) / product_form(p) - 1.0).max() <= 1e-12
-
-    def test_params_of_another_lattice_fall_back_to_the_search(self):
-        gen = dataclasses.replace(build_generator(params(3, 1)), params=params(2, 2))
-        assert gen.dim == 8 and _lemma_tree(gen) is None
-        assert np.abs(solve_stationary(gen) / product_form(params(3, 1)) - 1.0).max() <= 1e-12
+        for read in (lambda: gen.tree_potential, lambda: solve_stationary(gen)):
+            with pytest.raises(ValueError) as raised:
+                read()
+            assert str(raised.value) == _REDUCIBLE_MESSAGE
 
 
 class TestClosedForms:

@@ -274,7 +274,6 @@ PUBLIC_API = [
     "balance_residuals",
     "build_generator",
     "certify_stationary",
-    "is_irreducible",
     "is_irreducible_model",
     "marginals_from_distribution",
     "normalization_constant",
@@ -309,7 +308,7 @@ PUBLIC_API = [
 REFERENCE_ONLY = [
     "VACANT", "Event", "EventKind", "EventNotEnabledError", "enabled_events", "apply_event",
     "enumerate_states", "encode", "_validate_state", "sample_next_event", "_BOUNDARY_KINDS",
-    "joint_from_marginals", "to_dense",
+    "joint_from_marginals", "to_dense", "is_irreducible", "search_potential",
 ]
 
 

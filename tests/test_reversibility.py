@@ -12,7 +12,7 @@ from sepsim import (
     reversed_generator,
     solve_stationary,
 )
-from sepsim.exact import EDGE_HOP, _forest_potential, reverse_rates
+from sepsim.exact import EDGE_HOP, _lemma_potential, reverse_rates
 
 
 def params(n=2, k=1, alpha=None, beta=None, delta=None):
@@ -156,7 +156,7 @@ class TestKolmogorovCycles:
         # Detailed balance gives log p_j - log p_i = log(rate(i->j) / rate(j->i)).
         gen = build_generator(p)
         log_ratio = np.log(gen.rates) - np.log(reverse_rates(gen))
-        offset = _forest_potential(gen, log_ratio)[0] - np.log(product_form(p))
+        offset = _lemma_potential(gen, log_ratio) - np.log(product_form(p))
         assert np.ptp(offset) <= 1e-10
 
 
