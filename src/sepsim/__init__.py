@@ -12,9 +12,7 @@ and checks flux, sojourn-time, and reversibility identities.
 __version__ = "0.1.0"
 
 from .model import (
-    LatticeState,
     ModelParams,
-    decode,
     state_space_size,
 )
 from .exact import (
@@ -53,19 +51,16 @@ from .analytics import (
     sojourn_littles_law,
 )
 from .reversibility import (
-    BalanceReport,
     NotStationaryError,
     detailed_balance_residual,
     kolmogorov_cycle_residual,
     perturb_hop_rate,
-    reversed_generator,
+    reversed_rates_residual,
 )
 
 __all__ = [
     "__version__",
-    "LatticeState",
     "ModelParams",
-    "decode",
     "state_space_size",
     "CapExceededError",
     "Generator",
@@ -96,10 +91,9 @@ __all__ = [
     "estimate_from_stats",
     "sojourn_closed_form",
     "sojourn_littles_law",
-    "BalanceReport",
     "NotStationaryError",
     "detailed_balance_residual",
     "kolmogorov_cycle_residual",
     "perturb_hop_rate",
-    "reversed_generator",
+    "reversed_rates_residual",
 ]

@@ -7,11 +7,11 @@ rate), so row sums are zero by construction.  Every generator comes from
 family, so it knows each edge's reverse without a search, and puts the
 edges in order with one stable sort of a single integer key; the
 generator keeps the reverse of each edge (:attr:`Generator.reverse`).  A
-copy changes only the rates (the negative control's perturbed generator,
-the time-reversed one) and shares the rest.  So a generator is
-irreducible exactly when its model is (:func:`is_irreducible_model`), and
-it is spanned by that lemma's tree.  A model is solved one of two ways,
-chosen by one rule on the generator itself:
+copy, the negative control's perturbed generator, changes only the rates
+and shares the rest.  So a generator is irreducible exactly when its model
+is (:func:`is_irreducible_model`), and it is spanned by that lemma's tree.
+A model is solved one of two ways, chosen by one rule on the generator
+itself:
 
 - reversible generators (rate ratios that close every cycle,
   Kolmogorov's criterion) take their stationary law straight from Kelly's
@@ -59,10 +59,6 @@ from .model import ModelParams, state_space_size
 __all__ = [
     "DEFAULT_STATE_CAP",
     "STATE_CAP_ENV",
-    "EDGE_ARRIVAL",
-    "EDGE_DEPARTURE",
-    "EDGE_HOP",
-    "EDGE_CLASS_NAMES",
     "CapExceededError",
     "SolveError",
     "SingularSystemError",
@@ -91,10 +87,6 @@ RESIDUAL_TOL = 1e-10
 # potential.  Reversible generators built here stay below 1e-14; a broken
 # rate symmetry shows at the size of the break.
 _REVERSIBLE_TOL = 1e-12
-
-# Transition classes: an edge adds a particle, removes one, or moves one.
-EDGE_ARRIVAL, EDGE_DEPARTURE, EDGE_HOP = 1, 2, 3
-EDGE_CLASS_NAMES = {EDGE_ARRIVAL: "arrival", EDGE_DEPARTURE: "departure", EDGE_HOP: "hop"}
 
 
 class CapExceededError(RuntimeError):
@@ -158,26 +150,27 @@ class TreePotential(NamedTuple):
 class Generator:
     """Off-diagonal transition rates of the lattice process.
 
-    ``rows``, ``cols``, ``rates`` and ``kinds`` are parallel arrays holding
-    one directed edge each, sorted by (row, col).  The diagonal entry of
+    ``rows``, ``cols`` and ``rates`` are parallel arrays holding one
+    directed edge each, sorted by (row, col).  The diagonal entry of
     state ``i`` is implied as minus its exit rate, so every row of the full
     matrix sums to zero exactly.  ``reverse[e]`` is the index of the edge
     ``cols[e] -> rows[e]``.  The arrays are read-only.
 
-    The support fields, ``dim``, ``rows``, ``cols``, ``kinds``, ``reverse``
-    and ``params`` (the model), are :func:`build_generator`'s.  A changed
-    copy, made with ``dataclasses.replace(gen, rates=...)``, changes only
-    the rates and shares the other arrays; perturbed copies keep ``params``
-    for state decoding and for the spanning tree even though their rates
-    no longer follow the model.  So only the rates are checked here: one
-    per edge, each positive and finite.
+    The support fields, ``dim``, ``rows``, ``cols``, ``reverse`` and
+    ``params`` (the model), are :func:`build_generator`'s.  The only copy
+    is the negative control's (:func:`~sepsim.reversibility.perturb_hop_rate`),
+    made with ``dataclasses.replace(gen, rates=...)``: it changes only the
+    rates and shares the other arrays, and keeps ``params`` for the
+    spanning tree even though its rates no longer follow the model.  So
+    only the rates are checked here: one per edge, each positive and
+    finite.  A caller's writeable rates array is copied; a read-only one
+    is kept as it is.
     """
 
     dim: int
     rows: np.ndarray
     cols: np.ndarray
     rates: np.ndarray
-    kinds: np.ndarray
     params: ModelParams
     reverse: np.ndarray
 
@@ -193,10 +186,6 @@ class Generator:
         rates.flags.writeable = False
         object.__setattr__(self, "rates", rates)
 
-    @property
-    def n_edges(self) -> int:
-        return int(self.rates.size)
-
     def exit_rates(self) -> np.ndarray:
         """Total rate out of each state (magnitude of the implied diagonal)."""
         return np.bincount(self.rows, weights=self.rates, minlength=self.dim)
@@ -211,7 +200,7 @@ class Generator:
         The tree depends on the support only, so the mismatch is taken over
         every edge whatever the rates: a perturbed copy still shows its
         break.  Copies made with :func:`dataclasses.replace` are new
-        instances, so a perturbed or reversed generator computes its own.
+        instances, so a perturbed generator computes its own.
         """
         # In place where the result does not change, to hold fewer
         # edge-sized temporaries at once.
@@ -234,13 +223,13 @@ def _follow(reverse: np.ndarray, order: np.ndarray) -> np.ndarray:
     return position[reverse[order]]
 
 
-def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, int, float, int]]:
+def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, float]]:
     """The model's event rules, each event family beside its reverse family.
 
-    Each item is ``(a, b, rate_ab, kind_ab, rate_ba, kind_ba)``, where ``a``
-    and ``b`` index the ``(K+1,)*N`` state tensor: the family's events take
-    each state of ``a`` to the state in the same place of ``b`` at rate
-    ``rate_ab``, and the reverse family takes it back at ``rate_ba``.  In
+    Each item is ``(a, b, rate_ab, rate_ba)``, where ``a`` and ``b`` index
+    the ``(K+1,)*N`` state tensor: the family's events take each state of
+    ``a`` to the state in the same place of ``b`` at rate ``rate_ab``, and
+    the reverse family takes it back at ``rate_ba``.  In
     the sampler's order (``sepsim.simulate.RNG_SCHEME["event_order"]``): a
     type-k arrival at a vacant site against its departure, for k = 1..K,
     on axis 0 and then on axis N-1; then, for each k whose hop rate
@@ -255,11 +244,11 @@ def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, int
 
     for axis in (0, params.n_sites - 1):
         for k, (alpha, beta) in enumerate(zip(params.alpha, params.beta), 1):
-            yield at(axis, 0), at(axis, k), alpha, EDGE_ARRIVAL, beta, EDGE_DEPARTURE
+            yield at(axis, 0), at(axis, k), alpha, beta
     for k, rate in enumerate(params.delta, 1):
         if rate > 0.0:
             for i in range(params.n_sites - 1):
-                yield at(i, k, 0), at(i, 0, k), rate, EDGE_HOP, rate, EDGE_HOP
+                yield at(i, k, 0), at(i, 0, k), rate, rate
 
 
 def build_generator(params: ModelParams) -> Generator:
@@ -285,19 +274,18 @@ def build_generator(params: ModelParams) -> Generator:
     ids = np.arange(m, dtype=np.int64).reshape((params.n_types + 1,) * params.n_sites)
     # Each family's sources and targets, as views of ids.
     families = [(ids[a], ids[b], *rules) for a, b, *rules in _event_pairs(params)]
-    n_edges = 2 * sum(src.size for src, *_ in families)
-    rows = np.empty(n_edges, dtype=np.int64)
-    cols = np.empty(n_edges, dtype=np.int64)
-    rates = np.empty(n_edges)
-    kinds = np.empty(n_edges, dtype=np.int8)
-    reverse = np.empty(n_edges, dtype=np.int64)
+    total = 2 * sum(src.size for src, *_ in families)
+    rows = np.empty(total, dtype=np.int64)
+    cols = np.empty(total, dtype=np.int64)
+    rates = np.empty(total)
+    reverse = np.empty(total, dtype=np.int64)
     at = 0
-    for src, dst, rate, kind, back_rate, back_kind in families:
+    for src, dst, rate, back_rate in families:
         size = src.size
         fwd, back = slice(at, at + size), slice(at + size, at + 2 * size)
         rows[fwd] = cols[back] = src.ravel()
         cols[fwd] = rows[back] = dst.ravel()
-        rates[fwd], kinds[fwd], rates[back], kinds[back] = rate, kind, back_rate, back_kind
+        rates[fwd], rates[back] = rate, back_rate
         reverse[fwd] = np.arange(at + size, at + 2 * size)
         reverse[back] = np.arange(at, at + size)
         at += 2 * size
@@ -309,14 +297,11 @@ def build_generator(params: ModelParams) -> Generator:
     rows = rows[order]
     cols = cols[order]
     rates = rates[order]
-    kinds = kinds[order]
     reverse = _follow(reverse, order)
     del order
-    for array in (rows, cols, rates, kinds, reverse):
+    for array in (rows, cols, rates, reverse):
         array.flags.writeable = False  # so the generator keeps them without a copy
-    return Generator(
-        dim=m, rows=rows, cols=cols, rates=rates, kinds=kinds, params=params, reverse=reverse
-    )
+    return Generator(dim=m, rows=rows, cols=cols, rates=rates, params=params, reverse=reverse)
 
 
 def reverse_rates(gen: Generator) -> np.ndarray:
@@ -444,7 +429,7 @@ def certify_stationary(params: ModelParams, dist: np.ndarray) -> float:
         raise ValueError(_REDUCIBLE_MESSAGE)
     p = _tensor(dist, params).astype(np.longdouble)
     residual = np.zeros_like(p)
-    for a, b, rate_ab, _, rate_ba, _ in _event_pairs(params):
+    for a, b, rate_ab, rate_ba in _event_pairs(params):
         net = np.longdouble(rate_ab) * p[a] - np.longdouble(rate_ba) * p[b]
         residual[a] += net
         residual[b] -= net

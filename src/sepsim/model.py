@@ -1,4 +1,4 @@
-"""Lattice model: parameters, states and their canonical index.
+"""Lattice model: parameters and the size of the state space.
 
 A one-dimensional lattice of ``n_sites`` sites holds at most one particle
 per site; particles carry a type ``1..n_types``.  A type-k particle enters
@@ -10,9 +10,11 @@ the dynamics are symmetric.  On a two-site lattice both sites are
 boundary sites and the one bond joins them; ``delta[k-1] == 0`` means no
 type-k hop across it.
 
-Sites and particle types are 1-based throughout the public API.  States
-are plain tuples, every operation here is a pure function, and all values
-are immutable, so they can be shared freely between threads or processes.
+Sites and particle types are 1-based throughout the public API.  A state
+is indexed canonically by its base-(n_types+1) digits, site 1 most
+significant, digit 0 for a vacant site and k for a type-k particle.  All
+values here are immutable, so they can be shared freely between threads
+or processes.
 """
 
 from __future__ import annotations
@@ -23,14 +25,8 @@ from numbers import Real
 
 __all__ = [
     "ModelParams",
-    "LatticeState",
     "state_space_size",
-    "decode",
 ]
-
-# A lattice state: tuple of length n_sites, entry 0 for a vacant site and
-# k in 1..n_types for a type-k particle.  Index 0 of the tuple is site 1.
-LatticeState = tuple[int, ...]
 
 
 def _rate_vector(name: str, values, n_types: int, *, allow_zero: bool) -> tuple[float, ...]:
@@ -87,16 +83,3 @@ def state_space_size(params: ModelParams) -> int:
     """
     return (params.n_types + 1) ** params.n_sites
 
-
-def decode(index: int, params: ModelParams) -> LatticeState:
-    """State whose canonical index is ``index``: base-(n_types+1) digits,
-    site 1 most significant."""
-    size = state_space_size(params)
-    if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < size:
-        raise ValueError(f"state index {index!r} outside 0..{size - 1}")
-    base = params.n_types + 1
-    digits = []
-    for _ in range(params.n_sites):
-        index, v = divmod(index, base)
-        digits.append(v)
-    return tuple(reversed(digits))

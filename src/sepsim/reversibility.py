@@ -13,30 +13,22 @@ one directed hop rate scaled, on which every one of them fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .model import LatticeState, decode
-from .exact import (
-    EDGE_CLASS_NAMES,
-    EDGE_HOP,
-    Generator,
-    balance_residuals,
-    reverse_rates,
-)
+from .exact import Generator, balance_residuals, reverse_rates
 
 __all__ = [
-    "BalanceReport",
     "NotStationaryError",
     "detailed_balance_residual",
-    "reversed_generator",
+    "reversed_rates_residual",
     "kolmogorov_cycle_residual",
     "perturb_hop_rate",
 ]
 
-# Largest global-balance residual for which reversed_generator accepts a
-# distribution as stationary.
+# Largest global-balance residual for which reversed_rates_residual accepts
+# a distribution as stationary.
 _STATIONARITY_TOL = 1e-8
 
 
@@ -44,36 +36,19 @@ class NotStationaryError(ValueError):
     """The supplied distribution is not stationary for the generator."""
 
 
-@dataclass(frozen=True)
-class BalanceReport:
-    """Pairwise-balance residuals |p_i * rate(i->j) - p_j * rate(j->i)|.
-
-    ``worst_pair`` holds the decoded ordered state pair attaining the
-    maximum; ``by_class`` breaks the maximum down per transition class.
-    """
-
-    max_abs_residual: float
-    worst_pair: tuple[LatticeState, LatticeState]
-    by_class: dict[str, float]
-
-
-def detailed_balance_residual(gen: Generator, dist: np.ndarray) -> BalanceReport:
-    """Evaluate pairwise balance of ``dist`` over every stored edge."""
+def detailed_balance_residual(gen: Generator, dist: np.ndarray) -> float:
+    """Largest pairwise-balance residual
+    ``|p_i * rate(i->j) - p_j * rate(j->i)|`` of ``dist`` over every stored
+    edge."""
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (gen.dim,):
         raise ValueError(f"distribution has shape {dist.shape}, expected ({gen.dim},)")
-    residuals = np.abs(dist[gen.rows] * gen.rates - dist[gen.cols] * reverse_rates(gen))
-    worst = int(residuals.argmax())
-    pair = (decode(int(gen.rows[worst]), gen.params), decode(int(gen.cols[worst]), gen.params))
-    by_class = {}
-    for code, name in EDGE_CLASS_NAMES.items():
-        mask = gen.kinds == code
-        by_class[name] = float(residuals[mask].max()) if mask.any() else 0.0
-    return BalanceReport(float(residuals.max()), pair, by_class)
+    return float(np.abs(dist[gen.rows] * gen.rates - dist[gen.cols] * reverse_rates(gen)).max())
 
 
-def reversed_generator(gen: Generator, dist: np.ndarray) -> Generator:
-    """Rates of the time-reversed process under stationary ``dist``.
+def reversed_rates_residual(gen: Generator, dist: np.ndarray) -> float:
+    """Largest gap between the time-reversed process's rates under
+    stationary ``dist`` and the forward rates.
 
     The reversed rate of i -> j is ``dist[j] * rate(j -> i) / dist[i]``;
     the support mirrors the forward support.  ``dist`` must be strictly
@@ -91,7 +66,7 @@ def reversed_generator(gen: Generator, dist: np.ndarray) -> Generator:
             f"distribution is not stationary: balance residual {residual:.3e} "
             f"> {_STATIONARITY_TOL:.1e}"
         )
-    return replace(gen, rates=dist[gen.cols] * reverse_rates(gen) / dist[gen.rows])
+    return float(np.abs(dist[gen.cols] * reverse_rates(gen) / dist[gen.rows] - gen.rates).max())
 
 
 def kolmogorov_cycle_residual(gen: Generator) -> float:
@@ -113,15 +88,23 @@ def kolmogorov_cycle_residual(gen: Generator) -> float:
 
 
 def perturb_hop_rate(gen: Generator) -> Generator:
-    """Copy of ``gen`` with its first directed hop rate doubled.
+    """Copy of ``gen`` with one directed hop rate doubled.
 
     Scaling a single direction breaks the hop-rate symmetry, producing a
     generator whose stationary distribution is no longer the product form;
-    used as a negative control for the balance and cycle checks.
+    used as a negative control for the balance and cycle checks.  The edge
+    is the hop from site N to site N-1 of the lowest type k with
+    ``delta[k-1] > 0``, out of the state that holds only that particle:
+    edge ``(k, k*(K+1))``, the first hop edge in (row, col) order.
     """
-    hop_edges = np.nonzero(gen.kinds == EDGE_HOP)[0]
-    if hop_edges.size == 0:
+    params = gen.params
+    mobile = [k for k, rate in enumerate(params.delta, 1) if rate > 0.0]
+    if not mobile:
         raise ValueError("generator has no hop transitions to perturb")
+    k = mobile[0]
+    start, stop = np.searchsorted(gen.rows, [k, k + 1])
+    edge = start + np.searchsorted(gen.cols[start:stop], k * (params.n_types + 1))
     rates = gen.rates.copy()
-    rates[hop_edges[0]] *= 2.0
+    rates[edge] *= 2.0
+    rates.flags.writeable = False  # so that the copy keeps this array
     return replace(gen, rates=rates)

@@ -7,10 +7,12 @@ spells the rules out state by state, one event at a time, with neither, so
 a test that compares them cross-checks the generator, the memo table and
 the lattice walk:
 
-- the reference model: :class:`Event` values, the events enabled in a
-  state (:func:`enabled_events`), the successor an event leads to
+- the reference model: states as tuples (:data:`LatticeState`),
+  :class:`Event` values, the events enabled in a state
+  (:func:`enabled_events`), the successor an event leads to
   (:func:`apply_event`), every state in canonical order
-  (:func:`enumerate_states`) and a state's canonical index (:func:`encode`);
+  (:func:`enumerate_states`), a state's canonical index (:func:`encode`)
+  and the state of an index (:func:`decode`);
 - the reference stepper, :func:`sample_next_event`, one step of the direct
   method in the sampler's event order and on its stream;
 - :func:`joint_from_marginals`, the product form built from the site
@@ -32,9 +34,13 @@ from typing import Iterator
 import numpy as np
 
 from sepsim.exact import Generator, site_marginal
-from sepsim.model import LatticeState, ModelParams, decode, state_space_size
+from sepsim.model import ModelParams, state_space_size
 
 VACANT = 0
+
+# A lattice state: tuple of length n_sites, entry 0 for a vacant site and
+# k in 1..n_types for a type-k particle.  Index 0 of the tuple is site 1.
+LatticeState = tuple[int, ...]
 
 
 class EventKind(Enum):
@@ -76,13 +82,27 @@ def _validate_state(state: LatticeState, params: ModelParams) -> None:
 
 def encode(state: LatticeState, params: ModelParams) -> int:
     """Canonical index of a state: base-(n_types+1) digits, site 1 most
-    significant.  Inverse of :func:`sepsim.model.decode`."""
+    significant.  Inverse of :func:`decode`."""
     _validate_state(state, params)
     base = params.n_types + 1
     index = 0
     for v in state:
         index = index * base + v
     return index
+
+
+def decode(index: int, params: ModelParams) -> LatticeState:
+    """State whose canonical index is ``index``: base-(n_types+1) digits,
+    site 1 most significant."""
+    size = state_space_size(params)
+    if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < size:
+        raise ValueError(f"state index {index!r} outside 0..{size - 1}")
+    base = params.n_types + 1
+    digits = []
+    for _ in range(params.n_sites):
+        index, v = divmod(index, base)
+        digits.append(v)
+    return tuple(reversed(digits))
 
 
 def enumerate_states(params: ModelParams) -> Iterator[LatticeState]:
@@ -251,7 +271,7 @@ def is_irreducible(gen: Generator) -> bool:
     from scipy.sparse.csgraph import connected_components
 
     adjacency = sp.csr_matrix(
-        (np.ones(gen.n_edges, dtype=np.int8), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
+        (np.ones(gen.rows.size, dtype=np.int8), (gen.rows, gen.cols)), shape=(gen.dim, gen.dim)
     )
     n_components, _ = connected_components(adjacency, directed=True, connection="strong")
     return n_components == 1

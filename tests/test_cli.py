@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference import decode
 import sepsim.cli
 import sepsim.exact
-from sepsim import SimConfig, decode
+from sepsim import SimConfig
 from sepsim.exact import _REDUCIBLE_MESSAGE
 from sepsim.cli import (
     DEFAULT_TOLERANCES,
@@ -23,7 +25,6 @@ from sepsim.cli import (
     _csv_cell,
     _dumps,
     _json,
-    emit_config,
     main,
     parse_config,
 )
@@ -52,6 +53,19 @@ def run_config(**overrides):
     data = dict(BASE_CONFIG)
     data.update(overrides)
     return RunConfig.from_dict(data)
+
+
+def config_dict(config):
+    """The flat configuration object that ``RunConfig.from_dict`` reads back."""
+    doc = {**dataclasses.asdict(config.model), **dataclasses.asdict(config.sim),
+           "format": config.format, "tolerances": config.tolerances}
+    if config.output is not None:
+        doc["output"] = config.output
+    return _json(doc)
+
+
+def emit_config(config):
+    return _dumps(config_dict(config))
 
 
 class TestRunConfig:
@@ -523,45 +537,76 @@ class TestMainEntry:
             assert (fresh / f"{i}.json").read_bytes() == (here / f"{i}.json").read_bytes()
 
 # Whole documents pinned by their sha256, JSON and CSV: a change of any
-# byte of a simulate or report document shows here, the sampled figures
-# included.  n5k2-report runs the memo walk over several blocks of
+# byte of a simulate, report or verify document shows here, the sampled
+# figures included.  n5k2-report runs the memo walk over several blocks of
 # uniforms with state occupancy tracked; n30k3-simulate runs the lattice
 # walk; n2k2-simulate has one immobile type on two sites, where a hop
-# changes both boundary sites.
+# changes both boundary sites.  The verify rows pin every residual, clean
+# and under the negative control, whose perturbed edge is the lowest
+# mobile type's hop: type 1's at N=4/K=2 and N=5/K=3, type 2's in
+# n2k2-verify-negative, where type 1 is immobile.
+README_RATES = dict(alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0])
 PINNED_DOCUMENTS = [
     (
-        "report",
-        dict(n_sites=5, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 1.0],
-             seed=1, max_events=30_000, replicas=2),
+        "report", [], 0,
+        dict(n_sites=5, n_types=2, **README_RATES, seed=1, max_events=30_000, replicas=2),
         "2769821beed3ab612d961bf92c731a3a419ff3d6a9aaceedbf62553506072243",
         "3a92f6fb4a09a8f11cc082fdf2d042ee18844fc6023c9ede62feb0ec212be5bc",
     ),
     (
-        "simulate",
+        "simulate", [], 0,
         dict(n_sites=30, n_types=3, alpha=[1.0, 2.0, 0.5], beta=[2.0, 1.0, 0.4], delta=[1.0, 0.3, 2.0],
              seed=2, max_events=3000, replicas=2),
         "8009f4c12856414bcfa96cbe67b03ff5f652684170722bdd0327c1fbffc82275",
         "9e138ee0cbc860467b67b67be21a8f950f77d2fa23a30f6ef3d72cee2ff61327",
     ),
     (
-        "simulate",
+        "simulate", [], 0,
         dict(n_sites=2, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[1.0, 0.0],
              seed=3, max_events=20_000, replicas=2),
         "c23bd5738468aa489eb80e8d6e814e1a52413b5be843cbc94e3d3a9381828b1c",
         "340cbd95b2996b087092dc74723e6b157631ff95d440b4c6c8c71a7e7f4d93d5",
     ),
+    (
+        "verify", [], 0,
+        dict(n_sites=4, n_types=2, **README_RATES),
+        "e518ea4ed7cd92f47b42a997ec0d214f31c3142f5c4a6351efb0ec4d17647b09",
+        "41cc00902dfea6835a80fe2456a1ed95bd802fdc9cdd967f336f5479bc1e0dce",
+    ),
+    (
+        "verify", ["--negative-control"], 1,
+        dict(n_sites=4, n_types=2, **README_RATES),
+        "15e6c6003001d9fe467ca74c82423554c5b23d93dc6bc432cca104dbb8c68dbc",
+        "d90f16b2a75322e4f922db53768b6fc824b8a410c21eecbd889da414b1d47b7e",
+    ),
+    (
+        "verify", ["--negative-control"], 1,
+        dict(n_sites=5, n_types=3, alpha=[0.3, 2.0, 1.1], beta=[1.7, 0.6, 1.1], delta=[0.5, 2.0, 1.3]),
+        "9f868f1bb262ed7763ce20c561f86e032b1b25ab9625e1cb0bd6a2adbf61f5cd",
+        "c09ae0f30cf4df3182a143d42adfd1d4b6d5666fb46b30515000770043d93c4f",
+    ),
+    (
+        "verify", ["--negative-control"], 1,
+        dict(n_sites=2, n_types=2, alpha=[1.0, 2.0], beta=[2.0, 1.0], delta=[0.0, 1.5]),
+        "a0468955ce77f1e7485efc00422117fe5bb11e090e54422ff2407db1b57023b9",
+        "06af4801341666c736cb6165d3ee38bb8708fd28f8571149aa97de668ce6be6a",
+    ),
 ]
 
 
 class TestPinnedDocuments:
-    @pytest.mark.parametrize("command, config, json_sha256, csv_sha256", PINNED_DOCUMENTS,
-                             ids=["n5k2-report", "n30k3-simulate", "n2k2-simulate"])
-    def test_documents_are_pinned(self, tmp_path, capsys, command, config, json_sha256, csv_sha256):
+    @pytest.mark.parametrize("command, flags, exit_code, config, json_sha256, csv_sha256",
+                             PINNED_DOCUMENTS,
+                             ids=["n5k2-report", "n30k3-simulate", "n2k2-simulate", "n4k2-verify",
+                                  "n4k2-verify-negative", "n5k3-verify-negative",
+                                  "n2k2-verify-negative"])
+    def test_documents_are_pinned(self, tmp_path, capsys, command, flags, exit_code, config,
+                                  json_sha256, csv_sha256):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         digests = []
         for fmt in ("json", "csv"):
-            assert main([command, "--config", str(path), "--format", fmt]) == 0
+            assert main([command, "--config", str(path), "--format", fmt, *flags]) == exit_code
             digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
         assert digests == [json_sha256, csv_sha256]
 
@@ -730,7 +775,7 @@ class TestJsonWriter:
 
     def test_emit_config_is_the_stdlib_text(self):
         config = run_config(output="r\u00e9sultat.json", tolerances={"kolmogorov_cycles": 1e-5})
-        assert emit_config(config) == _stdlib_text(config.to_dict())
+        assert emit_config(config) == _stdlib_text(config_dict(config))
 
     @pytest.mark.parametrize("array, expected", [
         (np.array([0.5, np.nan, np.inf, -np.inf, -0.0]), [0.5, None, None, None, -0.0]),

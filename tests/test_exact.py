@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from reference import (
-    EventKind,
     apply_event,
+    decode,
     enabled_events,
     encode,
     enumerate_states,
@@ -30,9 +30,6 @@ from sepsim import (
     solve_stationary,
 )
 from sepsim.exact import (
-    EDGE_ARRIVAL,
-    EDGE_DEPARTURE,
-    EDGE_HOP,
     RESIDUAL_TOL,
     STATE_CAP_ENV,
     _REDUCIBLE_MESSAGE,
@@ -42,7 +39,7 @@ from sepsim.exact import (
     _solve_lu,
     _solve_reversible,
 )
-from sepsim.reversibility import perturb_hop_rate, reversed_generator
+from sepsim.reversibility import perturb_hop_rate
 
 
 def params(n=2, k=1, alpha=None, beta=None, delta=None):
@@ -74,10 +71,7 @@ def random_grid(seed=20240817, draws=3, lo=0.5, hi=2.5):
 
 
 def edge_map(gen):
-    return {
-        (int(i), int(j)): (float(r), int(c))
-        for i, j, r, c in zip(gen.rows, gen.cols, gen.rates, gen.kinds)
-    }
+    return {(int(i), int(j)): float(r) for i, j, r in zip(gen.rows, gen.cols, gen.rates)}
 
 
 TWO_SITE = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(1.0,))
@@ -104,22 +98,22 @@ def solve_by_hand(q):
 
 class TestBuildGenerator:
     def test_edge_counts_two_site_model(self):
-        assert build_generator(params(2, 1, delta=(0.0,))).n_edges == 8
-        assert build_generator(params(2, 1, delta=(1.0,))).n_edges == 10
+        assert build_generator(params(2, 1, delta=(0.0,))).rows.size == 8
+        assert build_generator(params(2, 1, delta=(1.0,))).rows.size == 10
 
     def test_rates_and_classes(self):
         p = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(0.0,))
         edges = edge_map(build_generator(p))
-        # (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3
-        assert edges[(0, 2)] == (1.0, EDGE_ARRIVAL)
-        assert edges[(2, 0)] == (2.0, EDGE_DEPARTURE)
+        # (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3: 0 -> 2 is an arrival at site 1.
+        assert edges[(0, 2)] == 1.0
+        assert edges[(2, 0)] == 2.0
         assert (2, 1) not in edges and (1, 2) not in edges
 
     def test_two_sites_hop_across_their_one_bond(self):
         p = params(2, 1, alpha=(1.0,), beta=(2.0,), delta=(0.5,))
         edges = edge_map(build_generator(p))
-        assert edges[(2, 1)] == (0.5, EDGE_HOP)
-        assert edges[(1, 2)] == (0.5, EDGE_HOP)
+        assert edges[(2, 1)] == 0.5
+        assert edges[(1, 2)] == 0.5
 
     def test_matches_hand_written_generator(self):
         gen = build_generator(TWO_SITE)
@@ -136,8 +130,11 @@ class TestBuildGenerator:
             reverse_rates(gen)  # raises if the support is not symmetric
 
     def test_zero_delta_removes_hop_edges(self):
-        gen = build_generator(params(3, 1, delta=(0.0,)))
-        assert not np.any(gen.kinds == EDGE_HOP)
+        # Without hops every edge changes one site: an arrival or a departure.
+        p = params(3, 1, delta=(0.0,))
+        gen = build_generator(p)
+        for i, j in zip(gen.rows.tolist(), gen.cols.tolist()):
+            assert sum(a != b for a, b in zip(decode(i, p), decode(j, p))) == 1
 
     def test_generator_is_irreducible(self):
         for p in random_grid(draws=1):
@@ -192,14 +189,6 @@ class TestBuildGenerator:
                 dataclasses.replace(gen, rates=rates)
 
 
-_CLASS_OF = {
-    EventKind.ARRIVAL: EDGE_ARRIVAL,
-    EventKind.DEPARTURE: EDGE_DEPARTURE,
-    EventKind.HOP_LEFT: EDGE_HOP,
-    EventKind.HOP_RIGHT: EDGE_HOP,
-}
-
-
 class TestGeneratorOrderAndReverse:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -218,13 +207,13 @@ class TestGeneratorOrderAndReverse:
             for event, rate in enabled_events(state, p):
                 target = encode(apply_event(state, event), p)
                 assert (source, target) not in expected
-                expected[(source, target)] = (rate, _CLASS_OF[event.kind])
+                expected[(source, target)] = rate
         gen = build_generator(p)
         assert edge_map(gen) == expected
-        assert gen.n_edges == len(expected)
+        assert gen.rows.size == len(expected)
         keys = gen.rows * gen.dim + gen.cols
         assert np.all(np.diff(keys) > 0)
-        opposite = [expected[(j, i)][0] for i, j in zip(gen.rows.tolist(), gen.cols.tolist())]
+        opposite = [expected[(j, i)] for i, j in zip(gen.rows.tolist(), gen.cols.tolist())]
         assert gen.rates[gen.reverse].tolist() == opposite
         assert reverse_rates(gen).tolist() == opposite
 
@@ -233,17 +222,16 @@ class TestGeneratorOrderAndReverse:
         k = 130
         p = params(2, k, alpha=tuple(np.linspace(0.5, 2.0, k)), delta=(0.0,) * k)
         gen = build_generator(p)
-        assert gen.n_edges == 4 * k * (k + 1)
+        assert gen.rows.size == 4 * k * (k + 1)
         assert np.abs(solve_stationary(gen) / product_form(p) - 1.0).max() <= 1e-12
 
     def test_copies_keep_the_reverse(self):
         # A copy changes only the rates and shares the model's support.
-        p = params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0))
-        gen = build_generator(p)
-        for copy in (perturb_hop_rate(gen), reversed_generator(gen, product_form(p))):
-            for name in ("rows", "cols", "kinds", "reverse", "params"):
-                assert getattr(copy, name) is getattr(gen, name), name
-            assert copy.dim == gen.dim
+        gen = build_generator(params(4, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)))
+        copy = perturb_hop_rate(gen)
+        for name in ("rows", "cols", "reverse", "params"):
+            assert getattr(copy, name) is getattr(gen, name), name
+        assert copy.dim == gen.dim
 
     def test_a_given_reverse_follows_the_sort(self):
         # build_generator's sort: edge e's reverse moves with both edges.

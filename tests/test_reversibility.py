@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from reference import decode
 from sepsim import (
     ModelParams,
     NotStationaryError,
@@ -9,10 +12,10 @@ from sepsim import (
     kolmogorov_cycle_residual,
     perturb_hop_rate,
     product_form,
-    reversed_generator,
+    reversed_rates_residual,
     solve_stationary,
 )
-from sepsim.exact import EDGE_HOP, _lemma_potential, reverse_rates
+from sepsim.exact import _lemma_potential, reverse_rates
 
 
 def params(n=2, k=1, alpha=None, beta=None, delta=None):
@@ -51,33 +54,19 @@ LARGE = [
 class TestDetailedBalance:
     @pytest.mark.parametrize("p", GRID, ids=lambda p: f"n{p.n_sites}k{p.n_types}")
     def test_product_form_balances_every_pair(self, p):
-        report = detailed_balance_residual(build_generator(p), product_form(p))
-        assert report.max_abs_residual <= 1e-12
-        assert set(report.by_class) == {"arrival", "departure", "hop"}
-        assert max(report.by_class.values()) <= 1e-12
+        assert detailed_balance_residual(build_generator(p), product_form(p)) <= 1e-12
 
     def test_hand_checked_pair_balances(self):
         # (0,0) <-> (1,0): (4/9)*1 == (2/9)*2, residual 0.
         gen = build_generator(TWO_SITE)
         closed = product_form(TWO_SITE)
         assert closed[0] * 1.0 - closed[2] * 2.0 == pytest.approx(0.0, abs=1e-15)
-        report = detailed_balance_residual(gen, closed)
-        assert report.max_abs_residual <= 1e-15
+        assert detailed_balance_residual(gen, closed) <= 1e-15
 
     def test_uniform_distribution_fails_for_unbalanced_rates(self):
         # |1/4 * alpha - 1/4 * beta| = 1/4 on every arrival/departure pair.
         gen = build_generator(TWO_SITE)
-        report = detailed_balance_residual(gen, np.full(4, 0.25))
-        assert report.max_abs_residual == pytest.approx(0.25, abs=1e-15)
-        assert report.by_class["arrival"] == pytest.approx(0.25, abs=1e-15)
-        assert report.by_class["hop"] == pytest.approx(0.0, abs=1e-15)
-        assert report.worst_pair is not None
-
-    def test_worst_pair_is_decoded(self):
-        gen = build_generator(TWO_SITE)
-        report = detailed_balance_residual(gen, np.full(4, 0.25))
-        a, b = report.worst_pair
-        assert isinstance(a, tuple) and len(a) == 2
+        assert detailed_balance_residual(gen, np.full(4, 0.25)) == pytest.approx(0.25, abs=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -86,47 +75,43 @@ class TestDetailedBalance:
     def test_perturbed_generator_detected(self):
         p = params(3, 1, alpha=(1.0,), beta=(2.0,), delta=(1.0,))
         perturbed = perturb_hop_rate(build_generator(p))
-        report = detailed_balance_residual(perturbed, product_form(p))
-        assert report.max_abs_residual > 1e-3
-        assert report.by_class["hop"] > 1e-3
+        assert detailed_balance_residual(perturbed, product_form(p)) > 1e-3
 
 
 class TestReversedGenerator:
     @pytest.mark.parametrize("p", GRID, ids=lambda p: f"n{p.n_sites}k{p.n_types}")
     def test_reversed_rates_equal_forward_rates(self, p):
-        gen = build_generator(p)
-        reversed_gen = reversed_generator(gen, product_form(p))
-        assert np.array_equal(reversed_gen.rows, gen.rows)
-        assert np.array_equal(reversed_gen.cols, gen.cols)
-        assert np.abs(reversed_gen.rates - gen.rates).max() <= 1e-12
+        assert reversed_rates_residual(build_generator(p), product_form(p)) <= 1e-12
 
     def test_balanced_rates_case(self):
         p = params(3, 2)
         gen = build_generator(p)
-        reversed_gen = reversed_generator(gen, solve_stationary(gen))
-        assert np.abs(reversed_gen.rates - gen.rates).max() <= 1e-10
+        assert reversed_rates_residual(gen, solve_stationary(gen)) <= 1e-10
 
     def test_hand_checked_reversed_rate(self):
-        # reversed (0,0)->(1,0) rate: p(1,0)*beta / p(0,0) = (2/9*2)/(4/9) = 1.
-        gen = build_generator(TWO_SITE)
-        reversed_gen = reversed_generator(gen, product_form(TWO_SITE))
-        edges = {
-            (int(i), int(j)): float(r)
-            for i, j, r in zip(reversed_gen.rows, reversed_gen.cols, reversed_gen.rates)
-        }
-        assert edges[(0, 2)] == pytest.approx(1.0, abs=1e-15)
+        # reversed (0,0)->(1,0) rate: p(1,0)*beta / p(0,0) = (2/9*2)/(4/9) = 1,
+        # the forward rate alpha.
+        closed = product_form(TWO_SITE)
+        assert closed[2] * 2.0 / closed[0] == pytest.approx(1.0, abs=1e-15)
+        assert reversed_rates_residual(build_generator(TWO_SITE), closed) <= 1e-15
+
+    def test_perturbed_rates_do_not_reverse(self):
+        # Under its own stationary law the perturbed chain's reversed rates
+        # differ from its forward ones.
+        perturbed = perturb_hop_rate(build_generator(params(3, 1, alpha=(1.0,), beta=(2.0,))))
+        assert reversed_rates_residual(perturbed, solve_stationary(perturbed)) > 1e-3
 
     def test_zero_probability_rejected(self):
         gen = build_generator(TWO_SITE)
         dist = product_form(TWO_SITE).copy()
         dist[1] = 0.0
         with pytest.raises(ValueError):
-            reversed_generator(gen, dist)
+            reversed_rates_residual(gen, dist)
 
     def test_non_stationary_distribution_rejected(self):
         gen = build_generator(TWO_SITE)
         with pytest.raises(NotStationaryError):
-            reversed_generator(gen, np.full(4, 0.25))
+            reversed_rates_residual(gen, np.full(4, 0.25))
 
 
 class TestKolmogorovCycles:
@@ -186,8 +171,39 @@ class TestPerturbHopRate:
         perturbed = perturb_hop_rate(gen)
         changed = np.nonzero(perturbed.rates != gen.rates)[0]
         assert changed.size == 1
-        assert gen.kinds[changed[0]] == EDGE_HOP
+        assert (gen.rows[changed[0]], gen.cols[changed[0]]) == (1, 2)  # (0,1) -> (1,0)
         assert perturbed.rates[changed[0]] == pytest.approx(2.0 * gen.rates[changed[0]])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_first_hop_edge_is_doubled(self, n, k):
+        # A hop changes two sites and an arrival or departure one, so the
+        # first two-site edge in (row, col) order is the first hop edge.
+        rng = np.random.default_rng(10 * n + k)
+        for _ in range(4):
+            delta = np.where(rng.random(k) < 1 / 3, 0.0, rng.uniform(0.2, 3.0, k))
+            if not delta.any():
+                delta[-1] = 1.5  # one mobile type at least
+            p = params(n, k, alpha=tuple(rng.uniform(0.2, 3.0, k)),
+                       beta=tuple(rng.uniform(0.2, 3.0, k)), delta=tuple(delta))
+            gen = build_generator(p)
+            hops = [e for e, (i, j) in enumerate(zip(gen.rows.tolist(), gen.cols.tolist()))
+                    if sum(a != b for a, b in zip(decode(i, p), decode(j, p))) == 2]
+            changed = np.flatnonzero(perturb_hop_rate(gen).rates != gen.rates)
+            assert changed.tolist() == hops[:1]
+
+    def test_the_copy_holds_one_rate_array(self):
+        # The fresh rates are read-only, so the copy keeps them: one
+        # edge-sized array at the peak, not two.
+        gen = build_generator(params(8, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)))
+        tracemalloc.start()
+        try:
+            perturbed = perturb_hop_rate(gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not perturbed.rates.flags.writeable
+        assert peak < 1.25 * gen.rates.nbytes
 
     def test_no_hops_to_perturb(self):
         gen = build_generator(params(2, 1, delta=(0.0,)))

@@ -11,12 +11,19 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from reference import Event, EventKind, apply_event, enabled_events, encode, sample_next_event
+from reference import (
+    Event,
+    EventKind,
+    apply_event,
+    decode,
+    enabled_events,
+    encode,
+    sample_next_event,
+)
 from sepsim import (
     ModelParams,
     SimConfig,
     SimStats,
-    decode,
     merge_replicas,
     product_form,
     replica_rng,
