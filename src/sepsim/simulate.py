@@ -518,7 +518,9 @@ class _LatticeWalk(_Walk):
         occ, classes, sums = self.occ, self.classes, self.sums
         bonds = [None, *(members for members, _ in classes)]  # each value's bond list
         block_total = [block[-1] for block in sums]
+        arrival_ends = sums[0]  # a vacant boundary site's running alpha sums
         n, radix = len(occ), len(sums)
+        last, inner = n - 1, n - 2  # site N and its neighbour: positive indices subscript faster
         source = (n + 1) * radix  # the move's weight of a + 1
         totals: list[float] = []
         moves: list[int] = []
@@ -527,15 +529,20 @@ class _LatticeWalk(_Walk):
         # site's particle, or, with the far site vacant, inactive for its
         # own; a near site that fills does the reverse.  Except next to the
         # hopped bond, a bond is found in its list by bisection: the scan of
-        # list.remove would grow with N.
+        # list.remove would grow with N; its list is looked up once, as listed.
         for u2 in picks.tolist():
             start = block_total[occ[0]]  # the site-1 block's end, 0.0 + its sum
-            lower = total = start + block_total[occ[-1]]
+            lower = total = start + block_total[occ[last]]
             for members, rate in classes:
                 total = total + len(members) * rate
             x = u2 * total
             if x < lower:  # site a's block; its one bond i0 flips
-                a, i0, far = (0, 0, occ[1]) if x < start else (n - 1, n - 2, occ[-2])
+                if x < start:
+                    a, i0, far = 0, 0, occ[1]
+                    lower = 0.0  # where site a's block starts
+                else:
+                    a, i0, far = last, inner, occ[inner]
+                    lower = start
                 v = occ[a]
                 if v:  # a departure
                     occ[a] = 0
@@ -543,27 +550,31 @@ class _LatticeWalk(_Walk):
                     if far:
                         insort(bonds[far], i0)
                     else:
-                        del bonds[v][bisect_left(bonds[v], i0)]
+                        del (listed := bonds[v])[bisect_left(listed, i0)]
                 else:  # an arrival
-                    lower = 0.0 if a == 0 else start
-                    while lower + sums[0][v] <= x:
+                    while lower + arrival_ends[v] <= x:
                         v += 1
                     occ[a] = v = v + 1
                     add_move((a + 1) * radix + v)
                     if far:
-                        del bonds[far][bisect_left(bonds[far], i0)]
+                        del (listed := bonds[far])[bisect_left(listed, i0)]
                     else:
                         insort(bonds[v], i0)
             else:
                 # u2 <= 1 - 2**-53, so x rounds below total, the last class
                 # end: the scan always finds a class, and never one of rate
-                # 0.0, which has no width.
-                for k0, (members, rate) in enumerate(classes):
+                # 0.0, which has no width.  v counts the classes scanned, so
+                # it stops at the mover's value.
+                v = 0
+                for members, rate in classes:
+                    v += 1
                     upper = lower + len(members) * rate
                     if x < upper:
                         break
                     lower = upper
-                j = min(int((x - lower) / rate), len(members) - 1)
+                j = int((x - lower) / rate)
+                if j >= len(members):  # rounded past the class's last member
+                    j = len(members) - 1
                 while lower + j * rate > x:
                     j -= 1
                 while lower + (j + 1) * rate <= x:
@@ -574,11 +585,11 @@ class _LatticeWalk(_Walk):
                 # the mover's own list they sit right next to it.
                 if occ[i0]:  # site i0 turns vacant and site i0 + 1 fills
                     a, b = i0, i0 + 1
-                    if i0 < n - 2:
+                    if i0 < inner:
                         if far := occ[i0 + 2]:
-                            del bonds[far][bisect_left(bonds[far], i0 + 1)]
+                            del (listed := bonds[far])[bisect_left(listed, b)]
                         else:
-                            members.insert(j + 1, i0 + 1)
+                            members.insert(j + 1, b)
                     if i0:
                         if far := occ[i0 - 1]:
                             insort(bonds[far], i0 - 1)
@@ -586,18 +597,19 @@ class _LatticeWalk(_Walk):
                             del members[j - 1]
                 else:  # site i0 + 1 turns vacant and site i0 fills
                     a, b = i0 + 1, i0
-                    if i0 < n - 2:
+                    if i0 < inner:
                         if far := occ[i0 + 2]:
-                            insort(bonds[far], i0 + 1)
+                            insort(bonds[far], a)
                         else:
                             del members[j + 1]
                     if i0:
                         if far := occ[i0 - 1]:
-                            del bonds[far][bisect_left(bonds[far], i0 - 1)]
+                            del (listed := bonds[far])[bisect_left(listed, i0 - 1)]
                         else:
                             members.insert(j, i0 - 1)
-                occ[a], occ[b] = 0, k0 + 1
-                add_move((a + 1) * source + (b + 1) * radix + k0 + 1)
+                occ[a] = 0
+                occ[b] = v
+                add_move((a + 1) * source + (b + 1) * radix + v)
             add_total(total)
         self.moves = np.array(moves, dtype=np.int64)
         return np.array(totals)

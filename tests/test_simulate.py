@@ -492,8 +492,25 @@ class TestRunReplica:
                 ["0x1.0997e5a14b324p+10", "0x1.b3adcca58d9bep+8"],
                 "0x1.67517c57f7ff0p+8",
             ),
+            (
+                params(100, 2, alpha=(1.0, 2.0), beta=(2.0, 1.0)),
+                SimConfig(seed=7, max_events=5000, warmup_fraction=0.2),
+                ("0x1.2bf9db6dd89e6p+7", [81, 191], [78, 183], "0x1.d4b666dba2777p+13"),
+                ["0x1.6173f4e2faa35p+6", "0x1.200e91b81ffb4p+8"],
+                None,
+            ),
+            (
+                params(40, 3, alpha=(1.0, 2.0, 0.5), beta=(2.0, 1.0, 0.4), delta=(0.0, 0.7, 1.9)),
+                SimConfig(seed=8, max_events=6000, warmup_fraction=0.2),
+                ("0x1.8ff7986c3df11p+7", [96, 181, 40], [96, 176, 37], "0x1.f3f57e874d6d5p+12"),
+                ["0x1.9c9c90577116ep+5", "0x1.c77e6f8776f53p+8", "0x1.a35c664487a26p+7"],
+                None,
+            ),
         ],
-        ids=["n5k2", "n30k3", "n5k2-blocks", "n10k2-incremental", "n12k2-immobile-incremental"],
+        ids=[
+            "n5k2", "n30k3", "n5k2-blocks", "n10k2-incremental", "n12k2-immobile-incremental",
+            "n100k2", "n40k3-immobile-first",
+        ],
     )
     def test_stream_and_event_order_are_pinned(self, model, cfg, expected, sojourn_sums, state_sum):
         # Fixed-seed figures recorded under RNG_SCHEME's event order (n5k2
@@ -505,7 +522,9 @@ class TestRunReplica:
         # state-occupancy sum; n10k2-incremental pins the same sums on the
         # lattice walk (3^10 states, off the memo), and
         # n12k2-immobile-incremental on a lattice walk whose type 2 never
-        # hops.
+        # hops.  n100k2 is a long lattice walk whose bond lists grow to tens
+        # of bonds, so bisection and insertion land mid-list, and
+        # n40k3-immobile-first one whose first hop class has no width.
         stats = run_replica(model, cfg, 1, track_state_occupancy=state_sum is not None)
         observed = (
             stats.total_time.hex(),
