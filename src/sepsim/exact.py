@@ -1,14 +1,16 @@
 """Exact engine: rate generator, numerical stationary solve, closed forms.
 
 The generator of the lattice process is stored as off-diagonal COO arrays
-in a canonical (row, col) order; the diagonal is implied (negative exit
+in the order they are built; the diagonal is implied (negative exit
 rate), so row sums are zero by construction.  Every generator comes from
 :func:`build_generator`, which adds each event family next to its reverse
-family, so it knows each edge's reverse without a search, and puts the
-edges in order with one stable sort of a single integer key; the
-generator keeps the reverse of each edge (:attr:`Generator.reverse`).  A
-copy, the negative control's perturbed generator, changes only the rates
-and shares the rest.  So a generator is irreducible exactly when its model
+family, so it knows each edge's reverse without a search, and keeps that
+order, in which each state's edges are its events in the sampler's order;
+the generator keeps the reverse of each edge (:attr:`Generator.reverse`).
+The sampler's memo table reads the same edges.  Only the sparse LU puts
+them in (row, col) order, for its own sums.  A copy, the negative
+control's perturbed generator, changes only the rates and shares the
+rest.  So a generator is irreducible exactly when its model
 is (:func:`is_irreducible_model`), and it is spanned by that lemma's tree.
 A model is solved one of two ways, chosen by one rule on the generator
 itself:
@@ -79,8 +81,8 @@ __all__ = [
 
 DEFAULT_STATE_CAP = 1 << 24
 STATE_CAP_ENV = "SEPSIM_STATE_CAP"
-# Caps must stay below it, so that build_generator's sort key
-# rows * dim + cols fits in int64 and a state index in int32.
+# Caps must stay below it, so that the LU's sort key rows * dim + cols
+# fits in int64 and a state index in the int32 state tables.
 _CAP_BOUND = 1 << 31
 RESIDUAL_TOL = 1e-10
 # Largest cycle mismatch for which the stationary law is read off the tree
@@ -112,8 +114,8 @@ class SingularSystemError(SolveError):
 def resolve_state_cap() -> int:
     """Effective exact-engine state cap: the ``SEPSIM_STATE_CAP``
     environment variable, else the built-in default.  A cap of 2**31 or
-    more is refused, because state counts that large overflow the keys and
-    tables that index the edges."""
+    more is refused, because state counts that large overflow the LU's
+    (row, col) sort key and the int32 state tables."""
     raw = os.environ.get(STATE_CAP_ENV)
     if raw is None:
         return DEFAULT_STATE_CAP
@@ -151,10 +153,12 @@ class Generator:
     """Off-diagonal transition rates of the lattice process.
 
     ``rows``, ``cols`` and ``rates`` are parallel arrays holding one
-    directed edge each, sorted by (row, col).  The diagonal entry of
-    state ``i`` is implied as minus its exit rate, so every row of the full
-    matrix sums to zero exactly.  ``reverse[e]`` is the index of the edge
-    ``cols[e] -> rows[e]``.  The arrays are read-only.
+    directed edge each, in :func:`build_generator`'s order: each event
+    family's block, then its reverse family's, each ascending by source.
+    The diagonal entry of state ``i`` is implied as minus its exit rate, so
+    every row of the full matrix sums to zero exactly.  ``reverse[e]`` is
+    the index of the edge ``cols[e] -> rows[e]``, the same place in the
+    mirrored block.  The arrays are read-only.
 
     The support fields, ``dim``, ``rows``, ``cols``, ``reverse`` and
     ``params`` (the model), are :func:`build_generator`'s.  The only copy
@@ -214,15 +218,6 @@ class Generator:
         return TreePotential(phi, float(mismatch.max()))
 
 
-def _follow(reverse: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``reverse`` after the edges are put in ``order``: for each edge in
-    its new place, the new place of its reverse, through the inverse
-    permutation."""
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    return position[reverse[order]]
-
-
 def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, float]]:
     """The model's event rules, each event family beside its reverse family.
 
@@ -251,10 +246,12 @@ def _event_pairs(params: ModelParams) -> Iterator[tuple[tuple, tuple, float, flo
                 yield at(i, k, 0), at(i, 0, k), rate, rate
 
 
-def build_generator(params: ModelParams) -> Generator:
-    """Assemble the generator from the event rules, one edge per enabled event.
+def _transitions(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every enabled event as one directed edge: the parallel ``rows``,
+    ``cols``, ``rates`` and ``reverse`` arrays of :class:`Generator`, in
+    build order.  No state cap applies here; :func:`build_generator` checks
+    it first, and the sampler's memo table reads the sources and targets.
 
-    Refuses models whose state count exceeds :func:`resolve_state_cap`.
     The construction is vectorised over the whole state space: each event
     family of :func:`_event_pairs` contributes one block of edges, and its
     reverse family the next block.  Both index the tensor of state indices
@@ -262,16 +259,11 @@ def build_generator(params: ModelParams) -> Generator:
     ascending order, so within a block the sources and the targets both
     ascend, and the reverse block's sources are the forward block's targets
     in the same order: edge ``t`` of one block is the reverse of edge ``t``
-    of the other.  One stable sort of the key ``rows * dim + cols``, whose
-    blocks are already sorted runs, puts the edges in (row, col) order, and
-    the reverse indices follow it.
+    of the other.  A state has at most one event in a block, and the
+    families come in the sampler's order, so a state's edges, read in array
+    order, are its events in ``sepsim.simulate.RNG_SCHEME["event_order"]``.
     """
-    m = state_space_size(params)
-    limit = resolve_state_cap()
-    if m > limit:
-        raise CapExceededError(m, limit)
-
-    ids = np.arange(m, dtype=np.int64).reshape((params.n_types + 1,) * params.n_sites)
+    ids = np.arange(state_space_size(params), dtype=np.int64).reshape((params.n_types + 1,) * params.n_sites)
     # Each family's sources and targets, as views of ids.
     families = [(ids[a], ids[b], *rules) for a, b, *rules in _event_pairs(params)]
     total = 2 * sum(src.size for src, *_ in families)
@@ -289,16 +281,20 @@ def build_generator(params: ModelParams) -> Generator:
         reverse[fwd] = np.arange(at + size, at + 2 * size)
         reverse[back] = np.arange(at, at + size)
         at += 2 * size
-    del ids, families
+    return rows, cols, rates, reverse
 
-    # Rebinding each array in turn frees its unsorted copy before the next
-    # one is gathered.
-    order = np.argsort(rows * m + cols, kind="stable")
-    rows = rows[order]
-    cols = cols[order]
-    rates = rates[order]
-    reverse = _follow(reverse, order)
-    del order
+
+def build_generator(params: ModelParams) -> Generator:
+    """Assemble the generator from the event rules, one edge per enabled
+    event, in the build order of :func:`_transitions`.
+
+    Refuses models whose state count exceeds :func:`resolve_state_cap`.
+    """
+    m = state_space_size(params)
+    limit = resolve_state_cap()
+    if m > limit:
+        raise CapExceededError(m, limit)
+    rows, cols, rates, reverse = _transitions(params)
     for array in (rows, cols, rates, reverse):
         array.flags.writeable = False  # so the generator keeps them without a copy
     return Generator(dim=m, rows=rows, cols=cols, rates=rates, params=params, reverse=reverse)
@@ -367,12 +363,18 @@ def balance_residuals(gen: Generator, dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (gen.dim,):
         raise ValueError(f"distribution has shape {dist.shape}, expected ({gen.dim},)")
-    rates = gen.rates.astype(np.longdouble)
-    exit_rates = np.zeros(gen.dim, dtype=np.longdouble)
-    np.add.at(exit_rates, gen.rows, rates)
+    return _balance_residuals(gen.rows, gen.cols, gen.rates, dist)
+
+
+def _balance_residuals(rows: np.ndarray, cols: np.ndarray, rates: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """:func:`balance_residuals` of the edges ``rows -> cols`` at ``rates``,
+    summed in the order the arrays give them."""
+    rates = rates.astype(np.longdouble)
+    exit_rates = np.zeros(dist.size, dtype=np.longdouble)
+    np.add.at(exit_rates, rows, rates)
     residual = dist.astype(np.longdouble) * exit_rates
-    rates *= dist[gen.rows]  # the flow along each edge, in place
-    np.subtract.at(residual, gen.cols, rates)
+    rates *= dist[rows]  # the flow along each edge, in place
+    np.subtract.at(residual, cols, rates)
     return residual.astype(np.float64)
 
 
@@ -479,8 +481,8 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     last state pinned to one: its row and column are dropped, the reduced
     matrix ``A`` is factored by a sparse LU, and the solution is extended
     by the pinned one.  Then one step of iterative refinement with the same
-    factors, ``x += A^{-1}(b - A x)``, takes the residual ``b - A x`` from
-    :func:`balance_residuals`, in extended precision and from the rates
+    factors, ``x += A^{-1}(b - A x)``, takes the residual ``b - A x`` as
+    :func:`balance_residuals` does, in extended precision and from the rates
     themselves, not from ``A``'s rounded diagonal (mixed-precision
     refinement, Moler, J. ACM 1967).  The smallest probabilities then come
     out with small relative error, not only small absolute error: within
@@ -502,11 +504,17 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     from scipy.sparse.linalg import splu
 
     m = gen.dim
+    # The solution's last digits depend on the order in which the matrix,
+    # the exit rates and the refinement's residual sum the edges, and the
+    # negative control's documents print them: one sort by (row, col) fixes
+    # that order whatever the order the generator holds its edges in.
+    order = np.argsort(gen.rows * m + gen.cols, kind="stable")
+    rows, cols, rates = gen.rows[order], gen.cols[order], gen.rates[order]
     diag = np.arange(m)
     qt = sp.csc_matrix(
         (
-            np.concatenate([gen.rates, -gen.exit_rates()]),
-            (np.concatenate([gen.cols, diag]), np.concatenate([gen.rows, diag])),
+            np.concatenate([rates, -np.bincount(rows, weights=rates, minlength=m)]),
+            (np.concatenate([cols, diag]), np.concatenate([rows, diag])),
         ),
         shape=(m, m),
     )
@@ -522,7 +530,7 @@ def _solve_lu(gen: Generator) -> np.ndarray:
     p = np.append(lu.solve(-qt[:-1, -1].toarray().ravel()), 1.0)
     # The refinement's right-hand side b - A x is the balance residual of the
     # free states.
-    p[:-1] += lu.solve(balance_residuals(gen, p)[:-1])
+    p[:-1] += lu.solve(_balance_residuals(rows, cols, rates, p)[:-1])
     return p
 
 

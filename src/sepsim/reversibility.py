@@ -95,15 +95,15 @@ def perturb_hop_rate(gen: Generator) -> Generator:
     used as a negative control for the balance and cycle checks.  The edge
     is the hop from site N to site N-1 of the lowest type k with
     ``delta[k-1] > 0``, out of the state that holds only that particle:
-    edge ``(k, k*(K+1))``, the first hop edge in (row, col) order.
+    edge ``(k, k*(K+1))``, the hop edge with the smallest (row, col), found
+    by its endpoints.
     """
     params = gen.params
     mobile = [k for k, rate in enumerate(params.delta, 1) if rate > 0.0]
     if not mobile:
         raise ValueError("generator has no hop transitions to perturb")
     k = mobile[0]
-    start, stop = np.searchsorted(gen.rows, [k, k + 1])
-    edge = start + np.searchsorted(gen.cols[start:stop], k * (params.n_types + 1))
+    edge = np.flatnonzero((gen.rows == k) & (gen.cols == k * (params.n_types + 1)))[0]
     rates = gen.rates.copy()
     rates[edge] *= 2.0
     rates.flags.writeable = False  # so that the copy keeps this array

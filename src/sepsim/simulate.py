@@ -17,8 +17,8 @@ by lattice size:
 - the memo walk, where every state's step records fit in
   ``_RECORD_CACHE_LIMIT`` records, walks on canonical state indices
   through one table per model (:class:`_MemoTable`): every state's
-  successors, built at once from the event rules of
-  :func:`~sepsim.exact._event_pairs`, and its pick row (see below).  One
+  successors, built at once from the generator's edges
+  (:func:`~sepsim.exact._transitions`), and its pick row (see below).  One
   table, one budget: the record budget alone bounds the pick rows too,
   whatever the rates (see ``_RECORD_CACHE_LIMIT``);
 - the lattice walk keeps the lattice as a list and one sorted list of
@@ -88,7 +88,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .exact import _event_pairs
+from .exact import _transitions
 from .model import ModelParams, state_space_size
 
 __all__ = [
@@ -215,9 +215,9 @@ def replica_rng(seed: int, replica_index: int) -> np.random.Generator:
 
 # Record budget of the memo walk's table, which holds every state's
 # successors, at most N+2K-1 records each, built at once per model.  At
-# the README rates the table keeps 29 bytes per budget record at N=9/K=2
-# and 26 at N=14/K=1 (6.5 and 6.0 MiB traced; the build's traced peak is
-# 8.9 and 8.0 MiB).  It bounds the table's pick rows too: with every
+# the README rates the table keeps 25 bytes per budget record at N=9/K=2
+# and 23 at N=14/K=1 (5.6 and 5.4 MiB traced; the build's traced peak is
+# 7.8 and 6.9 MiB).  It bounds the table's pick rows too: with every
 # threshold distinct, the worst case for any rates, the largest pick table
 # (rows and cell grid) of the 97 lattices it admits is 19,866,226 bytes,
 # at N=3/K=18, and no state has 256 events.
@@ -266,34 +266,30 @@ def _profile_ends(profile: tuple, sums, delta) -> tuple[list[float], float]:
 def _state_events(params: ModelParams) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Each state's successors, in ``RNG_SCHEME["event_order"]``, and its
     rate profile (see :func:`_profile_ends`), by canonical state index,
-    read off the event families of :func:`~sepsim.exact._event_pairs`.
+    read off the generator's edges (:func:`~sepsim.exact._transitions`).
 
-    A family and its reverse fill one column of a ``(K+1,)*N + (pairs,)``
-    int32 tensor of successors, -1 where neither fires: each state of ``a``
-    goes to the state in the same place of ``b``, and each state of ``b``
-    back.  The families come in the sampler's order, each filling the
-    column of its own index, so a state's row lists its events in that
-    order, which the row-major order of boolean indexing keeps.  The
-    tensor and its mask are dropped before the successors become lists.
+    A state's edges, read in array order, are its events in the sampler's
+    order, so one stable sort by source lists each state's successors in
+    that order.  The boundary edges come first, then one run of hop edges
+    of equal length per mobile type, so a bincount of a run's sources is
+    each state's number of active bonds of that type.  The edges are
+    dropped before the successors become lists.
     """
     n, n_types, radix = params.n_sites, params.n_types, params.n_types + 1
-    shape = (radix,) * n
     m = state_space_size(params)
-    ids = np.arange(m, dtype=np.int32).reshape(shape)
-    pairs = list(_event_pairs(params))
-    boundary = 2 * n_types
+    rows, cols = _transitions(params)[:2]
     mobile = [k0 for k0, rate in enumerate(params.delta) if rate > 0.0]
-    targets = np.full(shape + (len(pairs),), -1, dtype=np.int32)
-    for column, (a, b, *_) in enumerate(pairs):
-        targets[a + (column,)] = ids[b]
-        targets[b + (column,)] = ids[a]
-    targets = targets.reshape(m, len(pairs))
-    fires = targets >= 0
-    successors = targets[fires]
-    ends = np.concatenate(([0], np.cumsum(fires.sum(axis=1))))  # each state's slice of successors
-    counts = np.zeros((m, n_types), dtype=np.int64)
-    counts[:, mobile] = fires[:, boundary:].reshape(m, len(mobile), n - 1).sum(axis=2)
-    del targets, fires
+    # The boundary edges, both ways for each type at two sites, come first,
+    # m / (K+1) per family; then each mobile type's hops, both ways on each
+    # of the N - 1 bonds, m / (K+1)^2 per family.
+    hops = rows[4 * n_types * (m // radix):].reshape(len(mobile), 2 * (n - 1) * (m // radix**2))
+    counts = np.zeros((n_types, m), dtype=np.int64)
+    for j, k0 in enumerate(mobile):
+        counts[k0] = np.bincount(hops[j], minlength=m)
+    # Each state's slice of the successors.
+    ends = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+    successors = cols.astype(np.int32)[np.argsort(rows, kind="stable")]
+    del rows, cols, hops
     # 4096 states at a time, so that no list of every state's successors is
     # alive beside their tuples.
     steps: list[tuple[int, ...]] = []
@@ -302,9 +298,9 @@ def _state_events(params: ModelParams) -> tuple[list[tuple[int, ...]], list[tupl
         flat, bounds = successors[part[0]:part[-1]].tolist(), (part - part[0]).tolist()
         steps += [tuple(flat[i:j]) for i, j in zip(bounds, bounds[1:])]
     del successors, ends
-    ids = ids.ravel()
+    ids = np.arange(m, dtype=np.int32)
     firsts, lasts = (ids // radix ** (n - 1)).tolist(), (ids % radix).tolist()
-    return steps, list(zip(firsts, lasts, *counts.T.tolist()))
+    return steps, list(zip(firsts, lasts, *counts.tolist()))
 
 
 def _thresholds(ends: np.ndarray, totals: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """The hand-written reference model and stepper the tests check sepsim against.
 
-The generator, the balance certificate and the sampler's memo table read
-the dynamics off one list of event families, ``sepsim.exact._event_pairs``,
-and the sampler's lattice walk keeps its own bond lists.  The code here
-spells the rules out state by state, one event at a time, with neither, so
-a test that compares them cross-checks the generator, the memo table and
-the lattice walk:
+The generator and the balance certificate read the dynamics off one list
+of event families, ``sepsim.exact._event_pairs``, the sampler's memo table
+reads them through the generator's edges, and the sampler's lattice walk
+keeps its own bond lists.  The code here spells the rules out state by
+state, one event at a time, with neither, so a test that compares them
+cross-checks the generator, the memo table and the lattice walk:
 
 - the reference model: states as tuples (:data:`LatticeState`),
   :class:`Event` values, the events enabled in a state
@@ -14,7 +14,8 @@ the lattice walk:
   (:func:`enumerate_states`), a state's canonical index (:func:`encode`)
   and the state of an index (:func:`decode`);
 - the reference stepper, :func:`sample_next_event`, one step of the direct
-  method in the sampler's event order and on its stream;
+  method in the sampler's event order and on its stream, and that order
+  of a state's events (:func:`reference_order`);
 - :func:`joint_from_marginals`, the product form built from the site
   marginals, and :func:`to_dense`, a generator as a dense matrix;
 - graph searches of a generator's support, the references for the
@@ -242,6 +243,16 @@ def sample_next_event(
 _BOUNDARY_KINDS = (EventKind.ARRIVAL, EventKind.DEPARTURE)
 
 
+def reference_order(state: LatticeState, params: ModelParams) -> list[Event]:
+    """The enabled events of ``state`` in :func:`sample_next_event`'s order:
+    the boundary events as :func:`enabled_events` lists them, then the
+    hops, stably by type."""
+    events = [event for event, _ in enabled_events(state, params)]
+    boundary = [event for event in events if event.kind in _BOUNDARY_KINDS]
+    hops = [event for event in events if event not in boundary]
+    return boundary + sorted(hops, key=lambda event: event.ptype)
+
+
 def joint_from_marginals(params: ModelParams) -> np.ndarray:
     """Joint distribution assembled as the product of the site marginals.
 
@@ -281,10 +292,12 @@ def search_potential(gen: Generator) -> np.ndarray:
     """Kelly's potential along a breadth-first spanning tree of the support
     from the empty lattice (index 0): ``phi_j = phi_i + log(rate(i->j) /
     rate(j->i))`` on each tree edge, zero at the root and NaN at a state
-    the search does not reach."""
-    log_ratio = (np.log(gen.rates) - np.log(gen.rates[gen.reverse])).tolist()
-    cols = gen.cols.tolist()
-    starts = np.searchsorted(gen.rows, np.arange(gen.dim + 1)).tolist()
+    the search does not reach.  Its own stable sort of the sources lists
+    each state's edges side by side, whatever order the generator keeps."""
+    order = np.argsort(gen.rows, kind="stable")
+    log_ratio = (np.log(gen.rates) - np.log(gen.rates[gen.reverse]))[order].tolist()
+    cols = gen.cols[order].tolist()
+    starts = np.searchsorted(gen.rows[order], np.arange(gen.dim + 1)).tolist()
     phi = [None] * gen.dim
     phi[0] = 0.0
     frontier = [0]

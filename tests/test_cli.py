@@ -13,7 +13,8 @@ import pytest
 from reference import decode
 import sepsim.cli
 import sepsim.exact
-from sepsim import SimConfig
+import sepsim.simulate
+from sepsim import SimConfig, run_replicas
 from sepsim.exact import _REDUCIBLE_MESSAGE
 from sepsim.cli import (
     DEFAULT_TOLERANCES,
@@ -434,7 +435,8 @@ class TestMainEntry:
         assert calls == []
 
     def test_a_state_cap_past_the_edge_keys_is_refused(self, config_path, capsys, monkeypatch):
-        # Caps from 2**31 on would overflow build_generator's int64 sort key.
+        # Caps from 2**31 on would overflow the LU's int64 sort key and the
+        # int32 state tables.
         monkeypatch.setenv("SEPSIM_STATE_CAP", str(2**31))
         assert main(["exact", "--config", config_path]) == 2
         captured = capsys.readouterr()
@@ -442,6 +444,26 @@ class TestMainEntry:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "ValueError"
         assert error["message"] == "SEPSIM_STATE_CAP must be below 2**31, got '2147483648'"
+
+    def test_the_sampler_ignores_the_exact_engines_cap(self, tmp_path, capsys, monkeypatch):
+        # N=5, K=2 (243 states) takes the memo walk, whose table is built
+        # from the generator's edges; a cap of 100 states binds only the
+        # exact engine, so both runs build their table under it and match
+        # the runs without it.
+        document = dict(n_sites=5, n_types=2, **README_RATES, seed=4, max_events=5000, replicas=2)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        config = RunConfig.from_dict(document)
+        runs = []
+        for cap in (None, "100"):
+            if cap is not None:
+                monkeypatch.setenv("SEPSIM_STATE_CAP", cap)
+            sepsim.simulate._memo_table.cache_clear()
+            replicas = run_replicas(config.model, config.sim)
+            sepsim.simulate._memo_table.cache_clear()
+            assert main(["simulate", "--config", str(path)]) == 0
+            runs.append((replicas, capsys.readouterr().out))
+        assert runs[0] == runs[1]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["exact", "--config", str(tmp_path / "nope.json")]) == 2
@@ -591,6 +613,15 @@ PINNED_DOCUMENTS = [
         "a0468955ce77f1e7485efc00422117fe5bb11e090e54422ff2407db1b57023b9",
         "06af4801341666c736cb6165d3ee38bb8708fd28f8571149aa97de668ce6be6a",
     ),
+    (
+        # The LU's last digits depend on the order it sums the edges in: with
+        # the edges in build order, not the LU's own (row, col) order, this
+        # document's oracle_equivalence residual reads 0.0008022030653141998.
+        "verify", ["--negative-control"], 1,
+        dict(n_sites=4, n_types=1, alpha=[0.015601], beta=[19.279562], delta=[0.15292218307844158]),
+        "33ef848d875a2eb5004cde2c35fa5ff54b945fd1d6601b0320feccd9b3d84c81",
+        "3fbf76411b105823f4382549d4e683efbde17a6dbe3c23492d8cc307de44aa9f",
+    ),
 ]
 
 
@@ -599,7 +630,7 @@ class TestPinnedDocuments:
                              PINNED_DOCUMENTS,
                              ids=["n5k2-report", "n30k3-simulate", "n2k2-simulate", "n4k2-verify",
                                   "n4k2-verify-negative", "n5k3-verify-negative",
-                                  "n2k2-verify-negative"])
+                                  "n2k2-verify-negative", "n4k1-verify-negative-lu-order"])
     def test_documents_are_pinned(self, tmp_path, capsys, command, flags, exit_code, config,
                                   json_sha256, csv_sha256):
         path = tmp_path / "config.json"

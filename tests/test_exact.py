@@ -11,6 +11,7 @@ from reference import (
     enumerate_states,
     is_irreducible,
     joint_from_marginals,
+    reference_order,
     search_potential,
     to_dense,
 )
@@ -34,7 +35,6 @@ from sepsim.exact import (
     STATE_CAP_ENV,
     _REDUCIBLE_MESSAGE,
     _REVERSIBLE_TOL,
-    _follow,
     _gated,
     _solve_lu,
     _solve_reversible,
@@ -211,8 +211,14 @@ class TestGeneratorOrderAndReverse:
         gen = build_generator(p)
         assert edge_map(gen) == expected
         assert gen.rows.size == len(expected)
-        keys = gen.rows * gen.dim + gen.cols
-        assert np.all(np.diff(keys) > 0)
+        # Each state's edges, read in array order, are the reference
+        # stepper's events in its order.
+        successors = {}
+        for i, j in zip(gen.rows.tolist(), gen.cols.tolist()):
+            successors.setdefault(i, []).append(j)
+        for state in enumerate_states(p):
+            in_order = [encode(apply_event(state, event), p) for event in reference_order(state, p)]
+            assert successors[encode(state, p)] == in_order
         opposite = [expected[(j, i)] for i, j in zip(gen.rows.tolist(), gen.cols.tolist())]
         assert gen.rates[gen.reverse].tolist() == opposite
         assert reverse_rates(gen).tolist() == opposite
@@ -233,16 +239,8 @@ class TestGeneratorOrderAndReverse:
             assert getattr(copy, name) is getattr(gen, name), name
         assert copy.dim == gen.dim
 
-    def test_a_given_reverse_follows_the_sort(self):
-        # build_generator's sort: edge e's reverse moves with both edges.
-        # 0 <-> 1 <-> 2, given out of order with each edge's reverse.
-        rows, cols = np.array([2, 0, 1, 1]), np.array([1, 1, 2, 0])
-        order = np.argsort(rows * 3 + cols, kind="stable")
-        assert rows[order].tolist() == [0, 1, 1, 2] and cols[order].tolist() == [1, 0, 2, 1]
-        assert _follow(np.array([2, 3, 0, 1]), order).tolist() == [1, 0, 3, 2]
-
     def test_dimension_must_fit_the_key(self, monkeypatch):
-        # The cap bounds every generator's dim, so that the sort key
+        # The cap bounds every generator's dim, so that the LU's sort key
         # rows * dim + cols fits in int64.
         monkeypatch.setenv(STATE_CAP_ENV, str(2**31 - 1))
         assert resolve_state_cap() == 2**31 - 1

@@ -18,6 +18,7 @@ from reference import (
     decode,
     enabled_events,
     encode,
+    reference_order,
     sample_next_event,
 )
 from sepsim import (
@@ -281,16 +282,6 @@ WIDE = params(2, 49, alpha=tuple(10 ** (j / 49) for j in range(49)),
               delta=tuple(10 ** ((j * 3 % 49) / 49) for j in range(49)))
 
 
-def reference_order(state, model):
-    """The enabled events of ``state`` in sample_next_event's order: the
-    boundary events as enabled_events lists them, then the hops, stably by
-    type."""
-    events = [event for event, _ in enabled_events(state, model)]
-    boundary = [event for event in events if event.kind in (EventKind.ARRIVAL, EventKind.DEPARTURE)]
-    hops = [event for event in events if event not in boundary]
-    return boundary + sorted(hops, key=lambda event: event.ptype)
-
-
 def rate_profile(state, model):
     """The rate profile of ``state`` read off its enabled events: the values
     of site 1 and site N, then its number of hops of each type."""
@@ -381,9 +372,9 @@ class TestPickTable:
 
     @pytest.mark.parametrize("model", [params(9, 2), params(14, 1)], ids=["n9k2", "n14k1"])
     def test_step_table_build_peak_is_near_what_it_leaves(self, model):
-        # The int32 successor tensor and its mask are dropped before the
-        # successors become lists, so the traced peak of building the
-        # model's table is at most 1.5 times what the build leaves.
+        # The edge arrays are dropped before the successors become lists,
+        # so the traced peak of building the model's table is at most 1.5
+        # times what the build leaves.
         def traced_build():
             simulate._memo_table.cache_clear()
             tracemalloc.start()
